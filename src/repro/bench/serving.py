@@ -18,9 +18,7 @@ from repro.config import BatchConfig
 from repro.engine.concat import ConcatEngine
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.queue import _ReferenceRequestQueue
-from repro.serving import cluster as _cluster_mod
-from repro.serving import continuous as _continuous_mod
-from repro.serving import simulator as _simulator_mod
+from repro.serving import lifecycle as _lifecycle_mod
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.continuous import ContinuousBatchingSimulator
 from repro.serving.simulator import ServingSimulator
@@ -29,10 +27,6 @@ from repro.workload.generator import LengthDistribution, WorkloadGenerator
 
 __all__ = ["bench_serving", "reference_serving_core"]
 
-# Serving modules that instantiate ``RequestQueue()`` by (module-local)
-# name; swapping the attribute swaps the queue class for new runs.
-_QUEUE_MODULES = (_simulator_mod, _cluster_mod, _continuous_mod)
-
 
 @contextmanager
 def reference_serving_core() -> Iterator[None]:
@@ -40,16 +34,16 @@ def reference_serving_core() -> Iterator[None]:
 
     Schedulers are constructed by callers, so the reference *scheduler*
     is selected separately via ``DASScheduler(..., reference=True)``;
-    this context only swaps the queue class the loops instantiate.
+    this context only swaps the queue class.  ``serving/lifecycle.py`` is
+    the one module that constructs the run's queue (by module-local
+    name), so the swap covers every loop and ``TCBServer``.
     """
-    saved = [mod.RequestQueue for mod in _QUEUE_MODULES]
-    for mod in _QUEUE_MODULES:
-        mod.RequestQueue = _ReferenceRequestQueue
+    saved = _lifecycle_mod.RequestQueue
+    _lifecycle_mod.RequestQueue = _ReferenceRequestQueue
     try:
         yield
     finally:
-        for mod, cls in zip(_QUEUE_MODULES, saved):
-            mod.RequestQueue = cls
+        _lifecycle_mod.RequestQueue = saved
 
 
 def _workload(horizon: float, rate: float, seed: int):

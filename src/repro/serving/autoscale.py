@@ -26,10 +26,9 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.engine.base import InferenceEngine
-from repro.overload.ledger import drop_unservable
 from repro.scheduling.base import Scheduler
-from repro.scheduling.queue import RequestQueue
 from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.types import Request
 from repro.workload.generator import WorkloadGenerator
@@ -81,8 +80,9 @@ class AutoscalingSimulator:
     ) -> ServingMetrics:
         requests, horizon = resolve_workload(workload, horizon)
 
-        metrics = ServingMetrics(horizon=horizon, arrived=len(requests))
-        queue = RequestQueue()
+        life = Lifecycle(self.scheduler)
+        life.begin(requests, horizon)
+        queue = life.queue
         self.events = []
 
         engines: dict[int, InferenceEngine] = {
@@ -95,8 +95,6 @@ class AutoscalingSimulator:
             (0.0, i, i) for i in engines
         ]
         heapq.heapify(idle)
-        next_arrival = 0
-        n = len(requests)
 
         def waiting_tokens(now: float) -> int:
             return sum(r.length for r in queue.waiting(now))
@@ -107,10 +105,8 @@ class AutoscalingSimulator:
                 continue
             if now >= horizon:
                 break
-            while next_arrival < n and requests[next_arrival].arrival <= now:
-                queue.add(requests[next_arrival])
-                next_arrival += 1
-            queue.expire(now)
+            life.admit_arrivals(now)
+            life.expire_and_shed(now)
 
             # --- scaling decision ------------------------------------- #
             active = len(engines) - len(retired)
@@ -131,52 +127,30 @@ class AutoscalingSimulator:
                 continue  # this engine retires instead of serving
 
             waiting = queue.waiting(now)
+            wake = life.next_arrival_at()
             if not waiting:
-                if next_arrival >= n:
-                    continue
-                heapq.heappush(
-                    idle, (requests[next_arrival].arrival, engine_id, engine_id)
-                )
+                if wake is not None:
+                    heapq.heappush(idle, (wake, engine_id, engine_id))
                 continue
 
-            decision = self.scheduler.select(waiting, now)
-            decision.validate(self.scheduler.batch)
-            metrics.total_scheduler_time += decision.runtime
+            decision = life.select(waiting, now)
             engine = engines[engine_id]
             apply_slot_size(engine, decision)
             selected = decision.selected()
             if not selected:
-                unservable = [
-                    r for r in waiting if r.length > self.scheduler.batch.row_length
-                ]
-                if unservable:
-                    drop_unservable(queue, unservable, now)
+                if life.drop_unservable(waiting, now):
                     heapq.heappush(idle, (now, engine_id, engine_id))
-                elif next_arrival < n:
-                    heapq.heappush(
-                        idle,
-                        (requests[next_arrival].arrival, engine_id, engine_id),
-                    )
+                elif wake is not None:
+                    heapq.heappush(idle, (wake, engine_id, engine_id))
                 continue
 
             result = engine.serve(selected)
-            latency = max(result.latency, MIN_SLOT)
-            finish = now + latency
-            queue.remove_served(result.served)
-            for r in result.served:
-                metrics.finish_times[r.request_id] = (r.arrival, finish)
-            metrics.served.extend(result.served)
-            metrics.total_engine_time += latency
-            metrics.num_batches += 1
-            metrics.useful_tokens += result.stats.useful_tokens
-            metrics.padded_tokens += result.stats.padded_tokens
+            finish = life.serve_batch(
+                result, selected, now, max(result.latency, MIN_SLOT), engine
+            )
             heapq.heappush(idle, (finish, engine_id, engine_id))
 
-        queue.expire(float("inf"))
-        metrics.expired.extend(queue.expired)
-        metrics.expired.extend(requests[next_arrival:])
-        metrics.assert_conservation()
-        return metrics
+        return life.finish()
 
     @property
     def peak_engines(self) -> int:

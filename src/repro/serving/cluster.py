@@ -24,23 +24,20 @@ the failed attempt's latency window.
 from __future__ import annotations
 
 import heapq
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.cluster_health.hedge import HedgeResolution
 from repro.cluster_health.plane import TailTolerancePlane
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
-from repro.durability.snapshot import LiveState
 from repro.engine.base import InferenceEngine
-from repro.faults.recovery import RetryPolicy, requeue_failed, serve_slot
-from repro.obs.recorder import NO_TRACE, Tracer
+from repro.faults.recovery import RetryPolicy, SlotOutcome, serve_slot
+from repro.obs.recorder import Tracer
 from repro.overload.controller import OverloadController
-from repro.overload.ledger import drop_unservable
 from repro.scheduling.base import Scheduler
-from repro.scheduling.queue import RequestQueue
 from repro.serving.admission import AdmissionController
 from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
-from repro.serving.metrics import ServingMetrics
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.simulator import SimulationResult
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
@@ -90,10 +87,6 @@ class ClusterSimulator:
         # admission, fair share across tenants, per-tenant ledgers.
         self.tenancy = tenancy
 
-    def _release(self, requests: Iterable[Request]) -> None:
-        if self.admission is not None:
-            self.admission.release(list(requests))
-
     @staticmethod
     def _next_event_after(
         idle: list[tuple[float, int, int]], now: float
@@ -102,20 +95,38 @@ class ClusterSimulator:
         later = [t for (t, _, _) in idle if t > now]
         return min(later) if later else None
 
+    def _observe(
+        self,
+        hp: TailTolerancePlane,
+        life: Lifecycle,
+        engine_idx: int,
+        outcome: SlotOutcome,
+        at: float,
+    ) -> None:
+        """Feed one slot outcome to the health scoreboard."""
+        if outcome.result is None:
+            hp.observe(engine_idx, at, ok=False, tracer=life.tr)
+            return
+        hp.observe(
+            engine_idx,
+            at,
+            ok=True,
+            observed=max(outcome.result.latency, MIN_SLOT),
+            predicted=hp.predict(self.engines[engine_idx], outcome.result),
+            tracer=life.tr,
+        )
+
     def _hedge(
         self,
         hp: TailTolerancePlane,
+        life: Lifecycle,
         idle: list,
         primary_idx: int,
         selected: list,
         now: float,
-        outcome,
+        outcome: SlotOutcome,
         deadline: float,
         primary_finish: float,
-        metrics: ServingMetrics,
-        ov: Optional[OverloadController],
-        tr,
-        dur: Optional[DurabilityPlane],
     ) -> Optional[HedgeResolution]:
         """Race a duplicate of ``selected`` against a straggling slot.
 
@@ -136,8 +147,11 @@ class ClusterSimulator:
         idle.remove(entry)
         heapq.heapify(idle)
         target_idx = entry[2]
-        target = self.engines[target_idx]
         primary_dispatch = now + outcome.wasted
+        # The race's own bookkeeping (hedge counters, cancelled-loser
+        # time, health spans, the duplicate's journal records) stays
+        # here: a duplicate is engine time, never a request transition.
+        metrics, tr, dur = life.metrics, life.tr, life.dur
         metrics.hedges += 1
         if tr.enabled:
             tr.health(
@@ -150,42 +164,11 @@ class ClusterSimulator:
             )
         if dur is not None:
             dur.dispatch(selected, engine=target_idx)
-        h_out = serve_slot(target, selected, hedge_start)
-        metrics.failed_batches += h_out.failures
-        metrics.retries += h_out.split_retries
-        metrics.total_engine_time += h_out.wasted
+        h_out = serve_slot(self.engines[target_idx], selected, hedge_start)
+        h_dispatch = hedge_start + h_out.wasted
         metrics.hedge_wasted += h_out.wasted
-        if ov is not None:
-            ov.record_result(
-                target_idx,
-                hedge_start + h_out.wasted,
-                ok=h_out.result is not None,
-                kind="crash" if h_out.down_until is not None else "failure",
-                tracer=tr,
-            )
-        if h_out.result is not None:
-            hp.observe(
-                target_idx,
-                hedge_start + h_out.wasted,
-                ok=True,
-                observed=max(h_out.result.latency, MIN_SLOT),
-                predicted=hp.predict(target, h_out.result),
-                tracer=tr,
-            )
-        else:
-            hp.observe(
-                target_idx, hedge_start + h_out.wasted, ok=False, tracer=tr
-            )
-        if tr.enabled and h_out.failures:
-            tr.batch(
-                hedge_start,
-                h_out.wasted,
-                engine=target_idx,
-                kind="failed",
-                failures=h_out.failures,
-                split_retries=h_out.split_retries,
-                num_requests=len(selected),
-            )
+        life.attempted(h_out, len(selected), hedge_start, engine=target_idx)
+        self._observe(hp, life, target_idx, h_out, h_dispatch)
         if h_out.result is None:
             # The duplicate itself failed or crashed.  Its requests are
             # NOT requeued or abandoned — the primary's in-flight copy
@@ -193,20 +176,10 @@ class ClusterSimulator:
             # downtime are booked, and the target re-arms like any
             # failed slot.
             if h_out.down_until is not None:
-                metrics.downtime += h_out.downtime
-                if tr.enabled:
-                    tr.batch(
-                        hedge_start + h_out.wasted,
-                        h_out.downtime,
-                        engine=target_idx,
-                        kind="crash",
-                        downtime=h_out.downtime,
-                    )
+                life.crashed(h_out.downtime, h_dispatch, engine=target_idx)
                 heapq.heappush(idle, (h_out.down_until, target_idx, target_idx))
             else:
-                heapq.heappush(
-                    idle, (hedge_start + h_out.wasted, target_idx, target_idx)
-                )
+                heapq.heappush(idle, (h_dispatch, target_idx, target_idx))
             res = HedgeResolution(
                 kind="failed",
                 primary=primary_idx,
@@ -222,7 +195,6 @@ class ClusterSimulator:
             )
         else:
             h_latency = max(h_out.result.latency, MIN_SLOT)
-            h_dispatch = hedge_start + h_out.wasted
             h_finish = h_dispatch + h_latency
             if h_finish < primary_finish:
                 # Duplicate wins: the straggling primary is cancelled
@@ -323,87 +295,58 @@ class ClusterSimulator:
         resume: Optional[RestoredState] = None,
     ) -> SimulationResult:
         requests, horizon = resolve_workload(workload, horizon)
-
-        tr = self.trace if self.trace is not None else NO_TRACE
-        ov = self.overload
-        dur = self.durability
+        engines = self.engines
         hp = (
             self.health
             if self.health is not None and self.health.enabled
             else None
         )
-        tn = self.tenancy
-        if resume is not None:
-            if dur is None:
-                raise ValueError("resume= requires a durability plane")
-            metrics = resume.metrics
-            metrics.horizon = horizon
-            queue = resume.queue
-            now = resume.now
-            next_arrival = resume.next_arrival
-            rejected_before = resume.rejected_before
-            idle = [tuple(e) for e in (resume.idle or [])]
-            heapq.heapify(idle)
-            resume.apply_shared(
-                tracer=tr,
-                overload=ov,
-                admission=self.admission,
-                engines=self.engines,
-                health=hp,
-                tenancy=tn,
-            )
-        else:
-            metrics = ServingMetrics(horizon=horizon, arrived=len(requests))
-            queue = RequestQueue()
-            if ov is not None:
-                ov.begin_run()
-            if hp is not None:
-                hp.begin_run()
-            if tn is not None:
-                tn.begin_run()
-            rejected_before = (
-                len(self.admission.rejected)
-                if self.admission is not None
-                else 0
-            )
-            # (idle_at, tiebreak, engine_index) priority queue.
-            idle = [(0.0, i, i) for i in range(len(self.engines))]
-            heapq.heapify(idle)
-            now = 0.0
-            next_arrival = 0
-        result = SimulationResult(metrics=metrics)
-        n = len(requests)
-        # With a quota-free registry admit() can never refuse; skip
-        # the per-arrival dispatch entirely.
-        tn_admit = (
-            tn.admit if tn is not None and not tn.passive_admission else None
+        life = Lifecycle(
+            self.scheduler,
+            retry=self.retry,
+            admission=self.admission,
+            trace=self.trace,
+            overload=self.overload,
+            durability=self.durability,
+            tenancy=self.tenancy,
+            health=hp,
+            engines=engines,
         )
+        # (idle_at, tiebreak, engine_index) priority queue.
+        if resume is not None:
+            now = resume.now
+            idle = [tuple(e) for e in (resume.idle or [])]
+        else:
+            now = 0.0
+            idle = [(0.0, i, i) for i in range(len(engines))]
+        heapq.heapify(idle)
+        life.begin(
+            requests, horizon, lambda: {"now": now, "idle": list(idle)}, resume
+        )
+        queue = life.queue
 
-        if dur is not None:
+        def rearm(at: float, engine_idx: int, late: bool = False) -> None:
+            # `late` puts a re-armed engine after engines that genuinely
+            # schedule at that time, so its re-poll sees their updates.
+            tiebreak = len(engines) + engine_idx if late else engine_idx
+            heapq.heappush(idle, (at, tiebreak, engine_idx))
 
-            def _live() -> LiveState:
-                return LiveState(
-                    queue=queue,
-                    metrics=metrics,
-                    now=now,
-                    next_arrival=next_arrival,
-                    rejected_before=rejected_before,
-                    tracer=tr if tr.enabled else None,
-                    overload=ov,
-                    admission=self.admission,
-                    engines=self.engines,
-                    idle=list(idle),
-                    health=hp,
-                    tenancy=tn,
-                )
-
-            dur.begin_run(_live, tr, resume=resume)
+        def wait_for_work(engine_idx: int) -> None:
+            """Nothing to do *now*: wake at the next arrival, else at the
+            next engine event — another engine may still requeue failed
+            work or change the picture — instead of leaving for good."""
+            wake = life.next_arrival_at()
+            if wake is not None:
+                rearm(wake, engine_idx)
+                return
+            wake = self._next_event_after(idle, now)
+            if wake is not None:
+                rearm(wake, engine_idx, late=True)
 
         while idle:
             # Step boundary before the pop: the snapshot's idle heap
             # still holds the engine this step is about to claim.
-            if dur is not None:
-                dur.tick()
+            life.tick()
             now, tiebreak, engine_idx = heapq.heappop(idle)
             if now >= horizon:
                 break
@@ -417,175 +360,42 @@ class ClusterSimulator:
                 group = [(now, tiebreak, engine_idx)]
                 while idle and idle[0][0] == now:
                     group.append(heapq.heappop(idle))
-                chosen, deferred = hp.place(group, now, tracer=tr)
+                chosen, deferred = hp.place(group, now, tracer=life.tr)
                 for entry in deferred:
                     heapq.heappush(idle, entry)
                 if chosen is None:
                     continue
                 now, tiebreak, engine_idx = chosen
-            while next_arrival < n and requests[next_arrival].arrival <= now:
-                r = requests[next_arrival]
-                if tn is not None:
-                    tn.arrive(r)
-                if self.admission is None or self.admission.admit(r, r.arrival):
-                    if ov is not None and not ov.admit(r, r.arrival):
-                        self._release([r])
-                        metrics.rejected.append(r)
-                        if tn is not None:
-                            tn.rejected([r])
-                        if tr.enabled:
-                            tr.arrive(r, r.arrival)
-                            tr.rejected(r, r.arrival)
-                        if dur is not None:
-                            dur.terminal("rejected", [r], dequeue=False)
-                        next_arrival += 1
-                        continue
-                    quota = (
-                        tn_admit(r, r.arrival) if tn_admit is not None else None
-                    )
-                    if quota is not None:
-                        self._release([r])
-                        metrics.rejected.append(r)
-                        tn.rejected(
-                            [r],
-                            quota=True,
-                            now=r.arrival,
-                            tracer=tr if tr.enabled else None,
-                        )
-                        if tr.enabled:
-                            tr.arrive(r, r.arrival)
-                            tr.rejected(r, r.arrival)
-                        if dur is not None:
-                            dur.terminal("rejected", [r], dequeue=False)
-                        next_arrival += 1
-                        continue
-                    queue.add(r)
-                    if tr.enabled:
-                        tr.arrive(r, r.arrival)
-                        tr.enqueue(r, r.arrival)
-                    if dur is not None:
-                        dur.enqueue(r)
-                else:
-                    if tn is not None:
-                        tn.rejected([r])
-                    if tr.enabled:
-                        tr.arrive(r, r.arrival)
-                        tr.rejected(r, r.arrival)
-                next_arrival += 1
-            dead = queue.expire(now)
-            if tr.enabled:
-                tr.expired(dead, now)
-            self._release(dead)
-            if tn is not None:
-                tn.expired(dead)
-            if dur is not None:
-                dur.terminal("expired", dead)
-            if ov is not None:
-                ov.observe_outcomes(missed=len(dead))
-                ov.update(now, queue, tr)
-                shed = ov.maybe_shed(queue, metrics, now, tr)
-                self._release(shed)
-                if tn is not None:
-                    tn.shed(shed)
-                if dur is not None:
-                    dur.shed(shed)
+            life.admit_arrivals(now)
+            life.expire_and_shed(now)
             waiting = queue.waiting(now)
             if not waiting:
-                if next_arrival < n:
-                    # Fast-forward this engine to the next arrival.
-                    heapq.heappush(
-                        idle,
-                        (requests[next_arrival].arrival, engine_idx, engine_idx),
-                    )
-                    continue
-                # No arrivals left, but other engines may still requeue
-                # failed work (or free nothing): re-arm at the next
-                # engine event instead of leaving the cluster for good.
-                # The tiebreak puts re-armed engines after engines that
-                # genuinely schedule at that time, so the re-poll sees
-                # the updated queue.
-                wake = self._next_event_after(idle, now)
-                if wake is not None:
-                    heapq.heappush(
-                        idle, (wake, len(self.engines) + engine_idx, engine_idx)
-                    )
+                wait_for_work(engine_idx)
                 continue
 
-            if ov is not None and not ov.breaker_allow(engine_idx, now, tr):
+            retry_at = life.breaker_blocks(engine_idx, now)
+            if retry_at is not None:
                 # Breaker open: quarantine this engine until its
                 # recovery interval elapses; the rest of the cluster
                 # keeps draining the queue in the meantime.
-                retry_at = ov.breaker_retry_at(engine_idx)
                 if retry_at < horizon:
-                    heapq.heappush(idle, (retry_at, engine_idx, engine_idx))
+                    rearm(retry_at, engine_idx)
                 continue
 
-            if tn is not None:
-                decision = tn.select(
-                    self.scheduler,
-                    waiting,
-                    now,
-                    tracer=tr if tr.enabled else None,
-                )
-            else:
-                decision = self.scheduler.select(waiting, now)
-            decision.validate(self.scheduler.batch)
-            metrics.total_scheduler_time += decision.runtime
-            engine = self.engines[engine_idx]
+            decision = life.select(waiting, now, engine=engine_idx)
+            engine = engines[engine_idx]
             apply_slot_size(engine, decision)
-            if tr.enabled:
-                tr.decision(
-                    now,
-                    decision.runtime,
-                    {
-                        "scheduler": self.scheduler.name,
-                        "num_selected": decision.num_selected,
-                        "queue_depth": len(waiting),
-                        "engine": engine_idx,
-                        **decision.info,
-                    },
-                )
-
             selected = decision.selected()
             if not selected:
-                unservable = [
-                    r
-                    for r in waiting
-                    if r.length > self.scheduler.batch.row_length
-                ]
-                if unservable:
-                    drop_unservable(queue, unservable, now, tr)
-                    self._release(unservable)
-                    if tn is not None:
-                        tn.expired(unservable)
-                    if dur is not None:
-                        dur.terminal("expired", unservable)
-                    heapq.heappush(idle, (now, engine_idx, engine_idx))
-                elif next_arrival < n:
-                    heapq.heappush(
-                        idle,
-                        (requests[next_arrival].arrival, engine_idx, engine_idx),
-                    )
+                if life.drop_unservable(waiting, now):
+                    rearm(now, engine_idx)
                 else:
-                    # Servable requests are waiting but this engine has
-                    # nothing to do *now*; another engine's finish can
-                    # change the picture, so re-arm at that event rather
-                    # than silently dropping the engine (and with it the
-                    # waiting requests).
-                    wake = self._next_event_after(idle, now)
-                    if wake is not None:
-                        heapq.heappush(
-                            idle,
-                            (wake, len(self.engines) + engine_idx, engine_idx),
-                        )
+                    # Servable requests may be waiting, but this engine
+                    # has nothing to do *now*.
+                    wait_for_work(engine_idx)
                 continue
 
-            if ov is not None:
-                selected = ov.cap_batch(selected)
-            if tr.enabled:
-                tr.scheduled(selected, now)
-            if dur is not None:
-                dur.dispatch(selected, engine=engine_idx)
+            selected = life.dispatch(selected, now, engine=engine_idx)
             # The hedge deadline is priced *before* dispatch, from the
             # pre-dispatch scoreboard and latency window only — the
             # decision at `now + deadline` must be causal, never a
@@ -594,96 +404,29 @@ class ClusterSimulator:
                 hp.hedge_deadline(engine_idx) if hp is not None else None
             )
             outcome = serve_slot(engine, selected, now)
-            metrics.failed_batches += outcome.failures
-            metrics.retries += outcome.split_retries
-            metrics.total_engine_time += outcome.wasted
-            if ov is not None:
-                ov.record_result(
-                    engine_idx,
-                    now + outcome.wasted,
-                    ok=outcome.result is not None,
-                    kind="crash" if outcome.down_until is not None else "failure",
-                    tracer=tr,
-                )
+            dispatch = now + outcome.wasted
+            life.attempted(outcome, len(selected), now, engine=engine_idx)
             if hp is not None:
-                if outcome.result is not None:
-                    hp.observe(
-                        engine_idx,
-                        now + outcome.wasted,
-                        ok=True,
-                        observed=max(outcome.result.latency, MIN_SLOT),
-                        predicted=hp.predict(engine, outcome.result),
-                        tracer=tr,
-                    )
-                else:
-                    hp.observe(
-                        engine_idx, now + outcome.wasted, ok=False, tracer=tr
-                    )
-            if tr.enabled and outcome.failures:
-                tr.batch(
-                    now,
-                    outcome.wasted,
-                    engine=engine_idx,
-                    kind="failed",
-                    failures=outcome.failures,
-                    split_retries=outcome.split_retries,
-                    num_requests=len(selected),
-                )
+                self._observe(hp, life, engine_idx, outcome, dispatch)
 
-            if outcome.down_until is not None:
-                # Engine failover: the crashed engine leaves the heap for
-                # its downtime and rejoins at recovery; its requests are
-                # triaged at `now` because survivors can pick them up
-                # immediately.
-                metrics.downtime += outcome.downtime
-                retained, lost = requeue_failed(
-                    queue, self.retry, engine.cost_model, outcome.failed, now
-                )
-                metrics.retries += len(retained)
-                if tr.enabled:
-                    tr.batch(
-                        now + outcome.wasted,
-                        outcome.downtime,
-                        engine=engine_idx,
-                        kind="crash",
-                        downtime=outcome.downtime,
-                    )
-                    tr.requeued(retained, now)
-                    tr.abandoned(lost, now)
-                self._release(lost)
-                if tn is not None:
-                    tn.abandoned(lost)
-                if dur is not None:
-                    dur.requeued(queue, outcome.failed, retained, lost)
-                if ov is not None:
-                    ov.observe_outcomes(missed=len(lost))
-                heapq.heappush(
-                    idle, (outcome.down_until, engine_idx, engine_idx)
-                )
-                continue
             if outcome.result is None:
-                retained, lost = requeue_failed(
-                    queue, self.retry, engine.cost_model, outcome.failed, now
-                )
-                metrics.retries += len(retained)
-                if tr.enabled:
-                    tr.requeued(retained, now)
-                    tr.abandoned(lost, now)
-                self._release(lost)
-                if tn is not None:
-                    tn.abandoned(lost)
-                if dur is not None:
-                    dur.requeued(queue, outcome.failed, retained, lost)
-                if ov is not None:
-                    ov.observe_outcomes(missed=len(lost))
-                heapq.heappush(
-                    idle, (now + outcome.wasted, engine_idx, engine_idx)
+                # Failed or crashed: the requests are triaged at `now`
+                # because survivors can pick them up immediately.  A
+                # crashed engine (failover) leaves the heap for its
+                # downtime and rejoins at recovery.
+                if outcome.down_until is not None:
+                    life.crashed(outcome.downtime, dispatch, engine=engine_idx)
+                life.failed(outcome.failed, engine.cost_model, now)
+                rearm(
+                    dispatch
+                    if outcome.down_until is None
+                    else outcome.down_until,
+                    engine_idx,
                 )
                 continue
 
             batch_result = outcome.result
             latency = max(batch_result.latency, MIN_SLOT)
-            dispatch = now + outcome.wasted
             finish = dispatch + latency
             serve_engine = engine_idx
             if (
@@ -692,6 +435,7 @@ class ClusterSimulator:
             ):
                 res = self._hedge(
                     hp,
+                    life,
                     idle,
                     engine_idx,
                     selected,
@@ -699,10 +443,6 @@ class ClusterSimulator:
                     outcome,
                     hedge_deadline,
                     finish,
-                    metrics,
-                    ov,
-                    tr,
-                    dur,
                 )
                 if res is not None and res.kind == "win":
                     # First completion wins: the duplicate's result is
@@ -711,92 +451,27 @@ class ClusterSimulator:
                     batch_result = res.result
                     latency = res.winner_latency
                     dispatch = res.winner_dispatch
-                    finish = res.winner_finish
                     serve_engine = res.winner_engine
-            if tr.enabled:
-                tr.packed_layouts(batch_result.layouts, dispatch)
-                tr.executed(
-                    batch_result.served, dispatch, latency, engine=serve_engine
-                )
-                tr.batch(
-                    dispatch,
-                    latency,
-                    engine=serve_engine,
-                    kind="batch",
-                    num_requests=batch_result.num_served,
-                    useful_tokens=batch_result.stats.useful_tokens,
-                    padded_tokens=batch_result.stats.padded_tokens,
-                    padding_efficiency=batch_result.stats.utilisation,
-                    rows=batch_result.stats.rows,
-                    row_width=batch_result.stats.row_width,
-                    slot_size=decision.slot_size,
-                    failures=outcome.failures,
-                    split_retries=outcome.split_retries,
-                    wasted=outcome.wasted,
-                    **self.engines[serve_engine].trace_annotations(
-                        batch_result
-                    ),
-                )
-                served_ids = {r.request_id for r in batch_result.served}
-                tr.requeued(
-                    [r for r in selected if r.request_id not in served_ids],
-                    dispatch,
-                )
-                tr.served(batch_result.served, finish)
-            queue.remove_served(batch_result.served)
-            self._release(batch_result.served)
-            if tn is not None:
-                # Exactly-once by construction: a hedge resolves to one
-                # winner whose result is this single serve path.
-                tn.served(batch_result.served, finish)
-            if dur is not None:
-                dur.served(batch_result.served, finish)
-            if ov is not None:
-                on_time = sum(
-                    1 for r in batch_result.served if finish <= r.deadline
-                )
-                ov.observe_outcomes(
-                    served=on_time,
-                    missed=len(batch_result.served) - on_time,
-                )
-            for r in batch_result.served:
-                metrics.finish_times[r.request_id] = (r.arrival, finish)
-            metrics.served.extend(batch_result.served)
-            metrics.total_engine_time += latency
-            metrics.num_batches += 1
-            metrics.useful_tokens += batch_result.stats.useful_tokens
-            metrics.padded_tokens += batch_result.stats.padded_tokens
+            # Exactly-once by construction: a hedge resolves to one
+            # winner whose result is this single serve path.
+            finish = life.serve_batch(
+                batch_result,
+                selected,
+                dispatch,
+                latency,
+                engines[serve_engine],
+                engine=serve_engine,
+                slot_size=decision.slot_size,
+                failures=outcome.failures,
+                split_retries=outcome.split_retries,
+                wasted=outcome.wasted,
+            )
             # The primary engine re-arms at `finish` (its own finish, or
             # — after a hedge win — the winner's finish, which is its
             # cancellation point).  The max() guards the corner where
             # the primary's failed-attempt waste outlasts the winner;
             # without a hedge it is exactly `finish`.
-            heapq.heappush(
-                idle, (max(finish, now + outcome.wasted), engine_idx, engine_idx)
-            )
+            rearm(max(finish, now + outcome.wasted), engine_idx)
 
-        dead = queue.expire(float("inf"))
-        if tr.enabled:
-            tr.expired(dead, horizon)
-            for r in requests[next_arrival:]:
-                tr.arrive(r, r.arrival)
-            tr.expired(requests[next_arrival:], horizon)
-        if tn is not None:
-            tn.expired(dead)
-            for r in requests[next_arrival:]:
-                tn.arrive(r)
-            tn.expired(requests[next_arrival:])
-        if dur is not None:
-            dur.terminal("expired", dead)
-            dur.end_run(requests[next_arrival:])
-        metrics.expired.extend(queue.expired)
-        metrics.expired.extend(requests[next_arrival:])
-        metrics.abandoned.extend(queue.abandoned)
-        if self.admission is not None:
-            metrics.rejected.extend(self.admission.rejected[rejected_before:])
-        metrics.assert_conservation()
-        if tn is not None:
-            tn.finalize(metrics)
-        if tr.enabled:
-            tr.reconcile(metrics)
-        return result
+        life.finish()
+        return SimulationResult(metrics=life.metrics)

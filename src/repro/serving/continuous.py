@@ -42,15 +42,14 @@ import numpy as np
 from repro.config import BatchConfig
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
-from repro.durability.snapshot import LiveState
 from repro.engine.cost_model import GPUCostModel
 from repro.faults.plan import FaultEvent, FaultKind, FaultPlan
-from repro.faults.recovery import RetryPolicy, requeue_failed
-from repro.obs.recorder import NO_TRACE, Tracer
+from repro.faults.recovery import RetryPolicy
+from repro.obs.recorder import Tracer
 from repro.overload.controller import OverloadController
 from repro.rng import ensure_rng
-from repro.scheduling.queue import RequestQueue
 from repro.serving.common import resolve_workload
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
@@ -136,128 +135,58 @@ class ContinuousBatchingSimulator:
         requests, horizon = resolve_workload(workload, horizon)
 
         rng = ensure_rng(self.rng, default_seed=self.seed)
-        tr = self.trace if self.trace is not None else NO_TRACE
-        ov = self.overload
-        dur = self.durability
+        cost = self.cost_model
+        life = Lifecycle(
+            retry=self.retry,
+            trace=self.trace,
+            overload=self.overload,
+            durability=self.durability,
+            tenancy=self.tenancy,
+        )
+        tr, ov, tn = life.tr, life.ov, life.tn
         if resume is not None:
-            if dur is None:
-                raise ValueError("resume= requires a durability plane")
-            metrics = resume.metrics
-            metrics.horizon = horizon
-            queue = resume.queue
             now = resume.now
-            next_arrival = resume.next_arrival
             iteration = resume.iteration or 0
             running = [
                 _Running(req, steps) for req, steps in (resume.running or ())
             ]
             if resume.rng_state is not None:
                 rng.bit_generator.state = copy.deepcopy(resume.rng_state)
-            resume.apply_shared(tracer=tr, overload=ov, tenancy=self.tenancy)
         else:
-            metrics = ServingMetrics(horizon=horizon, arrived=len(requests))
-            queue = RequestQueue()
-            if ov is not None:
-                ov.begin_run()
-            if self.tenancy is not None:
-                self.tenancy.begin_run()
             running = []
             now = 0.0
-            next_arrival = 0
             iteration = 0
+        life.begin(
+            requests,
+            horizon,
+            lambda: {
+                "now": now,
+                "running": [(r.request, r.remaining_steps) for r in running],
+                "iteration": iteration,
+                "rng": rng,
+            },
+            resume,
+        )
+        queue, metrics = life.queue, life.metrics
         budget = self.batch.capacity_tokens
         key = self._admission_key()
-        tn = self.tenancy
-        n = len(requests)
-        # With a quota-free registry admit() can never refuse; skip
-        # the per-arrival dispatch entirely.
-        tn_admit = (
-            tn.admit if tn is not None and not tn.passive_admission else None
-        )
 
-        if dur is not None:
-
-            def _live() -> LiveState:
-                return LiveState(
-                    queue=queue,
-                    metrics=metrics,
-                    now=now,
-                    next_arrival=next_arrival,
-                    tracer=tr if tr.enabled else None,
-                    overload=ov,
-                    running=[
-                        (r.request, r.remaining_steps) for r in running
-                    ],
-                    iteration=iteration,
-                    rng=rng,
-                    tenancy=tn,
-                )
-
-            dur.begin_run(_live, tr, resume=resume)
+        def evict(victims: list[Request], kind: str) -> None:
+            """Residents lost to a fault re-enter through the bounded
+            deadline-aware requeue (they must re-prefill)."""
+            life.failed(victims, cost, now, readd=True)
+            life.engine_result(0, now, ok=False, kind=kind)
 
         while now < horizon:
-            if dur is not None:
-                dur.tick()
-            if ov is not None and not ov.breaker_allow(0, now, tr):
+            life.tick()
+            retry_at = life.breaker_blocks(0, now)
+            if retry_at is not None:
                 # Breaker open: no iterations (decode or prefill) until
                 # the recovery interval elapses; jump the clock there.
-                now = min(ov.breaker_retry_at(0), horizon)
+                now = min(retry_at, horizon)
                 continue
-            while next_arrival < n and requests[next_arrival].arrival <= now:
-                r = requests[next_arrival]
-                if tn is not None:
-                    tn.arrive(r)
-                if ov is not None and not ov.admit(r, r.arrival):
-                    metrics.rejected.append(r)
-                    if tn is not None:
-                        tn.rejected([r])
-                    if tr.enabled:
-                        tr.arrive(r, r.arrival)
-                        tr.rejected(r, r.arrival)
-                    if dur is not None:
-                        dur.terminal("rejected", [r], dequeue=False)
-                    next_arrival += 1
-                    continue
-                quota = (
-                    tn_admit(r, r.arrival) if tn_admit is not None else None
-                )
-                if quota is not None:
-                    metrics.rejected.append(r)
-                    tn.rejected(
-                        [r],
-                        quota=True,
-                        now=r.arrival,
-                        tracer=tr if tr.enabled else None,
-                    )
-                    if tr.enabled:
-                        tr.arrive(r, r.arrival)
-                        tr.rejected(r, r.arrival)
-                    if dur is not None:
-                        dur.terminal("rejected", [r], dequeue=False)
-                    next_arrival += 1
-                    continue
-                queue.add(r)
-                if tr.enabled:
-                    tr.arrive(r, r.arrival)
-                    tr.enqueue(r, r.arrival)
-                if dur is not None:
-                    dur.enqueue(r)
-                next_arrival += 1
-            dead = queue.expire(now)
-            if tr.enabled:
-                tr.expired(dead, now)
-            if tn is not None:
-                tn.expired(dead)
-            if dur is not None:
-                dur.terminal("expired", dead)
-            if ov is not None:
-                ov.observe_outcomes(missed=len(dead))
-                ov.update(now, queue, tr)
-                shed = ov.maybe_shed(queue, metrics, now, tr)
-                if tn is not None:
-                    tn.shed(shed)
-                if dur is not None:
-                    dur.shed(shed)
+            life.admit_arrivals(now)
+            life.expire_and_shed(now)
 
             # Admit while there is token budget (shrunk under brownout).
             iter_budget = budget if ov is None else ov.scale_budget(budget)
@@ -304,11 +233,11 @@ class ContinuousBatchingSimulator:
             prefill_tokens = 0
             prefill_entries = 0
             if admitted:
-                if dur is not None:
-                    dur.dispatch(admitted, resident=True)
-                queue.remove_served(admitted)  # leaves the wait queue
-                if tr.enabled:
-                    tr.scheduled(admitted, now)
+                life.dispatch(admitted, now, resident=True)
+                # Iteration-level dequeue: residents leave the wait queue
+                # for `running` here and get their terminal from
+                # life.serve / life.failed / life.finish later.
+                queue.remove_served(admitted)
                 prefill_tokens = sum(r.length for r in admitted)
                 prefill_entries = sum(r.length**2 for r in admitted)
                 for req in admitted:
@@ -316,49 +245,30 @@ class ContinuousBatchingSimulator:
                     running.append(_Running(req, steps))
 
             if not running:
-                if next_arrival >= n:
+                wake = life.next_arrival_at()
+                if wake is None:
                     break
-                now = max(now, requests[next_arrival].arrival)
+                now = max(now, wake)
                 continue
 
             event = self._event(iteration)
             iteration += 1
             if event.kind is FaultKind.CRASH:
                 # The engine loses its resident batch and sits out the
-                # downtime; evicted requests re-enter through the
-                # bounded deadline-aware requeue (they must re-prefill).
+                # downtime.
                 metrics.failed_batches += 1
-                metrics.downtime += event.downtime
-                if tr.enabled:
-                    tr.batch(
-                        now, event.downtime, kind="crash",
-                        downtime=event.downtime, num_requests=len(running),
-                    )
+                life.crashed(event.downtime, now, num_requests=len(running))
                 now += event.downtime
                 residents = [r.request for r in running]
                 running = []
-                retained, lost = requeue_failed(
-                    queue, self.retry, self.cost_model, residents, now
-                )
-                queue.requeue(retained)
-                metrics.retries += len(retained)
-                if tr.enabled:
-                    tr.requeued(retained, now)
-                    tr.abandoned(lost, now)
-                if tn is not None:
-                    tn.abandoned(lost)
-                if dur is not None:
-                    dur.requeued(queue, residents, retained, lost, readd=True)
-                if ov is not None:
-                    ov.observe_outcomes(missed=len(lost))
-                    ov.record_result(0, now, ok=False, kind="crash", tracer=tr)
+                evict(residents, "crash")
                 continue
             if event.kind is FaultKind.OOM:
                 # Transient alloc failure: evict the newest half of the
                 # resident batch (split-batch retry, iteration flavour);
                 # only the launch overhead is wasted.
                 metrics.failed_batches += 1
-                wasted = self.cost_model.fixed_per_batch
+                wasted = cost.fixed_per_batch
                 if tr.enabled:
                     tr.batch(
                         now, wasted, kind="failed", fault="oom",
@@ -369,21 +279,7 @@ class ContinuousBatchingSimulator:
                 keep = len(running) // 2
                 victims = [r.request for r in running[keep:]]
                 running = running[:keep]
-                retained, lost = requeue_failed(
-                    queue, self.retry, self.cost_model, victims, now
-                )
-                queue.requeue(retained)
-                metrics.retries += len(retained)
-                if tr.enabled:
-                    tr.requeued(retained, now)
-                    tr.abandoned(lost, now)
-                if tn is not None:
-                    tn.abandoned(lost)
-                if dur is not None:
-                    dur.requeued(queue, victims, retained, lost, readd=True)
-                if ov is not None:
-                    ov.observe_outcomes(missed=len(lost))
-                    ov.record_result(0, now, ok=False, kind="oom", tracer=tr)
+                evict(victims, "oom")
                 continue
 
             # One fused iteration (Orca's selective batching): a decode
@@ -392,21 +288,18 @@ class ContinuousBatchingSimulator:
             # no extra per-batch launch/floor.
             context = sum(r.request.length for r in running) + len(running)
             step = (
-                self.cost_model.decode_step_time(len(running), context)
-                + self.cost_model.per_token * prefill_tokens
-                + prefill_entries / self.cost_model.attn_rate
+                cost.decode_step_time(len(running), context)
+                + cost.per_token * prefill_tokens
+                + prefill_entries / cost.attn_rate
             )
             if event.kind is FaultKind.STRAGGLER:
                 step *= event.multiplier
+            failed = event.kind is FaultKind.FAILURE
             if tr.enabled:
                 tr.batch(
                     now,
                     step,
-                    kind=(
-                        "failed"
-                        if event.kind is FaultKind.FAILURE
-                        else "iteration"
-                    ),
+                    kind="failed" if failed else "iteration",
                     num_requests=len(running),
                     context_tokens=context,
                     prefill_tokens=prefill_tokens,
@@ -414,18 +307,13 @@ class ContinuousBatchingSimulator:
                 )
             now += step
             metrics.total_engine_time += step
-            if event.kind is FaultKind.FAILURE:
+            life.engine_result(0, now, ok=not failed)
+            if failed:
                 # The iteration ran but its outputs were lost: no decode
                 # progress, the step time is wasted, residents stay put.
                 metrics.failed_batches += 1
-                if ov is not None:
-                    ov.record_result(
-                        0, now, ok=False, kind="failure", tracer=tr
-                    )
                 continue
             metrics.num_batches += 1  # one iteration
-            if ov is not None:
-                ov.record_result(0, now, ok=True, tracer=tr)
 
             still: list[_Running] = []
             finished: list[Request] = []
@@ -433,54 +321,11 @@ class ContinuousBatchingSimulator:
                 r.remaining_steps -= 1
                 if r.remaining_steps <= 0:
                     finished.append(r.request)
-                    metrics.served.append(r.request)
-                    metrics.finish_times[r.request.request_id] = (
-                        r.request.arrival,
-                        now,
-                    )
                 else:
                     still.append(r)
             running = still
-            if tr.enabled and finished:
-                tr.served(finished, now)
-            if tn is not None and finished:
-                tn.served(finished, now)
-            if dur is not None:
-                dur.served(finished, now, dequeue=False)
-            if ov is not None and finished:
-                on_time = sum(1 for r in finished if now <= r.deadline)
-                ov.observe_outcomes(
-                    served=on_time, missed=len(finished) - on_time
-                )
+            if finished:
+                life.serve(finished, now, dequeue=False)
 
         # Unfinished residents at the horizon still produced no response.
-        for r in running:
-            metrics.expired.append(r.request)
-        dead = queue.expire(float("inf"))
-        if tr.enabled:
-            tr.expired([r.request for r in running], horizon)
-            tr.expired(dead, horizon)
-            for r in requests[next_arrival:]:
-                tr.arrive(r, r.arrival)
-            tr.expired(requests[next_arrival:], horizon)
-        if tn is not None:
-            tn.expired([r.request for r in running])
-            tn.expired(dead)
-            for r in requests[next_arrival:]:
-                tn.arrive(r)
-            tn.expired(requests[next_arrival:])
-        if dur is not None:
-            dur.terminal(
-                "expired", [r.request for r in running], dequeue=False
-            )
-            dur.terminal("expired", dead)
-            dur.end_run(requests[next_arrival:])
-        metrics.expired.extend(queue.expired)
-        metrics.expired.extend(requests[next_arrival:])
-        metrics.abandoned.extend(queue.abandoned)
-        metrics.assert_conservation()
-        if tn is not None:
-            tn.finalize(metrics)
-        if tr.enabled:
-            tr.reconcile(metrics)
-        return metrics
+        return life.finish([r.request for r in running])

@@ -1,0 +1,565 @@
+"""One request lifecycle for every serving loop and the online server.
+
+A request moves ``arrive → enqueue | reject``, then ``expire | shed |
+dispatch``, then ``serve | requeue | abandon``.  :class:`Lifecycle` owns
+the run's :class:`~repro.scheduling.queue.RequestQueue` and
+:class:`~repro.serving.metrics.ServingMetrics`, holds whichever planes
+the caller was given (admission controller, tracer, overload,
+durability, tenancy, cluster health), and is the only code in
+``repro/serving/`` that performs one of those transitions: each method
+below moves the requests, books the ledger and tells every attached
+plane once, in one order (``docs/lifecycle.md`` has the transition ×
+plane table).  The callers keep only what differs between them — the
+clock, batch selection, engine dispatch, hedging, autoscaling.
+
+Every plane is optional and absent by default; a method then touches
+only the queue and the metrics, which is the paper's Fig. 3 loop.
+"""
+
+from __future__ import annotations
+
+from typing import Any, Callable, Iterable, Optional, Sequence
+
+from repro.durability.plane import DurabilityPlane
+from repro.durability.restore import RestoredState
+from repro.durability.snapshot import LiveState
+from repro.engine.base import BatchResult, InferenceEngine
+from repro.engine.cost_model import GPUCostModel
+from repro.faults.recovery import RetryPolicy, SlotOutcome, requeue_failed
+from repro.obs.recorder import NO_TRACE, Tracer
+from repro.overload.controller import OverloadController
+from repro.overload.ledger import drop_unservable
+from repro.scheduling.base import Scheduler, SchedulingDecision
+from repro.scheduling.queue import RequestQueue
+from repro.serving.admission import AdmissionController
+from repro.serving.metrics import ServingMetrics
+from repro.tenancy.plane import TenancyPlane
+from repro.types import Request
+
+__all__ = ["Lifecycle"]
+
+
+class Lifecycle:
+    """Queue + ledger + plane fan-out of one serving run.
+
+    ``online=True`` is the :class:`~repro.serving.server.TCBServer`
+    form: there is no request list and no :meth:`finish`, so arrivals
+    are counted as they come and what the simulators fold into the
+    ledger at end of run — deadline expiries and admission-controller
+    refusals — is ledgered at once.
+    """
+
+    def __init__(
+        self,
+        scheduler: Optional[Scheduler] = None,
+        *,
+        retry: Optional[RetryPolicy] = None,
+        admission: Optional[AdmissionController] = None,
+        trace: Optional[Tracer] = None,
+        overload: Optional[OverloadController] = None,
+        durability: Optional[DurabilityPlane] = None,
+        tenancy: Optional[TenancyPlane] = None,
+        health: Any = None,
+        engines: Sequence[InferenceEngine] = (),
+        online: bool = False,
+    ):
+        self.scheduler = scheduler
+        self.retry = retry or RetryPolicy()
+        self.admission = admission
+        self.tr = trace if trace is not None else NO_TRACE
+        # What plane hooks taking ``tracer=`` receive: None when untraced.
+        self.trace_arg = self.tr if self.tr.enabled else None
+        self.ov = overload
+        self.dur = durability
+        self.tn = tenancy
+        self.health = health
+        self.engines = engines
+        self.online = online
+        self.queue = RequestQueue()
+        self.metrics = ServingMetrics()
+        self.requests: Sequence[Request] = ()
+        self.next_arrival = 0
+        # A controller may be shared across runs; only this run's
+        # rejections belong in this run's metrics.
+        self.rejected_before = 0
+        self._loop_state: Callable[[], dict] = dict
+
+    # ------------------------------------------------------------------ #
+    # Run lifecycle
+    # ------------------------------------------------------------------ #
+
+    def begin(
+        self,
+        requests: Sequence[Request],
+        horizon: float,
+        loop_state: Callable[[], dict] = dict,
+        resume: Optional[RestoredState] = None,
+    ) -> None:
+        """Start (or, with ``resume=``, restart) a run over *requests*.
+
+        ``loop_state`` returns the caller's own checkpoint fields
+        (``now``, and any of ``idle``/``running``/``iteration``/``rng``/
+        ``extra``); everything else in the durability snapshot is owned
+        here.
+        """
+        self.requests = requests
+        if resume is not None:
+            if self.dur is None:
+                raise ValueError("resume= requires a durability plane")
+            self.adopt(resume)
+        else:
+            self.metrics.arrived = len(requests)
+            for plane in (self.ov, self.health, self.tn):
+                if plane is not None:
+                    plane.begin_run()
+            self.rejected_before = (
+                len(self.admission.rejected) if self.admission is not None else 0
+            )
+        self.metrics.horizon = horizon
+        self.arm(loop_state, resume)
+
+    def adopt(self, state: RestoredState) -> None:
+        """Take over a restored queue + ledger; push plane state back."""
+        self.queue, self.metrics = state.queue, state.metrics
+        self.next_arrival = state.next_arrival
+        self.rejected_before = state.rejected_before
+        state.apply_shared(
+            tracer=self.tr,
+            overload=self.ov,
+            admission=self.admission,
+            engines=self.engines,
+            health=self.health,
+            tenancy=self.tn,
+        )
+
+    def arm(
+        self,
+        loop_state: Callable[[], dict],
+        resume: Optional[RestoredState] = None,
+    ) -> None:
+        """Hand the durability plane its capture hook (genesis snapshot)."""
+        self._loop_state = loop_state
+        if self.dur is not None:
+            self.dur.begin_run(self._live, self.tr, resume=resume)
+
+    def _live(self) -> LiveState:
+        return LiveState(
+            queue=self.queue,
+            metrics=self.metrics,
+            next_arrival=self.next_arrival,
+            rejected_before=self.rejected_before,
+            tracer=self.trace_arg,
+            overload=self.ov,
+            admission=self.admission,
+            engines=self.engines,
+            health=self.health,
+            tenancy=self.tn,
+            **self._loop_state(),
+        )
+
+    def tick(self) -> None:
+        """Step boundary: first statement of every loop iteration."""
+        if self.dur is not None:
+            self.dur.tick()
+
+    def next_arrival_at(self) -> Optional[float]:
+        """Arrival time of the next not-yet-admitted request, if any."""
+        if self.next_arrival < len(self.requests):
+            return self.requests[self.next_arrival].arrival
+        return None
+
+    def _release(self, requests: Iterable[Request]) -> None:
+        """Tell the admission controller requests left the queue."""
+        if self.admission is not None:
+            self.admission.release(requests)
+
+    # ------------------------------------------------------------------ #
+    # Arrival: admission controller → degradation floor → tenant quota
+    # ------------------------------------------------------------------ #
+
+    def arrive(self, r: Request) -> None:
+        """One arrival (counted here only online; a run presets the total)."""
+        if self.online:
+            self.metrics.arrived += 1
+        if self.tn is not None:
+            self.tn.arrive(r)
+
+    def admit_arrivals(self, now: float) -> None:
+        """Arrive and admit every listed request with ``arrival <= now``."""
+        requests, i = self.requests, self.next_arrival
+        n = len(requests)
+        while i < n and requests[i].arrival <= now:
+            r = requests[i]
+            self.arrive(r)
+            self.admit(r, r.arrival)
+            i += 1
+            self.next_arrival = i
+
+    def admit(
+        self, r: Request, now: float, *, submit_time: Optional[float] = None
+    ) -> Optional[tuple[str, str]]:
+        """Enqueue one arrived request, or reject it.
+
+        Returns ``None`` when enqueued, else ``(cause, detail)`` with
+        cause ``"admission"``, ``"degraded"`` or ``"quota"``.
+        """
+        adm, ov, tn, tr = self.admission, self.ov, self.tn, self.tr
+        if adm is not None and not adm.admit(r, now):
+            if self.online:
+                self.reject(r, now)
+            else:
+                # The controller keeps its refusals; finish() folds them
+                # into the ledger, so only the mirrors are told here.
+                if tn is not None:
+                    tn.rejected([r])
+                if tr.enabled:
+                    tr.arrive(r, now)
+                    tr.rejected(r, now)
+            return ("admission", "")
+        if ov is not None and not ov.admit(r, now):
+            self.reject(r, now, held=True)
+            return ("degraded", "")
+        # With a quota-free registry admit() can never refuse; skip it.
+        if tn is not None and not tn.passive_admission:
+            quota = tn.admit(r, now)
+            if quota is not None:
+                self.reject(r, now, held=True, quota=True)
+                return ("quota", quota)
+        self.queue.add(r)
+        if tr.enabled:
+            tr.arrive(r, now)
+            tr.enqueue(r, now)
+        if self.dur is not None:
+            self.dur.enqueue(r, submit_time)
+        return None
+
+    def reject(
+        self, r: Request, now: float, *, held: bool = False, quota: bool = False
+    ) -> None:
+        """Terminal ``rejected`` for a request that never queued.
+
+        ``held``: the admission controller had admitted it, so the
+        tokens it reserved are given back.  ``quota``: attributed to the
+        tenant's own ledger as quota-rejected.
+        """
+        if held:
+            self._release((r,))
+        self.metrics.rejected.append(r)
+        if self.tn is not None:
+            self.tn.rejected([r], quota=quota, now=now, tracer=self.trace_arg)
+        if self.tr.enabled:
+            self.tr.arrive(r, now)
+            self.tr.rejected(r, now)
+        if self.dur is not None:
+            self.dur.terminal("rejected", [r], dequeue=False)
+
+    # ------------------------------------------------------------------ #
+    # Waiting: expire, shed, select, drop
+    # ------------------------------------------------------------------ #
+
+    def expire_and_shed(self, now: float) -> None:
+        """Expire past-deadline requests, then shed back under the limits."""
+        queue, tr, tn, dur, ov = self.queue, self.tr, self.tn, self.dur, self.ov
+        dead = queue.expire(now)
+        if self.online:
+            self.metrics.expired.extend(dead)
+        if tr.enabled:
+            tr.expired(dead, now)
+        self._release(dead)
+        if tn is not None:
+            tn.expired(dead)
+        if dur is not None:
+            dur.terminal("expired", dead)
+        if ov is not None:
+            ov.observe_outcomes(missed=len(dead))
+            ov.update(now, queue, tr)
+            shed = ov.maybe_shed(queue, self.metrics, now, tr)
+            self._release(shed)
+            if tn is not None:
+                tn.shed(shed)
+            if dur is not None:
+                dur.shed(shed)
+
+    def breaker_blocks(self, engine: int, now: float) -> Optional[float]:
+        """When *engine*'s open breaker may be retried; None if it may run."""
+        ov = self.ov
+        if ov is None or ov.breaker_allow(engine, now, self.tr):
+            return None
+        return ov.breaker_retry_at(engine)
+
+    def select(
+        self, waiting: Sequence[Request], now: float, **span: Any
+    ) -> SchedulingDecision:
+        """One scheduling decision over *waiting* (tenant fair share if on)."""
+        scheduler, tr = self.scheduler, self.tr
+        if self.tn is not None:
+            decision = self.tn.select(
+                scheduler, waiting, now, tracer=self.trace_arg
+            )
+        else:
+            decision = scheduler.select(waiting, now)
+        decision.validate(scheduler.batch)
+        self.metrics.total_scheduler_time += decision.runtime
+        if tr.enabled:
+            tr.decision(
+                now,
+                decision.runtime,
+                {
+                    "scheduler": scheduler.name,
+                    "num_selected": decision.num_selected,
+                    "queue_depth": len(waiting),
+                    **span,
+                    **decision.info,
+                },
+            )
+        return decision
+
+    def drop_unservable(self, waiting: Sequence[Request], now: float) -> bool:
+        """Drop waiting requests longer than a row; False if there are none.
+
+        The scheduler picked nothing; requests that exceed ``L`` would
+        otherwise livelock the loop until their deadlines.
+        """
+        row_length = self.scheduler.batch.row_length
+        unservable = [r for r in waiting if r.length > row_length]
+        if not unservable:
+            return False
+        drop_unservable(self.queue, unservable, now, self.tr)
+        self._release(unservable)
+        if self.tn is not None:
+            self.tn.expired(unservable)
+        if self.dur is not None:
+            self.dur.terminal("expired", unservable)
+        return True
+
+    # ------------------------------------------------------------------ #
+    # Dispatch and its outcomes
+    # ------------------------------------------------------------------ #
+
+    def dispatch(
+        self,
+        selected: list[Request],
+        now: float,
+        *,
+        engine: int = 0,
+        resident: bool = False,
+    ) -> list[Request]:
+        """Write-ahead a batch about to run; returns it as it will run.
+
+        A batch-level dispatch is capped under brownout and its requests
+        stay queued until served; ``resident`` marks an iteration-level
+        admission (the continuous loop dequeues those itself, and scales
+        its token budget instead of capping).
+        """
+        if self.ov is not None and not resident:
+            selected = self.ov.cap_batch(selected)
+        if self.tr.enabled:
+            self.tr.scheduled(selected, now)
+        if self.dur is not None:
+            self.dur.dispatch(selected, engine=engine, resident=resident)
+        return selected
+
+    def engine_result(
+        self, engine: int, at: float, *, ok: bool, kind: str = "failure"
+    ) -> None:
+        """Feed one engine outcome to the overload plane's breaker."""
+        if self.ov is not None:
+            self.ov.record_result(engine, at, ok=ok, kind=kind, tracer=self.tr)
+
+    def attempted(
+        self, outcome: SlotOutcome, batch_size: int, now: float, *, engine: int = 0
+    ) -> None:
+        """Book a slot's failed attempts (wasted engine time, OOM splits)."""
+        m = self.metrics
+        m.failed_batches += outcome.failures
+        m.retries += outcome.split_retries
+        m.total_engine_time += outcome.wasted
+        self.engine_result(
+            engine,
+            now + outcome.wasted,
+            ok=outcome.result is not None,
+            kind="crash" if outcome.down_until is not None else "failure",
+        )
+        if self.tr.enabled and outcome.failures:
+            self.tr.batch(
+                now,
+                outcome.wasted,
+                engine=engine,
+                kind="failed",
+                failures=outcome.failures,
+                split_retries=outcome.split_retries,
+                num_requests=batch_size,
+            )
+
+    def crashed(
+        self, downtime: float, at: float, *, engine: int = 0, **span: Any
+    ) -> None:
+        """An engine went down at *at* for *downtime*."""
+        self.metrics.downtime += downtime
+        if self.tr.enabled:
+            self.tr.batch(
+                at, downtime, engine=engine, kind="crash", downtime=downtime, **span
+            )
+
+    def failed(
+        self,
+        requests: Sequence[Request],
+        cost_model: GPUCostModel,
+        now: float,
+        *,
+        retry_from: Optional[float] = None,
+        readd: bool = False,
+    ) -> None:
+        """Triage a failed batch: bounded requeue, or abandon.
+
+        Feasibility is judged at ``retry_from`` (default *now*; a lone
+        crashed engine cannot retry before it rejoins).  ``readd``: the
+        requests were iteration-level residents, so the retained ones go
+        back into the queue.
+        """
+        queue, tr = self.queue, self.tr
+        if not readd:
+            # A batch-level dispatch leaves its requests queued; one that
+            # expired or was shed while the attempt ran has its terminal.
+            requests = [r for r in requests if r.request_id in queue]
+        retained, lost = requeue_failed(
+            queue,
+            self.retry,
+            cost_model,
+            requests,
+            now if retry_from is None else retry_from,
+        )
+        if readd:
+            queue.requeue(retained)
+        self.metrics.retries += len(retained)
+        if tr.enabled:
+            tr.requeued(retained, now)
+            tr.abandoned(lost, now)
+        self._release(lost)
+        if self.tn is not None:
+            self.tn.abandoned(lost)
+        if self.dur is not None:
+            self.dur.requeued(queue, requests, retained, lost, readd=readd)
+        if self.ov is not None:
+            self.ov.observe_outcomes(missed=len(lost))
+
+    def serve(
+        self, served: Sequence[Request], finish: float, *, dequeue: bool = True
+    ) -> None:
+        """Terminal ``served`` at *finish* (``dequeue=False``: residents)."""
+        m = self.metrics
+        if self.tr.enabled:
+            self.tr.served(served, finish)
+        if dequeue:
+            self.queue.remove_served(served)
+        self._release(served)
+        if self.tn is not None:
+            self.tn.served(served, finish)
+        if self.dur is not None:
+            self.dur.served(served, finish, dequeue=dequeue)
+        if self.ov is not None:
+            on_time = sum(1 for r in served if finish <= r.deadline)
+            self.ov.observe_outcomes(
+                served=on_time, missed=len(served) - on_time
+            )
+        for r in served:
+            m.finish_times[r.request_id] = (r.arrival, finish)
+        m.served.extend(served)
+
+    def batch_done(
+        self, latency: float, useful_tokens: int, padded_tokens: int
+    ) -> None:
+        """Book one completed batch's engine time and token counts."""
+        m = self.metrics
+        m.total_engine_time += latency
+        m.num_batches += 1
+        m.useful_tokens += useful_tokens
+        m.padded_tokens += padded_tokens
+
+    def serve_batch(
+        self,
+        result: BatchResult,
+        selected: Sequence[Request],
+        at: float,
+        latency: float,
+        runner: InferenceEngine,
+        *,
+        engine: int = 0,
+        **span: Any,
+    ) -> float:
+        """A dispatched batch ran on *runner* from *at*; returns its finish.
+
+        Requests of *selected* that *result* did not serve (an OOM split
+        dropped them) stay queued for a later slot.
+        """
+        tr, stats = self.tr, result.stats
+        finish = at + latency
+        if tr.enabled:
+            tr.packed_layouts(result.layouts, at)
+            tr.executed(result.served, at, latency, engine=engine)
+            tr.batch(
+                at,
+                latency,
+                engine=engine,
+                kind="batch",
+                num_requests=result.num_served,
+                useful_tokens=stats.useful_tokens,
+                padded_tokens=stats.padded_tokens,
+                padding_efficiency=stats.utilisation,
+                rows=stats.rows,
+                row_width=stats.row_width,
+                **span,
+                **runner.trace_annotations(result),
+            )
+            served_ids = {r.request_id for r in result.served}
+            tr.requeued(
+                [r for r in selected if r.request_id not in served_ids], at
+            )
+        self.serve(result.served, finish)
+        self.batch_done(latency, stats.useful_tokens, stats.padded_tokens)
+        return finish
+
+    # ------------------------------------------------------------------ #
+    # End of run
+    # ------------------------------------------------------------------ #
+
+    def finish(self, residents: Sequence[Request] = ()) -> ServingMetrics:
+        """End-of-run sweep: whatever is unserved counts as failed.
+
+        *residents* are iteration-level requests still decoding at the
+        horizon; then everything still queued, then every request that
+        never arrived.  Folds the queue's and the admission controller's
+        ledgers into the metrics and checks every plane's books.
+        """
+        m, tr, tn, dur = self.metrics, self.tr, self.tn, self.dur
+        horizon = m.horizon
+        leftover = self.requests[self.next_arrival:]
+        m.expired.extend(residents)
+        dead = self.queue.expire(float("inf"))
+        if tr.enabled:
+            tr.expired(residents, horizon)
+            tr.expired(dead, horizon)
+            for r in leftover:
+                tr.arrive(r, r.arrival)
+            tr.expired(leftover, horizon)
+        if tn is not None:
+            tn.expired(residents)
+            tn.expired(dead)
+            for r in leftover:
+                tn.arrive(r)
+            tn.expired(leftover)
+        if dur is not None:
+            dur.terminal("expired", residents, dequeue=False)
+            dur.terminal("expired", dead)
+            dur.end_run(leftover)
+        m.expired.extend(self.queue.expired)
+        m.expired.extend(leftover)
+        m.abandoned.extend(self.queue.abandoned)
+        if self.admission is not None:
+            m.rejected.extend(self.admission.rejected[self.rejected_before:])
+        m.assert_conservation()
+        if tn is not None:
+            tn.finalize(m)
+        if tr.enabled:
+            tr.reconcile(m)
+        return m

@@ -31,7 +31,6 @@ from repro.core.layout import BatchLayout
 from repro.core.packing import pack_in_order
 from repro.durability.plane import DurabilityConfig, DurabilityPlane
 from repro.durability.restore import RestoredState
-from repro.durability.snapshot import LiveState
 from repro.model.seq2seq import Seq2SeqModel
 from repro.overload.backpressure import BackpressureError
 from repro.overload.controller import OverloadController
@@ -39,6 +38,7 @@ from repro.scheduling.base import Scheduler
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.queue import RequestQueue
 from repro.serving.admission import AdmissionController
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.admission import QuotaExceeded
 from repro.tenancy.plane import TenancyPlane
@@ -101,10 +101,6 @@ class TCBServer:
         self.default_slack = default_slack
         self.admission = admission
         self.overload = overload
-        # Online ledger: arrived counts every submit() (including
-        # refused ones); conservation holds once the queue drains.
-        self.metrics = ServingMetrics()
-        self._queue = RequestQueue()
         self._next_id = 0
         self._submit_times: dict[int, float] = {}
         self._responses: dict[int, Response] = {}
@@ -127,33 +123,46 @@ class TCBServer:
         self.tenancy = tenancy
         if tenancy is not None:
             tenancy.begin_run()
+        # Online ledger: arrived counts every submit() (including
+        # refused ones); conservation holds once the queue drains.
+        self._life = Lifecycle(
+            self.scheduler,
+            admission=admission,
+            overload=overload,
+            durability=durability,
+            tenancy=tenancy,
+            online=True,
+        )
         # TCBServer is the *online* facade: unlike the discrete-event
         # simulators, its clock really is wall-clock.
         self._t0 = time.perf_counter()  # tcblint: disable=TCB003
 
     # ------------------------------------------------------------------ #
 
+    @property
+    def metrics(self) -> ServingMetrics:
+        return self._life.metrics
+
+    @property
+    def _queue(self) -> RequestQueue:
+        return self._life.queue
+
     def _now(self) -> float:
         return time.perf_counter() - self._t0  # tcblint: disable=TCB003
 
-    def _live(self) -> LiveState:
-        return LiveState(
-            queue=self._queue,
-            metrics=self.metrics,
-            now=self._now(),
-            overload=self.overload,
-            admission=self.admission,
-            tenancy=self.tenancy,
-            extra={
+    def _loop_state(self) -> dict:
+        return {
+            "now": self._now(),
+            "extra": {
                 "next_id": self._next_id,
                 "submit_times": dict(self._submit_times),
             },
-        )
+        }
 
     def _arm_durability(self) -> None:
         if self.durability is not None and not self._dur_armed:
             self._dur_armed = True
-            self.durability.begin_run(self._live)
+            self._life.arm(self._loop_state)
 
     def warm_restart(self) -> RestoredState:
         """Rebuild this server's state from its durability journal.
@@ -170,16 +179,10 @@ class TCBServer:
         if dur is None:
             raise ValueError("warm restart requires a durability plane")
         state = dur.restore(recover_enqueues=True)
-        self._queue = state.queue
-        self.metrics = state.metrics
         # The online ledger folds expiry immediately (no end-of-run
         # sweep), so the metrics bucket mirrors the queue's ledger.
-        self.metrics.expired[:] = list(state.queue.expired)
-        state.apply_shared(
-            overload=self.overload,
-            admission=self.admission,
-            tenancy=self.tenancy,
-        )
+        state.metrics.expired[:] = list(state.queue.expired)
+        self._life.adopt(state)
         extra = state.extra
         self._submit_times = dict(extra.get("submit_times", {}))
         self._next_id = extra.get("next_id", 0)
@@ -189,7 +192,7 @@ class TCBServer:
             self._next_id = max(self._next_id, req.request_id + 1)
         self._responses = {}
         self._dur_armed = True
-        dur.begin_run(self._live, resume=state)
+        self._life.arm(self._loop_state, resume=state)
         return state
 
     def submit(
@@ -215,7 +218,7 @@ class TCBServer:
                 f"{self.batch.row_length}"
             )
         self._arm_durability()
-        tn = self.tenancy
+        life, tn, ov = self._life, self.tenancy, self.overload
         rid = self._next_id
         self._next_id += 1
         now = self._now()
@@ -235,10 +238,7 @@ class TCBServer:
             weight=weight,
             tenant=tenant,
         )
-        self.metrics.arrived += 1
-        if tn is not None:
-            tn.arrive(req)
-        ov = self.overload
+        life.arrive(req)
         if ov is not None and not ov.config.limits.unbounded:
             pressure = self._queue.pressure(ov.config.limits)
             limits = ov.config.limits
@@ -249,118 +249,50 @@ class TCBServer:
                 limits.max_tokens is not None
                 and pressure.queued_tokens + req.length > limits.max_tokens
             ):
-                self.metrics.rejected.append(req)
-                if tn is not None:
-                    tn.rejected([req])
-                self._journal_rejected(req)
+                life.reject(req, now)
                 raise BackpressureError("queue-full", pressure)
-        if self.admission is not None and not self.admission.admit(req, now):
-            reason = self.admission.check(req, now).reason
-            self.metrics.rejected.append(req)
-            if tn is not None:
-                tn.rejected([req])
-            self._journal_rejected(req)
-            raise BackpressureError(f"admission: {reason}")
-        if ov is not None and not ov.admit(req, now):
-            if self.admission is not None:
-                self.admission.release([req])
-            self.metrics.rejected.append(req)
-            if tn is not None:
-                tn.rejected([req])
-            self._journal_rejected(req)
-            raise BackpressureError(f"degraded ({ov.level.label})")
-        if tn is not None:
-            quota = tn.admit(req, now)
-            if quota is not None:
-                if self.admission is not None:
-                    self.admission.release([req])
-                self.metrics.rejected.append(req)
-                tn.rejected([req], quota=True, now=now)
-                self._journal_rejected(req)
-                raise QuotaExceeded(tn.key(req), quota)
-        self._queue.add(req)
+        # Write-ahead: an admitted submit is durable before it is
+        # acknowledged to the caller by returning the id.
+        refusal = life.admit(req, now, submit_time=now)
+        if refusal is not None:
+            cause, detail = refusal
+            if cause == "admission":
+                reason = self.admission.check(req, now).reason
+                raise BackpressureError(f"admission: {reason}")
+            if cause == "degraded":
+                raise BackpressureError(f"degraded ({ov.level.label})")
+            raise QuotaExceeded(tn.key(req), detail)
         self._submit_times[rid] = now
-        if self.durability is not None:
-            # Write-ahead: the submit is durable before it is
-            # acknowledged to the caller by returning the id.
-            self.durability.enqueue(req, submit_time=now)
         return rid
-
-    def _journal_rejected(self, req: Request) -> None:
-        if self.durability is not None:
-            self.durability.terminal("rejected", [req], dequeue=False)
-
-    def _release(self, requests: Sequence[Request]) -> None:
-        if self.admission is not None:
-            self.admission.release(list(requests))
 
     def step(self) -> list[Response]:
         """Run one engine slot; returns responses finished this step."""
         self._arm_durability()
-        dur = self.durability
-        if dur is not None:
-            dur.tick()
+        life = self._life
+        life.tick()
         now = self._now()
-        ov = self.overload
-        tn = self.tenancy
-        dead = self._queue.expire(now)
-        self.metrics.expired.extend(dead)
-        self._release(dead)
-        if tn is not None:
-            tn.expired(dead)
-        if dur is not None:
-            dur.terminal("expired", dead)
-        if ov is not None:
-            ov.observe_outcomes(missed=len(dead))
-            ov.update(now, self._queue)
-            shed = ov.maybe_shed(self._queue, self.metrics, now)
-            self._release(shed)
-            if tn is not None:
-                tn.shed(shed)
-            if dur is not None:
-                dur.shed(shed)
-            if not ov.breaker_allow(0, now):
-                return []
+        life.expire_and_shed(now)
+        if life.breaker_blocks(0, now) is not None:
+            return []
         waiting = self._queue.waiting(now)
         if not waiting:
             return []
-        if tn is not None:
-            decision = tn.select(self.scheduler, waiting, now)
-        else:
-            decision = self.scheduler.select(waiting, now)
-        selected = decision.selected()
+        selected = life.select(waiting, now).selected()
         if not selected:
             return []
-        if ov is not None:
-            selected = ov.cap_batch(selected)
-        if dur is not None:
-            dur.dispatch(selected)
+        selected = life.dispatch(selected, now)
+        started = self._now()
         packing = pack_in_order(
             selected, self.batch.num_rows, self.batch.row_length
         )
         layout = packing.layout
         gen = self.model.greedy_decode(layout, max_new_tokens=self.max_new_tokens)
-        self._queue.remove_served(packing.packed)
-        self._release(packing.packed)
         finished_at = self._now()
-        if ov is not None:
-            ov.record_result(0, finished_at, ok=True)
-            on_time = sum(
-                1 for r in packing.packed if finished_at <= r.deadline
-            )
-            ov.observe_outcomes(
-                served=on_time, missed=len(packing.packed) - on_time
-            )
-        self.metrics.served.extend(packing.packed)
-        for req in packing.packed:
-            self.metrics.finish_times[req.request_id] = (
-                req.arrival, finished_at,
-            )
-        self.metrics.num_batches += 1
-        if tn is not None:
-            tn.served(packing.packed, finished_at)
-        if dur is not None:
-            dur.served(packing.packed, finished_at)
+        life.engine_result(0, finished_at, ok=True)
+        life.serve(packing.packed, finished_at)
+        life.batch_done(
+            finished_at - started, layout.useful_tokens, layout.padded_tokens
+        )
         out: list[Response] = []
         for req in packing.packed:
             resp = Response(

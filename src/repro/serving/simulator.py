@@ -24,20 +24,18 @@ run.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
-from repro.durability.snapshot import LiveState
 from repro.engine.base import BatchResult, InferenceEngine
-from repro.faults.recovery import RetryPolicy, requeue_failed, serve_slot
-from repro.obs.recorder import NO_TRACE, Tracer
+from repro.faults.recovery import RetryPolicy, serve_slot
+from repro.obs.recorder import Tracer
 from repro.overload.controller import OverloadController
-from repro.overload.ledger import drop_unservable
 from repro.scheduling.base import Scheduler, SchedulingDecision
-from repro.scheduling.queue import RequestQueue
 from repro.serving.admission import AdmissionController
 from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
@@ -93,11 +91,6 @@ class ServingSimulator:
         # tenancy=None the loop takes exactly its tenant-blind paths.
         self.tenancy = tenancy
 
-    def _release(self, requests: Iterable[Request]) -> None:
-        """Tell the admission controller requests left the queue."""
-        if self.admission is not None:
-            self.admission.release(list(requests))
-
     def run(
         self,
         workload: WorkloadGenerator | Sequence[Request],
@@ -114,368 +107,98 @@ class ServingSimulator:
         given.
         """
         requests, horizon = resolve_workload(workload, horizon)
-
-        tr = self.trace if self.trace is not None else NO_TRACE
-        ov = self.overload
-        dur = self.durability
-        tn = self.tenancy
-        if resume is not None:
-            if dur is None:
-                raise ValueError("resume= requires a durability plane")
-            metrics = resume.metrics
-            metrics.horizon = horizon
-            queue = resume.queue
-            now = resume.now
-            next_arrival = resume.next_arrival
-            rejected_before = resume.rejected_before
-            resume.apply_shared(
-                tracer=tr,
-                overload=ov,
-                admission=self.admission,
-                engines=(self.engine,),
-                tenancy=tn,
-            )
-        else:
-            metrics = ServingMetrics(horizon=horizon, arrived=len(requests))
-            queue = RequestQueue()
-            if ov is not None:
-                ov.begin_run()
-            if tn is not None:
-                tn.begin_run()
-            # A controller may be shared across runs; only this run's
-            # rejections belong in this run's metrics.
-            rejected_before = (
-                len(self.admission.rejected)
-                if self.admission is not None
-                else 0
-            )
-            now = 0.0
-            next_arrival = 0
-        result = SimulationResult(metrics=metrics)
-        n = len(requests)
-        # With a quota-free registry admit() can never refuse; skip the
-        # per-arrival dispatch entirely.
-        tn_admit = (
-            tn.admit if tn is not None and not tn.passive_admission else None
+        engine = self.engine
+        life = Lifecycle(
+            self.scheduler,
+            retry=self.retry,
+            admission=self.admission,
+            trace=self.trace,
+            overload=self.overload,
+            durability=self.durability,
+            tenancy=self.tenancy,
+            engines=(engine,),
         )
-
-        if dur is not None:
-
-            def _live() -> LiveState:
-                return LiveState(
-                    queue=queue,
-                    metrics=metrics,
-                    now=now,
-                    next_arrival=next_arrival,
-                    rejected_before=rejected_before,
-                    tracer=tr if tr.enabled else None,
-                    overload=ov,
-                    admission=self.admission,
-                    engines=(self.engine,),
-                    tenancy=tn,
-                )
-
-            dur.begin_run(_live, tr, resume=resume)
+        now = resume.now if resume is not None else 0.0
+        life.begin(requests, horizon, lambda: {"now": now}, resume)
+        queue = life.queue
+        result = SimulationResult(metrics=life.metrics)
 
         while now < horizon:
-            if dur is not None:
-                dur.tick()
-            # Admit arrivals up to the current time.
-            while next_arrival < n and requests[next_arrival].arrival <= now:
-                r = requests[next_arrival]
-                if tn is not None:
-                    tn.arrive(r)
-                if self.admission is None or self.admission.admit(r, r.arrival):
-                    if ov is not None and not ov.admit(r, r.arrival):
-                        # Degradation-tightened admission: an explicit
-                        # rejected-class terminal, and any tokens the
-                        # admission controller reserved are given back.
-                        self._release([r])
-                        metrics.rejected.append(r)
-                        if tn is not None:
-                            tn.rejected([r])
-                        if tr.enabled:
-                            tr.arrive(r, r.arrival)
-                            tr.rejected(r, r.arrival)
-                        if dur is not None:
-                            dur.terminal("rejected", [r], dequeue=False)
-                        next_arrival += 1
-                        continue
-                    quota = (
-                        tn_admit(r, r.arrival) if tn_admit is not None else None
-                    )
-                    if quota is not None:
-                        # Tenant quota (token bucket / in-flight cap):
-                        # a rejected-class terminal, attributed to the
-                        # tenant's own ledger as quota-rejected.
-                        self._release([r])
-                        metrics.rejected.append(r)
-                        tn.rejected(
-                            [r],
-                            quota=True,
-                            now=r.arrival,
-                            tracer=tr if tr.enabled else None,
-                        )
-                        if tr.enabled:
-                            tr.arrive(r, r.arrival)
-                            tr.rejected(r, r.arrival)
-                        if dur is not None:
-                            dur.terminal("rejected", [r], dequeue=False)
-                        next_arrival += 1
-                        continue
-                    queue.add(r)
-                    if tr.enabled:
-                        tr.arrive(r, r.arrival)
-                        tr.enqueue(r, r.arrival)
-                    if dur is not None:
-                        dur.enqueue(r)
-                else:
-                    if tn is not None:
-                        tn.rejected([r])
-                    if tr.enabled:
-                        tr.arrive(r, r.arrival)
-                        tr.rejected(r, r.arrival)
-                next_arrival += 1
-            dead = queue.expire(now)
-            if tr.enabled:
-                tr.expired(dead, now)
-            self._release(dead)
-            if tn is not None:
-                tn.expired(dead)
-            if dur is not None:
-                dur.terminal("expired", dead)
-
-            if ov is not None:
-                ov.observe_outcomes(missed=len(dead))
-                ov.update(now, queue, tr)
-                shed = ov.maybe_shed(queue, metrics, now, tr)
-                self._release(shed)
-                if tn is not None:
-                    tn.shed(shed)
-                if dur is not None:
-                    dur.shed(shed)
+            life.tick()
+            life.admit_arrivals(now)
+            life.expire_and_shed(now)
 
             waiting = queue.waiting(now)
             if not waiting:
-                if next_arrival >= n:
+                wake = life.next_arrival_at()
+                if wake is None:
                     break  # Nothing left to serve.
-                now = requests[next_arrival].arrival
+                now = wake
                 continue
 
-            if ov is not None and not ov.breaker_allow(0, now, tr):
+            retry_at = life.breaker_blocks(0, now)
+            if retry_at is not None:
                 # Breaker open: with a single engine nothing can run
                 # before the recovery interval elapses; jump there.
-                now = min(ov.breaker_retry_at(0), horizon)
+                now = min(retry_at, horizon)
                 continue
 
-            if tn is not None:
-                decision = tn.select(
-                    self.scheduler,
-                    waiting,
-                    now,
-                    tracer=tr if tr.enabled else None,
-                )
-            else:
-                decision = self.scheduler.select(waiting, now)
-            decision.validate(self.scheduler.batch)
-            metrics.total_scheduler_time += decision.runtime
-            apply_slot_size(self.engine, decision)
-            if tr.enabled:
-                tr.decision(
-                    now,
-                    decision.runtime,
-                    {
-                        "scheduler": self.scheduler.name,
-                        "num_selected": decision.num_selected,
-                        "queue_depth": len(waiting),
-                        **decision.info,
-                    },
-                )
-
+            decision = life.select(waiting, now)
+            apply_slot_size(engine, decision)
             selected = decision.selected()
             if not selected:
                 # Scheduler picked nothing (e.g. everything exceeds L):
                 # drop the unschedulable requests to avoid livelock.
-                unservable = [
-                    r
-                    for r in waiting
-                    if r.length > self.scheduler.batch.row_length
-                ]
-                if unservable:
-                    drop_unservable(queue, unservable, now, tr)
-                    self._release(unservable)
-                    if tn is not None:
-                        tn.expired(unservable)
-                    if dur is not None:
-                        dur.terminal("expired", unservable)
+                if life.drop_unservable(waiting, now):
                     continue
-                if next_arrival >= n:
+                wake = life.next_arrival_at()
+                if wake is None:
                     break
-                now = requests[next_arrival].arrival
+                now = wake
                 continue
 
-            if ov is not None:
-                selected = ov.cap_batch(selected)
-            if tr.enabled:
-                tr.scheduled(selected, now)
-            if dur is not None:
-                dur.dispatch(selected)
-            outcome = serve_slot(self.engine, selected, now)
-            metrics.failed_batches += outcome.failures
-            metrics.retries += outcome.split_retries
-            metrics.total_engine_time += outcome.wasted
-            if tr.enabled and outcome.failures:
-                tr.batch(
-                    now,
-                    outcome.wasted,
-                    kind="failed",
-                    failures=outcome.failures,
-                    split_retries=outcome.split_retries,
-                    num_requests=len(selected),
-                )
+            selected = life.dispatch(selected, now)
+            outcome = serve_slot(engine, selected, now)
+            life.attempted(outcome, len(selected), now)
             now += outcome.wasted
-            if ov is not None:
-                ov.record_result(
-                    0,
-                    now,
-                    ok=outcome.result is not None,
-                    kind="crash" if outcome.down_until is not None else "failure",
-                    tracer=tr,
-                )
 
             if outcome.down_until is not None:
                 # Engine crashed: with a single engine nothing can be
                 # served before it recovers, so requeue feasibility is
                 # judged at the rejoin time.
-                metrics.downtime += outcome.downtime
-                retained, lost = requeue_failed(
-                    queue,
-                    self.retry,
-                    self.engine.cost_model,
+                life.crashed(outcome.downtime, now)
+                life.failed(
                     outcome.failed,
-                    outcome.down_until,
+                    engine.cost_model,
+                    now,
+                    retry_from=outcome.down_until,
                 )
-                metrics.retries += len(retained)
-                if tr.enabled:
-                    tr.batch(
-                        now, outcome.downtime, kind="crash",
-                        downtime=outcome.downtime,
-                    )
-                    tr.requeued(retained, now)
-                    tr.abandoned(lost, now)
-                self._release(lost)
-                if tn is not None:
-                    tn.abandoned(lost)
-                if dur is not None:
-                    dur.requeued(queue, outcome.failed, retained, lost)
-                if ov is not None:
-                    ov.observe_outcomes(missed=len(lost))
                 now = max(now, outcome.down_until)
                 continue
             if outcome.result is None:
                 # Terminal batch failure: the wasted time has already
                 # advanced the clock; triage the casualties.
-                retained, lost = requeue_failed(
-                    queue,
-                    self.retry,
-                    self.engine.cost_model,
-                    outcome.failed,
-                    now,
-                )
-                metrics.retries += len(retained)
-                if tr.enabled:
-                    tr.requeued(retained, now)
-                    tr.abandoned(lost, now)
-                self._release(lost)
-                if tn is not None:
-                    tn.abandoned(lost)
-                if dur is not None:
-                    dur.requeued(queue, outcome.failed, retained, lost)
-                if ov is not None:
-                    ov.observe_outcomes(missed=len(lost))
+                life.failed(outcome.failed, engine.cost_model, now)
                 continue
 
             batch_result = outcome.result
             latency = max(batch_result.latency, MIN_SLOT)
-            finish = now + latency
-
-            if tr.enabled:
-                tr.packed_layouts(batch_result.layouts, now)
-                tr.executed(batch_result.served, now, latency)
-                tr.batch(
-                    now,
-                    latency,
-                    kind="batch",
-                    num_requests=batch_result.num_served,
-                    useful_tokens=batch_result.stats.useful_tokens,
-                    padded_tokens=batch_result.stats.padded_tokens,
-                    padding_efficiency=batch_result.stats.utilisation,
-                    rows=batch_result.stats.rows,
-                    row_width=batch_result.stats.row_width,
-                    slot_size=decision.slot_size,
-                    failures=outcome.failures,
-                    split_retries=outcome.split_retries,
-                    wasted=outcome.wasted,
-                    **self.engine.trace_annotations(batch_result),
-                )
-                served_ids = {r.request_id for r in batch_result.served}
-                leftover = [
-                    r for r in selected if r.request_id not in served_ids
-                ]
-                tr.requeued(leftover, now)
-                tr.served(batch_result.served, finish)
-
-            queue.remove_served(batch_result.served)
-            self._release(batch_result.served)
-            if tn is not None:
-                tn.served(batch_result.served, finish)
-            if dur is not None:
-                dur.served(batch_result.served, finish)
-            if ov is not None:
-                on_time = sum(
-                    1 for r in batch_result.served if finish <= r.deadline
-                )
-                ov.observe_outcomes(
-                    served=on_time,
-                    missed=len(batch_result.served) - on_time,
-                )
-            for r in batch_result.served:
-                metrics.finish_times[r.request_id] = (r.arrival, finish)
-            metrics.served.extend(batch_result.served)
-            metrics.total_engine_time += latency
-            metrics.num_batches += 1
-            metrics.useful_tokens += batch_result.stats.useful_tokens
-            metrics.padded_tokens += batch_result.stats.padded_tokens
-
+            finish = life.serve_batch(
+                batch_result,
+                selected,
+                now,
+                latency,
+                engine,
+                slot_size=decision.slot_size,
+                failures=outcome.failures,
+                split_retries=outcome.split_retries,
+                wasted=outcome.wasted,
+            )
             if self.record_slots:
                 result.slots.append((now, decision, batch_result))
-
             now = finish
 
         # Anything still waiting at the horizon (or arriving after the
         # last slot) counts as failed.
-        dead = queue.expire(float("inf"))
-        if tr.enabled:
-            tr.expired(dead, horizon)
-            for r in requests[next_arrival:]:
-                tr.arrive(r, r.arrival)
-            tr.expired(requests[next_arrival:], horizon)
-        if tn is not None:
-            tn.expired(dead)
-            for r in requests[next_arrival:]:
-                tn.arrive(r)
-            tn.expired(requests[next_arrival:])
-        if dur is not None:
-            dur.terminal("expired", dead)
-            dur.end_run(requests[next_arrival:])
-        metrics.expired.extend(queue.expired)
-        metrics.expired.extend(requests[next_arrival:])
-        metrics.abandoned.extend(queue.abandoned)
-        if self.admission is not None:
-            metrics.rejected.extend(self.admission.rejected[rejected_before:])
-        metrics.assert_conservation()
-        if tn is not None:
-            tn.finalize(metrics)
-        if tr.enabled:
-            tr.reconcile(metrics)
+        life.finish()
         return result

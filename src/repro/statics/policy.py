@@ -104,7 +104,9 @@ DEFAULT_POLICY = PathPolicy(
         ),
         # The overload ledger is the single sanctioned queue.drop /
         # queue.take caller: it pairs every removal with its metrics
-        # ledger entry and trace terminal in one place.
+        # ledger entry and trace terminal in one place.  Within
+        # repro/serving/ its helpers are reached only through
+        # serving/lifecycle.py, the one place requests leave the queue.
         "TCB008": (
             Exemption(
                 "repro/overload/ledger.py",

@@ -31,6 +31,7 @@ from repro.overload.controller import DegradationConfig
 from repro.scheduling.baselines import FCFSScheduler
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.slotted_das import SlottedDASScheduler
+from repro.serving.autoscale import AutoscalingSimulator
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.continuous import ContinuousBatchingSimulator
 from repro.serving.simulator import ServingSimulator
@@ -122,6 +123,19 @@ def _run_cluster(kind, seed, *, reference, faults, overload, durability):
     return m, tr
 
 
+def _run_autoscale(kind, seed, *, reference, faults, overload, durability):
+    # No planes on this loop: the queue swap and the scheduler are the
+    # whole difference.  Watermarks low enough that the fleet scales.
+    sim = AutoscalingSimulator(
+        _scheduler(kind, reference=reference),
+        lambda: ConcatEngine(BATCH),
+        max_engines=3,
+        high_watermark=60.0,
+        low_watermark=10.0,
+    )
+    return sim.run(_workload(seed), horizon=HORIZON), None
+
+
 def _run_continuous(kind, seed, *, reference, faults, overload, durability):
     # The continuous loop has no pluggable scheduler; its two admission
     # policies stand in for the scheduler axis (``fcfs`` exercises the
@@ -190,17 +204,18 @@ def _assert_equivalent(run, kind, seed, *, faults, overload, durability):
 
 
 BATCH_LOOPS = {"simulator": _run_simulator, "cluster": _run_cluster}
+PLAIN_LOOPS = {**BATCH_LOOPS, "autoscale": _run_autoscale}
 
 
 class TestBatchLoops:
-    """Both batch-level loops × all three schedulers × three seeds."""
+    """The batch-level loops × all three schedulers × three seeds."""
 
-    @pytest.mark.parametrize("loop", sorted(BATCH_LOOPS))
+    @pytest.mark.parametrize("loop", sorted(PLAIN_LOOPS))
     @pytest.mark.parametrize("kind", ["das", "slotted_das", "fcfs"])
     @pytest.mark.parametrize("seed", SEEDS)
     def test_plain(self, loop, kind, seed):
         _assert_equivalent(
-            BATCH_LOOPS[loop],
+            PLAIN_LOOPS[loop],
             kind,
             seed,
             faults=False,

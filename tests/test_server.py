@@ -63,6 +63,21 @@ class TestTCBServer:
         assert server.pending == 0
         assert all(server.poll(r) is not None for r in rids)
 
+    def test_step_books_batch_accounting(self, server):
+        """step() shares the simulators' select/serve transitions, so the
+        online ledger carries scheduler time, engine time and token
+        counts — summary() used to report all of them as 0."""
+        for i in range(10):
+            server.submit([4 + i % 5] * (2 + i % 6))
+        server.run_until_drained()
+        m = server.metrics
+        assert m.useful_tokens == sum(r.length for r in m.served)
+        assert m.padded_tokens > 0
+        assert m.total_engine_time > 0
+        assert m.total_scheduler_time > 0
+        summary = m.summary()
+        assert summary["padding_ratio"] > 0 and summary["sched_overhead"] > 0
+
     def test_row_length_must_fit_model(self):
         with pytest.raises(ValueError, match="maximum input length"):
             TCBServer(
