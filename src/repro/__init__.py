@@ -45,10 +45,6 @@ _LAZY = {
     "ToyVocab": ("repro.model.vocab", "ToyVocab"),
     "BPETokenizer": ("repro.model.bpe", "BPETokenizer"),
     "sample_decode": ("repro.model.sampling", "sample_decode"),
-    "greedy_decode_incremental": (
-        "repro.model.incremental",
-        "greedy_decode_incremental",
-    ),
     "NaiveEngine": ("repro.engine.naive", "NaiveEngine"),
     "TurboEngine": ("repro.engine.turbo", "TurboEngine"),
     "ConcatEngine": ("repro.engine.concat", "ConcatEngine"),

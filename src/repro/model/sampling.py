@@ -1,11 +1,11 @@
 """Stochastic decoding: temperature and top-k sampling over layouts.
 
 The greedy decoder covers the paper's determinism needs; production
-Seq2Seq services also expose sampling.  :func:`sample_decode` mirrors
-:meth:`Seq2SeqModel.greedy_decode` (same layout conventions, same
-concat-aware masks) but draws each next token from the softmax
-distribution, optionally sharpened by ``temperature`` and truncated to
-the ``top_k`` most likely tokens.
+Seq2Seq services also expose sampling.  :func:`sample_decode` runs the
+same loop as :meth:`Seq2SeqModel.greedy_decode`
+(:func:`repro.model.generation.generate`) but draws each next token from
+the softmax distribution, optionally sharpened by ``temperature`` and
+truncated to the ``top_k`` most likely tokens.
 
 With ``temperature → 0`` (or ``top_k=1``) it reduces exactly to greedy
 decoding — tested in ``tests/test_sampling.py``.
@@ -18,10 +18,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.layout import BatchLayout
-from repro.core.masks import causal_block_mask, cross_attention_mask
-from repro.model.decoder import decode_stack
 from repro.model.functional import softmax
-from repro.model.seq2seq import GenerationResult, Seq2SeqModel
+from repro.model.generation import GenerationResult, generate
+from repro.model.seq2seq import Seq2SeqModel
 from repro.rng import ensure_rng
 
 __all__ = ["sample_decode"]
@@ -62,66 +61,11 @@ def sample_decode(
     """
     if temperature < 0.0:
         raise ValueError("temperature must be >= 0")
-    cfg = model.config
-    if layout.num_requests == 0:
-        return GenerationResult()
     rng = ensure_rng(rng, default_seed=seed)
-    memory = model.encode_layout(layout)
-    enc_seg = layout.segment_id_matrix()
-
-    rows = layout.rows
-    b = len(rows)
-    budget = max_new_tokens + 1
-    max_segs = max(len(r.segments) for r in rows)
-    wd = max_segs * budget
-    dec_tokens = np.full((b, wd), cfg.pad_token, dtype=np.int64)
-    dec_seg = np.full((b, wd), -1, dtype=np.int64)
-    dec_pos = np.zeros((b, wd), dtype=np.int64)
-
-    starts: dict[int, tuple[int, int]] = {}
-    lengths: dict[int, int] = {}
-    finished: dict[int, bool] = {}
-    order: list[int] = []
-    for k, row in enumerate(rows):
-        for i, seg in enumerate(row.segments):
-            rid = seg.request.request_id
-            start = i * budget
-            starts[rid] = (k, start)
-            lengths[rid] = 1
-            finished[rid] = False
-            order.append(rid)
-            dec_tokens[k, start] = cfg.bos_token
-            dec_seg[k, start] = rid
-
-    result = GenerationResult(outputs={rid: [] for rid in order})
-    for step in range(1, max_new_tokens + 1):
-        active = [rid for rid in order if not finished[rid]]
-        if not active:
-            break
-        result.steps_run = step
-        x = model.embed(dec_tokens, dec_pos)
-        h = decode_stack(
-            model.params.decoder_layers,
-            cfg.num_heads,
-            x,
-            memory,
-            causal_block_mask(dec_seg),
-            cross_attention_mask(dec_seg, enc_seg),
-        )
-        logits = model.project_logits(h)
-        for rid in active:
-            k, start = starts[rid]
-            cur = lengths[rid]
-            nxt = _pick(logits[k, start + cur - 1], rng, temperature, top_k)
-            result.outputs[rid].append(nxt)
-            if nxt == cfg.eos_token or cur >= budget - 1:
-                finished[rid] = True
-                result.completion_step[rid] = step
-            else:
-                dec_tokens[k, start + cur] = nxt
-                dec_seg[k, start + cur] = rid
-                dec_pos[k, start + cur] = cur
-                lengths[rid] = cur + 1
-    for rid in order:
-        result.completion_step.setdefault(rid, result.steps_run)
-    return result
+    # One draw per active request, in row-major request order.
+    return generate(
+        model,
+        layout,
+        max_new_tokens,
+        lambda logits: [_pick(row, rng, temperature, top_k) for row in logits],
+    )

@@ -20,39 +20,21 @@ Key entry points:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
 
 from repro.config import ModelConfig
 from repro.core.layout import BatchLayout
-from repro.core.masks import (
-    block_diagonal_mask,
-    causal_block_mask,
-    cross_attention_mask,
-    padding_key_mask,
-)
+from repro.core.masks import block_diagonal_mask, padding_key_mask
 from repro.core.positional import sinusoidal_positional_encoding
-from repro.model.decoder import decode_stack
 from repro.model.encoder import encode
 from repro.model.functional import linear
+from repro.model.generation import GenerationResult, generate, greedy
 from repro.model.params import Seq2SeqParams, init_seq2seq
 from repro.types import Request
 
 __all__ = ["Seq2SeqModel", "GenerationResult"]
-
-
-@dataclass
-class GenerationResult:
-    """Per-request outputs of a decoding run."""
-
-    # request_id -> generated token ids (without BOS, including EOS if hit)
-    outputs: dict[int, list[int]] = field(default_factory=dict)
-    # request_id -> decode step (1-based) at which the request finished;
-    # requests that exhausted the budget get the budget value.
-    completion_step: dict[int, int] = field(default_factory=dict)
-    steps_run: int = 0
 
 
 class Seq2SeqModel:
@@ -96,15 +78,19 @@ class Seq2SeqModel:
         reproduce the *wrong* default-framework behaviour (used by tests
         to show why TCB's customisations are necessary).
         ``slotted=True`` computes self-attention per slot (Eq. 8).
+
+        Only rows that hold a segment go through the encoder; a row
+        without one is all padding and comes back as zeros.
         """
-        seg = layout.segment_id_matrix()
+        live = [k for k, row in enumerate(layout.rows) if row.segments]
+        seg = layout.segment_id_matrix()[live]
         positions = (
             layout.position_matrix()
             if separate_pe
             else layout.naive_position_matrix()
         )
         tokens = layout.token_matrix(pad_token=self.config.pad_token)
-        x = self.embed(tokens, positions)
+        x = self.embed(tokens[live], positions[live])
 
         if slotted:
             spans_per_row = layout.slot_boundaries()
@@ -120,19 +106,22 @@ class Seq2SeqModel:
             slot_masks = [
                 block_diagonal_mask(seg[:, a:b]) for (a, b) in spans
             ]
-            return encode(
+            out = encode(
                 self.params.encoder_layers,
                 self.config.num_heads,
                 x,
                 slot_spans=spans,
                 slot_masks=slot_masks,
             )
-
-        if concat_mask:
-            mask = block_diagonal_mask(seg)
         else:
-            mask = padding_key_mask(seg)
-        return encode(self.params.encoder_layers, self.config.num_heads, x, mask)
+            mask = block_diagonal_mask(seg) if concat_mask else padding_key_mask(seg)
+            out = encode(self.params.encoder_layers, self.config.num_heads, x, mask)
+
+        if len(live) == layout.num_rows:
+            return out
+        memory = np.zeros((layout.num_rows, *out.shape[1:]))
+        memory[live] = out
+        return memory
 
     def encode_single(self, tokens: Sequence[int]) -> np.ndarray:
         """Reference path: encode one request alone (no padding, no concat)."""
@@ -158,89 +147,14 @@ class Seq2SeqModel:
     ) -> GenerationResult:
         """Greedy autoregressive decoding of all requests in a layout.
 
-        The decoder mirrors the encoder layout: each request gets a
-        contiguous decoder segment with a budget of ``max_new_tokens``
-        positions.  Masks are the concat-aware causal/cross masks, so the
-        same routine is exact for naive (one request/row) and concatenated
-        layouts alike.  KV-caching is intentionally omitted — the real
-        engine is a correctness/measurement substrate, not a production
-        GPU runtime (see DESIGN.md).
+        Every request decodes up to ``max_new_tokens`` tokens and stops
+        early at EOS; the same routine is exact for naive (one
+        request/row) and concatenated layouts alike.  ``memory`` is the
+        layout's encoder output if the caller already has it.  The loop
+        itself is :func:`repro.model.generation.generate`, with argmax
+        as the token chooser.
         """
-        cfg = self.config
-        if layout.num_requests == 0:
-            return GenerationResult()
-        if memory is None:
-            memory = self.encode_layout(layout)
-        enc_seg = layout.segment_id_matrix()
-
-        rows = layout.rows
-        b = len(rows)
-        budget = max_new_tokens + 1  # +1 for BOS
-        # Decoder geometry: segment i of a row occupies [i*budget, (i+1)*budget).
-        max_segs = max((len(r.segments) for r in rows), default=0)
-        if max_segs == 0:
-            return GenerationResult()
-        wd = max_segs * budget
-        dec_tokens = np.full((b, wd), cfg.pad_token, dtype=np.int64)
-        dec_seg = np.full((b, wd), -1, dtype=np.int64)
-        dec_pos = np.zeros((b, wd), dtype=np.int64)
-
-        # Per-request state.
-        starts: dict[int, tuple[int, int]] = {}  # rid -> (row, seg_start)
-        lengths: dict[int, int] = {}
-        finished: dict[int, bool] = {}
-        order: list[int] = []
-        for k, row in enumerate(rows):
-            for i, seg in enumerate(row.segments):
-                rid = seg.request.request_id
-                start = i * budget
-                starts[rid] = (k, start)
-                lengths[rid] = 1
-                finished[rid] = False
-                order.append(rid)
-                dec_tokens[k, start] = cfg.bos_token
-                dec_seg[k, start] = rid
-                dec_pos[k, start] = 0
-
-        result = GenerationResult(
-            outputs={rid: [] for rid in order},
-            completion_step={},
-        )
-
-        for step in range(1, max_new_tokens + 1):
-            active = [rid for rid in order if not finished[rid]]
-            if not active:
-                break
-            result.steps_run = step
-            x = self.embed(dec_tokens, dec_pos)
-            self_mask = causal_block_mask(dec_seg)
-            cross_mask = cross_attention_mask(dec_seg, enc_seg)
-            h = decode_stack(
-                self.params.decoder_layers,
-                cfg.num_heads,
-                x,
-                memory,
-                self_mask,
-                cross_mask,
-            )
-            logits = self.project_logits(h)
-            for rid in active:
-                k, start = starts[rid]
-                cur = lengths[rid]
-                nxt = int(np.argmax(logits[k, start + cur - 1]))
-                result.outputs[rid].append(nxt)
-                if nxt == cfg.eos_token or cur >= budget - 1:
-                    finished[rid] = True
-                    result.completion_step[rid] = step
-                else:
-                    dec_tokens[k, start + cur] = nxt
-                    dec_seg[k, start + cur] = rid
-                    dec_pos[k, start + cur] = cur
-                    lengths[rid] = cur + 1
-
-        for rid in order:
-            result.completion_step.setdefault(rid, result.steps_run)
-        return result
+        return generate(self, layout, max_new_tokens, greedy, memory=memory)
 
     def greedy_decode_single(
         self, tokens: Sequence[int], max_new_tokens: int = 16

@@ -48,9 +48,9 @@ def layer_norm(
     x: np.ndarray, gamma: np.ndarray, beta: np.ndarray, eps: float = 1e-5
 ) -> np.ndarray:
     """LayerNorm over the last dimension."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    centred = x - x.mean(axis=-1, keepdims=True)
+    var = (centred * centred).mean(axis=-1, keepdims=True)
+    return centred / np.sqrt(var + eps) * gamma + beta
 
 
 def linear(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:

@@ -189,6 +189,23 @@ class TestMeasuredMode:
         assert result.num_served == 3
         assert result.latency > 0
 
+    @pytest.mark.parametrize("slotted", [False, True])
+    def test_concat_engines_serve_and_time_a_partly_empty_batch(self, slotted):
+        """Measured mode drives encode_layout + greedy_decode on a layout
+        with more rows than the requests fill."""
+        batch = BatchConfig(num_rows=4, row_length=16)
+        common = dict(mode=EngineMode.MEASURED, model_config=ModelConfig.tiny())
+        eng = (
+            SlottedConcatEngine(batch, num_slots=2, **common)
+            if slotted
+            else ConcatEngine(batch, **common)
+        )
+        reqs = eng.materialize_tokens(make_requests([4, 6, 3, 8, 2], start_id=0))
+        result = eng.serve(reqs)
+        assert result.num_served == 5 and not result.rejected
+        assert result.latency > 0
+        assert any(not row.segments for row in result.layouts[0].rows)
+
     def test_materialize_preserves_existing_tokens(self):
         batch = BatchConfig(num_rows=2, row_length=16)
         eng = ConcatEngine(batch)

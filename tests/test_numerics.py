@@ -71,6 +71,17 @@ class TestLayerNorm:
         base = layer_norm(x, np.ones(4), np.zeros(4))
         assert np.allclose(out, 2.0 * base + 3.0)
 
+    @pytest.mark.parametrize("shape", [(3, 17, 32), (5, 128), (1, 1, 7)])
+    def test_bit_equal_to_mean_var_formula(self, rng, shape):
+        """Centring once must not change a single bit of the result."""
+        x = rng.standard_normal(shape) * rng.uniform(0.1, 50.0)
+        gamma = rng.standard_normal(shape[-1])
+        beta = rng.standard_normal(shape[-1])
+        mean = x.mean(axis=-1, keepdims=True)
+        var = x.var(axis=-1, keepdims=True)
+        old = (x - mean) / np.sqrt(var + 1e-5) * gamma + beta
+        assert np.array_equal(layer_norm(x, gamma, beta), old)
+
 
 class TestLinear:
     def test_matches_matmul(self, rng):

@@ -17,7 +17,6 @@ class TestPackageSurface:
             "ToyVocab",
             "BPETokenizer",
             "sample_decode",
-            "greedy_decode_incremental",
             "NaiveEngine",
             "TurboEngine",
             "ConcatEngine",

@@ -13,8 +13,10 @@ import pytest
 
 from repro.config import ModelConfig
 from repro.core.layout import BatchLayout
-from repro.core.packing import pack_first_fit
+from repro.core.masks import block_diagonal_mask
+from repro.core.packing import pack_first_fit, pack_in_order
 from repro.core.slotting import pack_into_slots
+from repro.model.encoder import encode
 from repro.model.params import init_seq2seq
 from repro.model.seq2seq import Seq2SeqModel
 
@@ -79,6 +81,37 @@ class TestEncoderCorrectness:
             np.testing.assert_allclose(
                 enc[k, seg.start : seg.end], single, atol=ATOL
             )
+
+    @pytest.mark.parametrize("slotted", [False, True])
+    def test_empty_rows_are_skipped(self, tiny_model, tokenized_requests, slotted):
+        """Rows without a segment are not encoded: zeros there, and the
+        other rows equal an encode over every row of the layout."""
+        reqs = tokenized_requests([5, 3, 4])
+        if slotted:
+            layout = pack_into_slots(reqs, num_rows=5, row_length=16, slot_size=8).layout
+        else:
+            layout = pack_in_order(reqs, num_rows=5, row_length=16).layout
+        live = [bool(row.segments) for row in layout.rows]
+        assert any(live) and not all(live)
+
+        seg = layout.segment_id_matrix()
+        x = tiny_model.embed(
+            layout.token_matrix(pad_token=tiny_model.config.pad_token),
+            layout.position_matrix(),
+        )
+        layers, heads = tiny_model.params.encoder_layers, tiny_model.config.num_heads
+        if slotted:
+            w = seg.shape[1]
+            spans = [(a, min(b, w)) for a, b in layout.slot_boundaries()[0] if a < w]
+            masks = [block_diagonal_mask(seg[:, a:b]) for a, b in spans]
+            every_row = encode(layers, heads, x, slot_spans=spans, slot_masks=masks)
+        else:
+            every_row = encode(layers, heads, x, block_diagonal_mask(seg))
+
+        got = tiny_model.encode_layout(layout, slotted=slotted)
+        assert got.shape == every_row.shape
+        np.testing.assert_allclose(got[live], every_row[live], rtol=0, atol=1e-12)
+        assert not got[np.logical_not(live)].any()
 
     def test_embed_shape_mismatch_rejected(self, tiny_model):
         with pytest.raises(ValueError, match="differ"):

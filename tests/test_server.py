@@ -46,6 +46,24 @@ class TestTCBServer:
             )
             assert server.poll(rid).output_tokens == expected
 
+    def test_mixed_batch_with_empty_rows_matches_isolated_inference(self):
+        """A drained mixed batch that leaves rows of the layout empty
+        still answers every request exactly as solo decoding would."""
+        server = TCBServer(
+            model_config=ModelConfig.tiny(),
+            batch=BatchConfig(num_rows=6, row_length=16),
+            seed=11,
+            max_new_tokens=5,
+        )
+        sentences = [[5, 6, 7], [9] * 11, [8, 8, 8, 8], [12, 4], [7] * 9]
+        rids = [server.submit(s) for s in sentences]
+        server.run_until_drained()
+        # One batch of 29 tokens in rows of 16: at least three rows stay empty.
+        assert server.metrics.num_batches == 1
+        for s, rid in zip(sentences, rids):
+            expected = server.model.greedy_decode_single(s, max_new_tokens=5)
+            assert server.poll(rid).output_tokens == expected
+
     def test_empty_submission_rejected(self, server):
         with pytest.raises(ValueError, match="empty"):
             server.submit([])
