@@ -1,6 +1,6 @@
 # Convenience targets for the TCB reproduction.
 
-.PHONY: install test bench bench-micro examples figures lint report trace-smoke overload-smoke recovery-smoke tail-smoke tenancy-smoke clean
+.PHONY: install test bench examples figures lint report trace-smoke overload-smoke recovery-smoke tail-smoke tenancy-smoke clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -10,12 +10,6 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-# Fast-path microbenchmarks (docs/performance.md): emits BENCH_8.json
-# and gates machine-normalized steps/sec against the committed
-# baseline (>10% regression fails).
-bench-micro:
-	PYTHONPATH=src python -m repro bench --quick --out BENCH_8.json --check benchmarks/results/BENCH_baseline.json
 
 examples:
 	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
@@ -39,10 +33,8 @@ trace-smoke:
 	PYTHONPATH=src python -m repro trace fig13 --fast --format chrome --out trace_fig13.json
 	PYTHONPATH=src python -c "import json; from repro.obs.export import validate_chrome_trace; validate_chrome_trace(json.load(open('trace_fig13.json'))); print('trace_fig13.json: valid chrome trace')"
 
-# Quick overload-plane sanity: run the unit/property suite for
-# repro.overload and one small off/on goodput comparison.
+# Quick overload-plane sanity: one small off/on goodput comparison.
 overload-smoke:
-	PYTHONPATH=src pytest tests/test_overload.py -q
 	PYTHONPATH=src python -c "from repro.experiments.overload import overload_point; \
 off = overload_point(450.0, shedding=False, horizon=6.0, seed=0); \
 on = overload_point(450.0, shedding=True, horizon=6.0, seed=0); \
@@ -55,7 +47,6 @@ print(f'overload smoke: goodput {off.goodput_utility:.1f} (off) -> {on.goodput_u
 # the failing cell's journal (JSONL) and digest diff land in
 # recovery_smoke_artifacts/ for offline replay (CI uploads them).
 recovery-smoke:
-	PYTHONPATH=src pytest tests/test_durability.py -q
 	PYTHONPATH=src python -c "from repro.experiments.recovery import recovery_smoke; recovery_smoke()"
 
 # Straggler chaos sweep for the tail-tolerance plane: a gray-failing
@@ -64,20 +55,17 @@ recovery-smoke:
 # ledger conservation-exact.  The sweep JSON always lands in
 # benchmarks/results/tail_smoke/ (CI uploads it).
 tail-smoke:
-	PYTHONPATH=src pytest tests/test_cluster_health.py -q
 	PYTHONPATH=src python -c "from repro.experiments.tail_tolerance import tail_smoke; tail_smoke()"
 
-# Multi-tenant QoS plane sanity: the unit/property suite for
-# repro.tenancy plus the noisy-neighbor smoke — a batch tenant ramped
-# past its token-bucket quota must not drag the premium tenant's
-# on-time rate or the cluster's aggregate throughput below the gates.
-# The sweep JSON always lands in benchmarks/results/tenancy_smoke/
-# (CI uploads it).
+# Multi-tenant QoS plane sanity: the noisy-neighbor smoke — a batch
+# tenant ramped past its token-bucket quota must not drag the premium
+# tenant's on-time rate or the cluster's aggregate throughput below the
+# gates.  The sweep JSON always lands in
+# benchmarks/results/tenancy_smoke/ (CI uploads it).
 tenancy-smoke:
-	PYTHONPATH=src pytest tests/test_tenancy.py -q
 	PYTHONPATH=src python -c "from repro.experiments.tenancy import tenancy_smoke; tenancy_smoke()"
 
-report: lint test bench bench-micro overload-smoke recovery-smoke tail-smoke tenancy-smoke
+report: lint test bench overload-smoke recovery-smoke tail-smoke tenancy-smoke
 	python -m repro lint --format json --out lint_report.json
 	pytest tests/ 2>&1 | tee test_output.txt
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt

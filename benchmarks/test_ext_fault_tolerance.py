@@ -8,13 +8,26 @@ retry, bounded deadline-aware requeue and crash recovery.  Checked:
 
 - at fault rate 0 the wrapped engine is a bit-identical passthrough
   (same metrics as the fault-free simulator),
-- utility degrades monotonically (within noise) as chaos rises, for
-  both DAS and FCFS — no cliff,
+- faults never help and never cliff: every faulted rate's utility is at
+  most the healthy baseline's, the heaviest chaos ends below the
+  lightest, and it keeps more than a quarter of the baseline — for both
+  DAS and FCFS,
 - DAS keeps its utility lead over FCFS at every fault rate (deadline
   awareness matters *more* when retries eat slack),
 - identical seeds replay identical fault sequences and metrics,
 - the conservation invariant holds on every run (asserted inside the
   serving loop itself).
+
+Adjacent rates are *not* compared.  ``FaultPlan`` draws one uniform per
+slot and cuts it at the config's cumulative rates, so the plans of two
+rates share the draws but not the kinds: a slot that straggles (2-6x
+latency) at rate 0.05 is a plain failure at 0.15.  An 8 s run has ~10
+slots, so which few slots land on which kind decides the curve and
+0.15 -> 0.30 read 107.6 -> 122.8 on two seeds.  The sweep therefore
+runs 30 s x 3 seeds (~115 slots per cell) and checks the claims above:
+at that length "at most the baseline" and "DAS beats FCFS" hold on each
+seed 0-5 alone, and "heaviest below lightest" by 7% (DAS) and 25%
+(FCFS) in their mean.
 """
 
 from repro.config import BatchConfig
@@ -29,11 +42,12 @@ from repro.experiments.tables import format_series_table
 from repro.faults import FaultConfig, FaultPlan
 from repro.serving.simulator import ServingSimulator
 
-SEEDS = (0, 1)
+SEEDS = (0, 1, 2)
+HORIZON = 30.0
 
 
 def _series():
-    return run_fault_tolerance(seeds=SEEDS)
+    return run_fault_tolerance(horizon=HORIZON, seeds=SEEDS)
 
 
 def _summary_without_wallclock(metrics):
@@ -52,12 +66,13 @@ def test_ext_fault_tolerance(benchmark, save_table):
     for policy in ("DAS", "FCFS"):
         for counter in ("abandoned", "retries", "failed", "downtime"):
             assert out[f"{policy}_{counter}"][0] == 0.0
-    # Graceful degradation: utility falls monotonically with the fault
-    # rate (2% headroom for seed noise), but never collapses outright.
+    # Graceful degradation: no faulted rate beats the healthy baseline,
+    # the heaviest chaos is worse than the lightest, and utility never
+    # collapses outright.
     for policy in ("DAS", "FCFS"):
         u = out[f"{policy}_utility"]
-        for a, b in zip(u, u[1:]):
-            assert b <= a * 1.02
+        assert all(faulted <= u[0] for faulted in u[1:])
+        assert u[-1] < u[1]
         assert u[-1] > 0.25 * u[0]
     # Deadline awareness survives chaos: DAS beats FCFS at every rate.
     for i in range(len(FAULT_RATES)):

@@ -1,14 +1,13 @@
-"""Extension bench: tracing layer overhead when disabled.
+"""Extension bench: what a recording tracer costs.
 
 The repro.obs recorder is wired into every serving loop behind an
-``if tr.enabled:`` guard, with ``trace=None`` falling back to the
-module-level no-op recorder.  The contract is that an *untraced* run
-pays at most one attribute lookup per emission site — measured here as
-a ≤ 2% wall-time overhead of the guarded loop (``Tracer(enabled=False)``,
-every guard evaluated and skipped) against the ``trace=None`` baseline
-(the no-op recorder path, identical guards), min-of-repeats to shed
-scheduler noise.  Full tracing cost is reported alongside for scale but
-not bounded — tracing is opt-in.
+``if tr.enabled:`` guard.  ``trace=None`` (which ``Lifecycle`` maps to
+the no-op recorder) and ``Tracer(enabled=False)`` skip the same guards,
+so there is no disabled path to price against the baseline — only the
+recording one.  Its wall-time ratio is reported here, min-of-repeats to
+shed scheduler noise, and not bounded: tracing is opt-in.  The ratio of
+record is ``obs.enabled_cost_ratio`` in ``bench/``
+(``python3 bench/run.py --workload sim_planes``).
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from repro.serving.simulator import ServingSimulator
 
 BATCH = BatchConfig(num_rows=16, row_length=100)
 REPEATS = 7
-MAX_DISABLED_OVERHEAD = 1.02  # ≤ 2%
 
 
 def _run_once(trace) -> float:
@@ -46,23 +44,17 @@ def _best(trace_factory) -> float:
 def test_ext_obs_overhead(benchmark, save_table):
     def measure():
         baseline = _best(lambda: None)
-        disabled = _best(lambda: Tracer(enabled=False))
         enabled = _best(lambda: Tracer())
         return {
-            "config": ["baseline", "disabled", "enabled"],
-            "wall_s": [baseline, disabled, enabled],
-            "ratio": [1.0, disabled / baseline, enabled / baseline],
+            "config": ["baseline", "enabled"],
+            "wall_s": [baseline, enabled],
+            "ratio": [1.0, enabled / baseline],
         }
 
     out = benchmark.pedantic(measure, rounds=1, iterations=1)
-    ratio = out["ratio"][1]
-    assert ratio <= MAX_DISABLED_OVERHEAD, (
-        f"disabled tracing costs {100 * (ratio - 1):.2f}% "
-        f"(budget {100 * (MAX_DISABLED_OVERHEAD - 1):.0f}%)"
-    )
     from repro.experiments.tables import format_series_table
 
     save_table(
         "ext_obs_overhead",
-        format_series_table(out, "Extension — tracing overhead (disabled ≤ 2%)"),
+        format_series_table(out, "Extension — tracing cost when enabled"),
     )

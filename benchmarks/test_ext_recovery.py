@@ -1,4 +1,4 @@
-"""Extension bench: durability plane — restart cost and disabled overhead.
+"""Extension bench: durability plane — restart cost and journaling cost.
 
 Two properties of the crash-consistent serving plane (docs/recovery.md):
 
@@ -8,12 +8,11 @@ Two properties of the crash-consistent serving plane (docs/recovery.md):
    at restore; the terminal ledger must be bit-identical to the
    uninterrupted run's (`match == 1.0`) at *every* interval — restart
    cost is tunable, correctness is not.
-2. **Disabled-path overhead gate** — mirroring the obs overhead gate:
-   a serving run with ``durability=None`` (every ``if dur is not
-   None:`` guard evaluated and skipped) stays within 2% wall time of
-   the same loop built without the keyword at all, min-of-repeats.
-   The journaling cost of an armed plane is reported alongside for
-   scale but not bounded — durability is opt-in.
+2. **Journaling cost** — wall time of a run with an armed plane
+   (``checkpoint_every=5``) over the same loop without one,
+   min-of-repeats.  Reported, not bounded — durability is opt-in; the
+   ratios of record are ``durability.k{0,1,5}_cost_ratio`` in ``bench/``
+   (``python3 bench/run.py --workload sim_planes``).
 """
 
 from __future__ import annotations
@@ -30,7 +29,6 @@ from repro.serving.simulator import ServingSimulator
 
 BATCH = BatchConfig(num_rows=16, row_length=100)
 REPEATS = 7
-MAX_DISABLED_OVERHEAD = 1.02  # ≤ 2%
 
 
 def test_ext_recovery_checkpoint_sweep(benchmark, save_table):
@@ -61,8 +59,6 @@ def test_ext_recovery_checkpoint_sweep(benchmark, save_table):
 
 
 def _run_once(**kwargs) -> float:
-    # ~100ms of serving per observation so a 2% budget is well above
-    # timer jitter.
     wl = make_workload(300.0, horizon=10.0, seed=0)
     sim = ServingSimulator(DASScheduler(BATCH), ConcatEngine(BATCH), **kwargs)
     t0 = time.perf_counter()
@@ -82,11 +78,10 @@ def _best_interleaved(*factories) -> list[float]:
     return best
 
 
-def test_ext_recovery_disabled_overhead(benchmark, save_table):
+def test_ext_recovery_enabled_cost(benchmark, save_table):
     def measure():
-        baseline, disabled, enabled = _best_interleaved(
+        baseline, enabled = _best_interleaved(
             dict,
-            lambda: {"durability": None},
             lambda: {
                 "durability": DurabilityPlane(
                     DurabilityConfig(checkpoint_every=5)
@@ -94,22 +89,17 @@ def test_ext_recovery_disabled_overhead(benchmark, save_table):
             },
         )
         return {
-            "config": ["baseline", "disabled", "enabled"],
-            "wall_s": [baseline, disabled, enabled],
-            "ratio": [1.0, disabled / baseline, enabled / baseline],
+            "config": ["baseline", "enabled"],
+            "wall_s": [baseline, enabled],
+            "ratio": [1.0, enabled / baseline],
         }
 
     out = benchmark.pedantic(measure, rounds=1, iterations=1)
-    ratio = out["ratio"][1]
-    assert ratio <= MAX_DISABLED_OVERHEAD, (
-        f"disabled durability costs {100 * (ratio - 1):.2f}% "
-        f"(budget {100 * (MAX_DISABLED_OVERHEAD - 1):.0f}%)"
-    )
     from repro.experiments.tables import format_series_table
 
     save_table(
         "ext_recovery_overhead",
         format_series_table(
-            out, "Extension — durability overhead (disabled ≤ 2%)"
+            out, "Extension — durability cost when enabled (k=5)"
         ),
     )

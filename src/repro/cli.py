@@ -9,7 +9,6 @@ Usage::
     python -m repro info
     python -m repro lint [--format text|json] [--rules TCB001,...]
     python -m repro trace fig13 [--fast] [--format chrome|csv|ascii] [--out F]
-    python -m repro bench [--quick] [--out BENCH_8.json] [--check BASELINE]
 
 ``--fast`` shrinks horizons/seeds so every figure runs in seconds —
 useful for smoke runs; the published numbers come from the defaults.
@@ -272,35 +271,6 @@ def _cmd_trace(args) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    import json
-
-    from repro.bench import (
-        check_regression,
-        format_bench_table,
-        run_bench,
-        write_bench,
-    )
-
-    report = run_bench(quick=args.quick)
-    print(format_bench_table(report))
-    if args.out:
-        write_bench(report, args.out)
-        print(f"wrote {args.out}")
-    if args.check:
-        with open(args.check) as fh:
-            baseline = json.load(fh)
-        failures = check_regression(
-            report, baseline, threshold=args.threshold
-        )
-        if failures:
-            for f in failures:
-                print(f"REGRESSION: {f}", file=sys.stderr)
-            return 1
-        print(f"no regressions vs {args.check} (>{args.threshold:.0%})")
-    return 0
-
-
 def _cmd_info(_args) -> int:
     import repro
     from repro.config import ModelConfig
@@ -355,31 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_tr.add_argument("--out", help="write to file instead of stdout")
     p_tr.set_defaults(func=_cmd_trace)
-
-    p_bench = sub.add_parser(
-        "bench",
-        help="run the fast-path microbenchmarks, emit BENCH_<n>.json",
-    )
-    p_bench.add_argument(
-        "--quick", action="store_true", help="CI-sized inputs (seconds)"
-    )
-    p_bench.add_argument(
-        "--out",
-        default="BENCH_8.json",
-        help="write the JSON report here ('' = don't write)",
-    )
-    p_bench.add_argument(
-        "--check",
-        metavar="BASELINE",
-        help="compare against a committed BENCH json; exit 1 on regression",
-    )
-    p_bench.add_argument(
-        "--threshold",
-        type=float,
-        default=0.10,
-        help="allowed machine-normalized steps/sec drop (default 0.10)",
-    )
-    p_bench.set_defaults(func=_cmd_bench)
 
     sub.add_parser("demo", help="run the online server demo").set_defaults(
         func=_cmd_demo

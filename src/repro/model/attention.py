@@ -8,7 +8,7 @@ vanilla, pure-ConcatBatching (block-diagonal mask) and slotted attention.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -35,6 +35,20 @@ def merge_heads(x: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, w, h * dh)
 
 
+def _project_attend(
+    params: AttentionParams,
+    num_heads: int,
+    query_input: np.ndarray,
+    kv: np.ndarray,
+    kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """Q/K/V projection → per-head ``kernel(q, k, v)`` → output projection."""
+    q = split_heads(linear(query_input, params.w_q, params.b_q), num_heads)
+    k = split_heads(linear(kv, params.w_k, params.b_k), num_heads)
+    v = split_heads(linear(kv, params.w_v, params.b_v), num_heads)
+    return linear(merge_heads(kernel(q, k, v)), params.w_o, params.b_o)
+
+
 def multi_head_attention(
     params: AttentionParams,
     num_heads: int,
@@ -49,14 +63,13 @@ def multi_head_attention(
     ``key_value_input`` is omitted; cross-attention otherwise.
     """
     kv = query_input if key_value_input is None else key_value_input
-    q = split_heads(linear(query_input, params.w_q, params.b_q), num_heads)
-    k = split_heads(linear(kv, params.w_k, params.b_k), num_heads)
-    v = split_heads(linear(kv, params.w_v, params.b_v), num_heads)
     m = None
     if mask is not None:
         m = mask[:, None, :, :] if mask.ndim == 3 else mask
-    out = attention(q, k, v, mask=m)
-    return linear(merge_heads(out), params.w_o, params.b_o)
+    return _project_attend(
+        params, num_heads, query_input, kv,
+        lambda q, k, v: attention(q, k, v, mask=m),
+    )
 
 
 def multi_head_attention_slotted(
@@ -71,13 +84,12 @@ def multi_head_attention_slotted(
     ``slot_masks[i]`` — if given — is the within-slot additive mask of
     slot ``i`` with shape ``(B, z_i, z_i)``; it is broadcast over heads.
     """
-    q = split_heads(linear(x, params.w_q, params.b_q), num_heads)
-    k = split_heads(linear(x, params.w_k, params.b_k), num_heads)
-    v = split_heads(linear(x, params.w_v, params.b_v), num_heads)
     masks = None
     if slot_masks is not None:
         masks = [
             None if m is None else m[:, None, :, :] for m in slot_masks
         ]
-    out = att_cb_s(q, k, v, slot_spans, masks)
-    return linear(merge_heads(out), params.w_o, params.b_o)
+    return _project_attend(
+        params, num_heads, x, x,
+        lambda q, k, v: att_cb_s(q, k, v, slot_spans, masks),
+    )

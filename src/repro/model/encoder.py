@@ -27,6 +27,15 @@ from repro.model.params import EncoderLayerParams
 __all__ = ["encoder_layer", "encoder_layer_slotted", "encode"]
 
 
+def _residual_ffn(
+    params: EncoderLayerParams, x: np.ndarray, attn: np.ndarray
+) -> np.ndarray:
+    """The layer after its self-attention: residual + norm, FFN, residual + norm."""
+    x = layer_norm(x + attn, params.norm1.gamma, params.norm1.beta)
+    ffn = feed_forward(params.ffn, x)
+    return layer_norm(x + ffn, params.norm2.gamma, params.norm2.beta)
+
+
 def encoder_layer(
     params: EncoderLayerParams,
     num_heads: int,
@@ -34,9 +43,7 @@ def encoder_layer(
     mask: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     attn = multi_head_attention(params.self_attn, num_heads, x, mask=mask)
-    x = layer_norm(x + attn, params.norm1.gamma, params.norm1.beta)
-    ffn = feed_forward(params.ffn, x)
-    return layer_norm(x + ffn, params.norm2.gamma, params.norm2.beta)
+    return _residual_ffn(params, x, attn)
 
 
 def encoder_layer_slotted(
@@ -49,9 +56,7 @@ def encoder_layer_slotted(
     attn = multi_head_attention_slotted(
         params.self_attn, num_heads, x, slot_spans, slot_masks
     )
-    x = layer_norm(x + attn, params.norm1.gamma, params.norm1.beta)
-    ffn = feed_forward(params.ffn, x)
-    return layer_norm(x + ffn, params.norm2.gamma, params.norm2.beta)
+    return _residual_ffn(params, x, attn)
 
 
 def encode(

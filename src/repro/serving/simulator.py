@@ -23,16 +23,16 @@ run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
-from repro.engine.base import BatchResult, InferenceEngine
+from repro.engine.base import InferenceEngine
 from repro.faults.recovery import RetryPolicy, serve_slot
 from repro.obs.recorder import Tracer
 from repro.overload.controller import OverloadController
-from repro.scheduling.base import Scheduler, SchedulingDecision
+from repro.scheduling.base import Scheduler
 from repro.serving.admission import AdmissionController
 from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
 from repro.serving.lifecycle import Lifecycle
@@ -47,10 +47,6 @@ __all__ = ["ServingSimulator", "SimulationResult"]
 @dataclass
 class SimulationResult:
     metrics: ServingMetrics
-    # Per-slot records for debugging/analysis: (t_start, decision, result).
-    slots: list[tuple[float, SchedulingDecision, BatchResult]] = field(
-        default_factory=list
-    )
 
 
 class ServingSimulator:
@@ -61,7 +57,6 @@ class ServingSimulator:
         scheduler: Scheduler,
         engine: InferenceEngine,
         *,
-        record_slots: bool = False,
         admission: Optional[AdmissionController] = None,
         retry: Optional[RetryPolicy] = None,
         trace: Optional[Tracer] = None,
@@ -71,7 +66,6 @@ class ServingSimulator:
     ):
         self.scheduler = scheduler
         self.engine = engine
-        self.record_slots = record_slots
         self.admission = admission
         self.retry = retry or RetryPolicy()
         # Span tracing (repro.obs) is off by default: the loop falls
@@ -98,7 +92,7 @@ class ServingSimulator:
         horizon: Optional[float] = None,
         resume: Optional[RestoredState] = None,
     ) -> SimulationResult:
-        """Simulate serving the workload; returns metrics (+slot log).
+        """Simulate serving the workload; returns metrics.
 
         ``resume=`` restarts the loop from a
         :class:`~repro.durability.restore.RestoredState` (the output of
@@ -121,7 +115,6 @@ class ServingSimulator:
         now = resume.now if resume is not None else 0.0
         life.begin(requests, horizon, lambda: {"now": now}, resume)
         queue = life.queue
-        result = SimulationResult(metrics=life.metrics)
 
         while now < horizon:
             life.tick()
@@ -194,11 +187,8 @@ class ServingSimulator:
                 split_retries=outcome.split_retries,
                 wasted=outcome.wasted,
             )
-            if self.record_slots:
-                result.slots.append((now, decision, batch_result))
             now = finish
 
         # Anything still waiting at the horizon (or arriving after the
         # last slot) counts as failed.
-        life.finish()
-        return result
+        return SimulationResult(metrics=life.finish())

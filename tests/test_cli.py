@@ -22,6 +22,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["figure", "fig13", "--format", "xml"])
 
+    def test_bench_is_not_a_subcommand(self, capsys):
+        # The repo benchmark is `python3 bench/run.py`, outside the package.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list(self, capsys):

@@ -1,54 +1,13 @@
-"""Tests for the parallel slot executor, bursty workloads and layout validation."""
+"""Tests for bursty workloads and layout validation."""
 
-import numpy as np
 import pytest
 
-from repro.core.concat_attention import att_cb_s
 from repro.core.layout import BatchLayout
-from repro.core.masks import block_diagonal_mask
 from repro.core.packing import pack_first_fit
 from repro.core.slotting import pack_into_slots
 from repro.core.validation import validate_layout
-from repro.engine.executor import parallel_slot_attention
 from repro.types import Request, make_requests
 from repro.workload.burst import BurstyWorkload
-
-
-class TestParallelSlotAttention:
-    def _qkv(self, rng, b=2, w=12, d=8):
-        return (
-            rng.normal(size=(b, w, d)),
-            rng.normal(size=(b, w, d)),
-            rng.normal(size=(b, w, d)),
-        )
-
-    def test_matches_sequential(self, rng):
-        q, k, v = self._qkv(rng)
-        seg = np.array([[0] * 4 + [1] * 4 + [2] * 4, [3] * 6 + [4] * 6])
-        spans = [(0, 4), (4, 8), (8, 12)]
-        masks = [block_diagonal_mask(seg[:, a:b]) for a, b in spans]
-        seq = att_cb_s(q, k, v, spans, masks)
-        par = parallel_slot_attention(q, k, v, spans, masks, max_workers=3)
-        assert np.allclose(seq, par, atol=1e-12)
-
-    def test_single_worker_path(self, rng):
-        q, k, v = self._qkv(rng, w=8)
-        spans = [(0, 4), (4, 8)]
-        out = parallel_slot_attention(q, k, v, spans, max_workers=1)
-        assert out.shape == q.shape
-
-    def test_invalid_spans(self, rng):
-        q, k, v = self._qkv(rng, w=8)
-        with pytest.raises(ValueError, match="contiguous"):
-            parallel_slot_attention(q, k, v, [(0, 3), (4, 8)])
-        with pytest.raises(ValueError, match="cover"):
-            parallel_slot_attention(q, k, v, [(0, 4)])
-        with pytest.raises(ValueError, match="at least one"):
-            parallel_slot_attention(q, k, v, [])
-        with pytest.raises(ValueError, match="max_workers"):
-            parallel_slot_attention(q, k, v, [(0, 8)], max_workers=0)
-        with pytest.raises(ValueError, match="align"):
-            parallel_slot_attention(q, k, v, [(0, 4), (4, 8)], [None])
 
 
 class TestBurstyWorkload:

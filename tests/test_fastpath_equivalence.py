@@ -12,9 +12,10 @@ with and without faults + overload + durability, comparing
 digests the durability plane uses for its crash-consistency claim).
 """
 
+from contextlib import contextmanager
+
 import pytest
 
-from repro.bench.serving import reference_serving_core
 from repro.config import BatchConfig, SchedulerConfig
 from repro.durability import (
     DurabilityConfig,
@@ -30,7 +31,9 @@ from repro.overload import OverloadConfig, OverloadController, QueueLimits
 from repro.overload.controller import DegradationConfig
 from repro.scheduling.baselines import FCFSScheduler
 from repro.scheduling.das import DASScheduler
+from repro.scheduling.queue import _ReferenceRequestQueue
 from repro.scheduling.slotted_das import SlottedDASScheduler
+from repro.serving import lifecycle as _lifecycle_mod
 from repro.serving.autoscale import AutoscalingSimulator
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.continuous import ContinuousBatchingSimulator
@@ -41,6 +44,24 @@ from repro.workload.generator import LengthDistribution, WorkloadGenerator
 BATCH = BatchConfig(num_rows=4, row_length=20)
 HORIZON = 10.0
 SEEDS = (0, 1, 2)
+
+
+@contextmanager
+def reference_serving_core():
+    """Run serving loops on the pre-ISSUE-8 reference queue.
+
+    Schedulers are constructed by callers, so the reference *scheduler*
+    is selected separately via ``DASScheduler(..., reference=True)``;
+    this context only swaps the queue class.  ``serving/lifecycle.py`` is
+    the one module that constructs the run's queue (by module-local
+    name), so the swap covers every loop and ``TCBServer``.
+    """
+    saved = _lifecycle_mod.RequestQueue
+    _lifecycle_mod.RequestQueue = _ReferenceRequestQueue
+    try:
+        yield
+    finally:
+        _lifecycle_mod.RequestQueue = saved
 
 
 def _workload(seed, rate=40.0):

@@ -20,6 +20,7 @@ from repro.obs.export import (
     PID_REQUESTS,
     PID_SCHEDULER,
     TIME_SCALE,
+    ascii_timeline,
     chrome_trace,
     chrome_trace_json,
     spans_from_chrome_trace,
@@ -186,3 +187,11 @@ class TestRoundTrip:
         lines = spans_to_csv(tracer).strip().splitlines()
         assert lines[0] == "request_id,phase,t_start,t_end,duration,attrs"
         assert len(lines) == 1 + len(tracer.spans())
+
+    def test_ascii_timeline_renders_and_validates_points(self, traced_run):
+        tracer, _ = traced_run
+        chart = ascii_timeline(tracer, num_points=20)
+        for lane in ("queue depth", "in batch", "served cum", "failed cum"):
+            assert lane in chart
+        with pytest.raises(ValueError):
+            ascii_timeline(tracer, num_points=1)

@@ -210,6 +210,37 @@ class TestTracerDiscipline:
         assert tracer.batches == []
         assert tracer.decisions == []
 
+    def test_reselection_counted_once_per_attempt(self):
+        # Overloaded + OOM-faulted: split-retry leaves requests queued
+        # and they are selected again in a later slot.
+        batch = BatchConfig(num_rows=2, row_length=20)
+        plan = FaultPlan(FaultConfig(oom_rate=0.5, oom_threshold=0.3), seed=0)
+        tracer = Tracer()
+        ServingSimulator(
+            DASScheduler(batch),
+            FaultyEngine(ConcatEngine(batch), plan),
+            trace=tracer,
+        ).run(
+            WorkloadGenerator(
+                rate=300.0,
+                lengths=LengthDistribution(
+                    family="normal", mean=8, spread=4, low=3, high=20
+                ),
+                deadlines=DeadlineModel(base_slack=4.0),
+                horizon=2.0,
+                seed=0,
+            )
+        )
+        assert max(tracer.attempts.values()) > 1
+        for rid, events in tracer.events.items():
+            attempts = [
+                e.attrs["attempt"]
+                for e in events
+                if e.kind is EventKind.SCHEDULED
+            ]
+            assert attempts == list(range(1, len(attempts) + 1))
+            assert tracer.attempts.get(rid, 0) == len(attempts)
+
     def test_terminal_dedupe(self):
         from repro.types import Request
 

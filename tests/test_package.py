@@ -1,5 +1,7 @@
 """Tests for the package surface (lazy exports, version, dir)."""
 
+import importlib
+
 import pytest
 
 import repro
@@ -58,3 +60,12 @@ class TestPackageSurface:
         assert repro.Request is not None
         assert repro.BatchConfig is not None
         assert callable(repro.total_utility)
+
+    @pytest.mark.parametrize(
+        "module",
+        ["repro.bench", "repro.serving.trace", "repro.engine.executor"],
+    )
+    def test_superseded_modules_are_gone(self, module):
+        # Replaced by bench/, repro.obs and att_cb_s respectively.
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module(module)

@@ -1,20 +1,10 @@
-"""Tests for checkpoint serialization and serving traces."""
-
-import json
+"""Tests for checkpoint serialization."""
 
 import numpy as np
-import pytest
 
-from repro.config import BatchConfig, ModelConfig
-from repro.engine.concat import ConcatEngine
 from repro.model.params import init_seq2seq
 from repro.model.seq2seq import Seq2SeqModel
 from repro.model.serialization import load_params, save_params
-from repro.scheduling.baselines import FCFSScheduler
-from repro.serving.simulator import ServingSimulator
-from repro.serving.trace import slot_records, timeline, to_jsonl
-from repro.workload.deadlines import DeadlineModel
-from repro.workload.generator import LengthDistribution, WorkloadGenerator
 
 
 class TestSerialization:
@@ -60,134 +50,3 @@ class TestSerialization:
         params = init_seq2seq(tiny_config, seed=1)
         save_params(params, tmp_path / "p.npz")
         assert load_params(tmp_path / "p.npz").num_parameters() == params.num_parameters()
-
-
-def _run_recorded():
-    batch = BatchConfig(num_rows=4, row_length=20)
-    wl = WorkloadGenerator(
-        rate=150.0,
-        lengths=LengthDistribution(family="normal", mean=8, spread=4, low=3, high=20),
-        deadlines=DeadlineModel(base_slack=2.0),
-        horizon=2.0,
-        seed=0,
-    )
-    sim = ServingSimulator(
-        FCFSScheduler(batch), ConcatEngine(batch), record_slots=True
-    )
-    return sim.run(wl), wl.generate()
-
-
-class TestTrace:
-    def test_slot_records_structure(self):
-        result, _ = _run_recorded()
-        recs = slot_records(result)
-        assert recs, "expected recorded slots"
-        for rec in recs:
-            assert rec["latency"] > 0
-            assert rec["num_served"] <= rec["num_selected"]
-            assert 0.0 <= rec["utilisation"] <= 1.0
-        starts = [r["t_start"] for r in recs]
-        assert starts == sorted(starts)
-
-    def test_timeline_conservation(self):
-        result, requests = _run_recorded()
-        tl = timeline(result, requests, num_points=20)
-        assert len(tl["t"]) == 20
-        m = result.metrics
-        assert tl["served_cum"][-1] <= m.num_served + 1e-9
-        # Queue depth is never negative and starts at zero.
-        assert tl["queue_depth"][0] == 0.0
-        assert all(q >= 0 for q in tl["queue_depth"])
-
-    def test_timeline_validates_points(self):
-        result, requests = _run_recorded()
-        with pytest.raises(ValueError):
-            timeline(result, requests, num_points=1)
-
-    def test_jsonl_parses(self):
-        result, _ = _run_recorded()
-        lines = to_jsonl(result).splitlines()
-        assert lines
-        for line in lines:
-            rec = json.loads(line)
-            assert "t_start" in rec
-
-
-def _run_recorded_with_retries(seed=0):
-    """Overloaded + OOM-faulted run: requests get re-selected."""
-    from repro.faults.engine import FaultyEngine
-    from repro.faults.plan import FaultConfig, FaultPlan
-
-    batch = BatchConfig(num_rows=2, row_length=20)
-    wl = WorkloadGenerator(
-        rate=300.0,
-        lengths=LengthDistribution(family="normal", mean=8, spread=4, low=3, high=20),
-        deadlines=DeadlineModel(base_slack=4.0),
-        horizon=2.0,
-        seed=seed,
-    )
-    plan = FaultPlan(FaultConfig(oom_rate=0.5, oom_threshold=0.3), seed=seed)
-    sim = ServingSimulator(
-        FCFSScheduler(batch),
-        FaultyEngine(ConcatEngine(batch), plan),
-        record_slots=True,
-    )
-    return sim.run(wl), wl.generate()
-
-
-class TestTraceRequeueDedupe:
-    """Regression: requeued/re-selected requests must not double-count.
-
-    A request the engine could not serve (planner rejection, OOM
-    split-retry) stays in the wait queue and is selected again in a
-    later slot; ``slot_records`` used to count it once per attempt.
-    """
-
-    def test_first_selected_counts_each_request_once(self):
-        result, requests = _run_recorded_with_retries()
-        recs = slot_records(result)
-        assert recs
-        # The overloaded + OOM-faulted run must actually exercise the
-        # retry path, otherwise this test proves nothing.
-        assert any(r["num_retry_selected"] > 0 for r in recs)
-        assert all(
-            r["num_first_selected"] + r["num_retry_selected"]
-            == r["num_selected"]
-            for r in recs
-        )
-        # Dedupe on request id: first-selections count every request at
-        # most once, while raw selections overcount by the retries.
-        first = sum(r["num_first_selected"] for r in recs)
-        raw = sum(r["num_selected"] for r in recs)
-        assert first <= len(requests)
-        assert raw > first
-
-    def test_timeline_dedupes_terminal_ledgers(self):
-        result, requests = _run_recorded_with_retries()
-        m = result.metrics
-        # Simulate the cluster loop's optimistic failure detection
-        # recording the same casualty twice.
-        if m.expired:
-            m.expired.append(m.expired[0])
-        tl = timeline(result, requests, num_points=30)
-        assert all(q >= 0 for q in tl["queue_depth"])
-        unique_expired = len({r.request_id for r in m.expired})
-        assert tl["expired_cum"][-1] <= unique_expired
-
-    def test_timeline_accounts_for_abandoned(self):
-        result, requests = _run_recorded_with_retries()
-        m = result.metrics
-        tl = timeline(result, requests, num_points=30)
-        # Every request reached a terminal state — abandoned requests
-        # included (the old arrived − served − expired formula left
-        # them resident forever).  Requests whose final batch finishes
-        # after the horizon are the only ones a sample at t=horizon may
-        # still see as outstanding.
-        late = sum(1 for _, f in m.finish_times.values() if f > m.horizon)
-        total = (
-            tl["served_cum"][-1]
-            + tl["expired_cum"][-1]
-            + len({r.request_id for r in m.abandoned})
-        )
-        assert total + late == len(requests)
-        assert tl["queue_depth"][-1] <= late

@@ -5,6 +5,8 @@ import pytest
 from repro.config import BatchConfig, SchedulerConfig
 from repro.engine import ConcatEngine, NaiveEngine, SlottedConcatEngine
 from repro.engine.cost_model import GPUCostModel
+from repro.obs.recorder import Tracer
+from repro.obs.spans import EventKind
 from repro.scheduling import (
     DASScheduler,
     FCFSScheduler,
@@ -57,13 +59,19 @@ class TestSimulatorBasics:
 
     def test_served_requests_met_deadline_at_selection(self):
         """No request may be *scheduled* past its deadline (Eq. 12)."""
+        tracer = Tracer()
         sim = ServingSimulator(
-            FCFSScheduler(_batch()), ConcatEngine(_batch()), record_slots=True
+            FCFSScheduler(_batch()), ConcatEngine(_batch()), trace=tracer
         )
-        res = sim.run(_workload(rate=300.0, base_slack=0.5))
-        for t_start, decision, batch_result in res.slots:
-            for r in batch_result.served:
-                assert r.arrival <= t_start <= r.deadline
+        wl = _workload(rate=300.0, base_slack=0.5)
+        m = sim.run(wl).metrics
+        executed = 0
+        for r in wl.generate():
+            for ev in tracer.events[r.request_id]:
+                if ev.kind is EventKind.EXECUTED:
+                    executed += 1
+                    assert r.arrival <= ev.t <= r.deadline
+        assert executed == m.num_served > 0
 
     def test_everything_served_under_light_load(self):
         wl = _workload(rate=5.0, horizon=2.0, base_slack=10.0)
@@ -84,11 +92,6 @@ class TestSimulatorBasics:
         m = sim.run(reqs, horizon=5.0).metrics
         assert m.num_served == 0
         assert m.num_expired == 1
-
-    def test_record_slots_off_by_default(self):
-        sim = ServingSimulator(FCFSScheduler(_batch()), ConcatEngine(_batch()))
-        res = sim.run(_workload())
-        assert res.slots == []
 
     def test_slotted_pipeline_sets_engine_slot_size(self):
         batch = _batch()

@@ -15,6 +15,8 @@ from repro.engine.concat import ConcatEngine
 from repro.engine.naive import NaiveEngine
 from repro.engine.slotted import SlottedConcatEngine
 from repro.engine.turbo import TurboEngine
+from repro.obs.recorder import Tracer
+from repro.obs.spans import EventKind
 from repro.scheduling.baselines import DEFScheduler, FCFSScheduler, SJFScheduler
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.slotted_das import SlottedDASScheduler
@@ -66,9 +68,9 @@ class TestServingInvariants:
         batch = BatchConfig(num_rows=3, row_length=25)
         scheduler, engine = _make_stack(kind, batch)
         requests = _random_requests(seed, n)
-        sim = ServingSimulator(scheduler, engine, record_slots=True)
-        res = sim.run(list(requests), horizon=10.0)
-        m = res.metrics
+        tracer = Tracer()
+        sim = ServingSimulator(scheduler, engine, trace=tracer)
+        m = sim.run(list(requests), horizon=10.0).metrics
 
         served_ids = [r.request_id for r in m.served]
         expired_ids = [r.request_id for r in m.expired]
@@ -79,12 +81,15 @@ class TestServingInvariants:
         assert len(set(served_ids)) == len(served_ids)
 
         # Slots are time-monotone; selections respect Eq. 12 at start.
-        prev = -1.0
-        for t_start, decision, batch_result in res.slots:
-            assert t_start >= prev
-            prev = t_start
-            for r in batch_result.served:
-                assert r.arrival <= t_start <= r.deadline
+        starts = [b.t_start for b in tracer.batches]
+        assert starts == sorted(starts)
+        executed = 0
+        for r in requests:
+            for ev in tracer.events[r.request_id]:
+                if ev.kind is EventKind.EXECUTED:
+                    executed += 1
+                    assert r.arrival <= ev.t <= r.deadline
+        assert executed == len(served_ids)
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=10, deadline=None)
