@@ -95,6 +95,10 @@ def _ablations() -> dict[str, tuple[str, Callable[[], dict]]]:
         "memory": ("early memory cleaning", ab.early_cleaning_ablation),
         "awareness": ("concat-awareness decomposition", ab.concat_aware_ablation),
         "kv-cache": ("KV-cached vs recompute decode", ab.incremental_decode_ablation),
+        "attention-kernel": (
+            "Eq. 5 vs Eq. 8 vs packed encoder attention",
+            ab.attention_kernel_ablation,
+        ),
         "das-components": ("DAS ingredient decomposition", ab.das_components_ablation),
         "sensitivity": ("cost-model sensitivity sweep", _run_sensitivity),
         "faults": ("serving under injected faults", _run_faults),

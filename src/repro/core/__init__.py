@@ -14,7 +14,13 @@ This package contains everything specific to *request concatenation*:
   ``Att_CB`` (Eq. 5) and its slotted variant ``Att_CB_S`` (Eq. 8).
 """
 
-from repro.core.layout import BatchLayout, RowLayout, Segment, SlotLayout
+from repro.core.layout import (
+    BatchLayout,
+    RowLayout,
+    Segment,
+    SegmentIndex,
+    SlotLayout,
+)
 from repro.core.masks import (
     block_diagonal_mask,
     causal_block_mask,
@@ -42,6 +48,7 @@ from repro.core.concat_attention import att_cb, att_cb_reference, att_cb_s
 
 __all__ = [
     "Segment",
+    "SegmentIndex",
     "RowLayout",
     "SlotLayout",
     "BatchLayout",

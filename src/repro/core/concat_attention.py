@@ -14,10 +14,10 @@ Three implementations are provided:
 - :func:`att_cb` — Eq. 5: one big ``QKᵀ`` with the block-diagonal additive
   mask ``M`` of Eq. 6.  Computes (then masks) the redundant off-diagonal
   blocks — exactly the waste slotted ConcatBatching removes.
-- :func:`att_cb_s` — Eq. 8: slot-wise attention.  For equal-size slots the
-  row tensor is reshaped to ``(B·n_slots, z, d)`` and all slots run as one
-  batched matmul, which is how "slots computed by GPU in parallel" maps
-  onto NumPy/BLAS.
+- :func:`att_cb_s` — Eq. 8: slot-wise attention, one slot at a time (each
+  slot is a batched matmul over rows and heads; the GPU's "slots in
+  parallel" has no counterpart on one CPU core, where a slot-sized working
+  set that stays in cache is what pays).
 """
 
 from __future__ import annotations
@@ -112,17 +112,20 @@ def att_cb_s(
     short requests may share a slot); ``None`` entries mean the slot holds
     a single request and needs no mask.
 
-    Equal-size slots take the fast reshape path: ``(B, n·z, d) →
-    (B·n, z, d)`` and a single batched matmul computes every slot at once.
-    Ragged spans (a shorter trailing slot) fall back to a per-slot loop
-    whose results are concatenated, which is the literal Eq. 8.
+    Slots are computed one after another and written into their span of
+    the output — the literal Eq. 8.  One slot's scores (``B·H·z²``) stay in
+    cache through scale, mask, softmax and the value matmul, which is why
+    this beats reshaping equal-size slots to ``(B·n, z, d)`` and running
+    them as one batched matmul: that form walks the whole ``B·H·n·z²``
+    score tensor once per softmax pass and, with within-slot masks,
+    measured level at best and up to 1.5× slower over ``z`` = 7…100
+    (CHANGES.md, PR 17).
     """
     q = np.asarray(q, dtype=np.float64)
     k = np.asarray(k, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if not slot_spans:
         raise ValueError("slot_spans must contain at least one span")
-    sizes = {end - start for start, end in slot_spans}
     w = q.shape[-2]
     covered = sorted(slot_spans)
     pos = 0
@@ -132,17 +135,6 @@ def att_cb_s(
         pos = end
     if pos != w:
         raise ValueError(f"slot spans cover {pos} tokens but width is {w}")
-
-    if len(sizes) == 1 and slot_masks is None:
-        # Fast path: every slot same size, single-request slots.
-        z = sizes.pop()
-        lead = q.shape[:-2]
-        n = w // z
-        q4 = q.reshape(*lead, n, z, q.shape[-1])
-        k4 = k.reshape(*lead, n, z, k.shape[-1])
-        v4 = v.reshape(*lead, n, z, v.shape[-1])
-        out = attention(q4, k4, v4)
-        return out.reshape(*lead, w, q.shape[-1])
 
     out = np.zeros_like(q)
     masks = slot_masks if slot_masks is not None else [None] * len(covered)

@@ -22,13 +22,13 @@ thousand segments); the hot numeric paths operate on the vectorised
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.types import Request
 
-__all__ = ["Segment", "RowLayout", "SlotLayout", "BatchLayout"]
+__all__ = ["Segment", "SegmentIndex", "RowLayout", "SlotLayout", "BatchLayout"]
 
 
 @dataclass(frozen=True)
@@ -49,6 +49,31 @@ class Segment:
     def positions(self) -> np.ndarray:
         """Within-request positions ``0 .. length-1`` (separate PE)."""
         return np.arange(self.length, dtype=np.int64)
+
+
+class SegmentIndex(NamedTuple):
+    """A layout's segments as three aligned int arrays, in row-major order.
+
+    The lowering the packed encoder and the decode loop share: both work
+    on the useful tokens only, request after request, and this says
+    where each request's tokens sit in the ``(B, W)`` batch tensor.
+    """
+
+    rows: np.ndarray
+    starts: np.ndarray
+    lengths: np.ndarray
+
+    def coords(self, order: Optional[np.ndarray] = None) -> tuple[np.ndarray, np.ndarray]:
+        """``(row, column)`` of every useful token, segment after segment.
+
+        ``order`` takes the segments in another order than row-major.
+        Indexing a ``(B, W, ...)`` array with the pair packs it to
+        ``(T, ...)``; assigning through it scatters back.
+        """
+        rows, starts, lengths = self if order is None else (a[order] for a in self)
+        first = np.cumsum(lengths) - lengths
+        cols = np.arange(lengths.sum()) + np.repeat(starts - first, lengths)
+        return np.repeat(rows, lengths), cols
 
 
 @dataclass
@@ -201,6 +226,15 @@ class BatchLayout:
     def segments(self) -> list[tuple[int, Segment]]:
         """All ``(row_index, segment)`` pairs in row-major order."""
         return [(k, seg) for k, row in enumerate(self.rows) for seg in row.segments]
+
+    def segment_index(self) -> SegmentIndex:
+        """Row, start and length of every segment, in row-major order."""
+        segments = self.segments()
+        return SegmentIndex(
+            np.array([k for k, _ in segments], dtype=np.int64),
+            np.array([seg.start for _, seg in segments], dtype=np.int64),
+            np.array([seg.length for _, seg in segments], dtype=np.int64),
+        )
 
     @property
     def num_requests(self) -> int:

@@ -2,9 +2,11 @@
 
 Packs the scheduler's selection into ``B`` rows of ``L`` tokens by
 concatenation (in scheduler order — the order DAS constructed), executes
-with the block-diagonal masked attention and separate positional
-encoding.  Requests that do not fit the batch are *returned* as rejected
-so the serving loop can retry them next slot rather than drop them.
+with attention confined to each request and separate positional encoding
+(in measured mode: the packed per-segment encoder, which is Eq. 5 without
+the off-diagonal blocks and the padding).  Requests that do not fit the
+batch are *returned* as rejected so the serving loop can retry them next
+slot rather than drop them.
 """
 
 from __future__ import annotations

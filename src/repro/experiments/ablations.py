@@ -17,6 +17,10 @@ quantifies one of them:
   model's KV-cached decode against :func:`recompute_decode`, the
   full-recompute baseline (also the oracle of the decode-equivalence
   tests).
+- :func:`attention_kernel_ablation` — one packed backlog through the
+  three encoder self-attention kernels: :func:`encode_full_width`
+  (Eq. 5, also the oracle of the ragged-encoder tests), Eq. 8 slotted
+  and the packed per-segment kernel production runs.
 """
 
 from __future__ import annotations
@@ -28,7 +32,11 @@ import numpy as np
 
 from repro.config import BatchConfig, ModelConfig, SchedulerConfig
 from repro.core.layout import BatchLayout
-from repro.core.masks import causal_block_mask, cross_attention_mask
+from repro.core.masks import (
+    block_diagonal_mask,
+    causal_block_mask,
+    cross_attention_mask,
+)
 from repro.core.packing import (
     pack_best_fit_decreasing,
     pack_first_fit,
@@ -40,6 +48,7 @@ from repro.engine.cost_model import GPUCostModel
 from repro.engine.memory import GPUMemorySimulator
 from repro.engine.slotted import SlottedConcatEngine
 from repro.model.decoder import decode_stack
+from repro.model.encoder import encode
 from repro.model.generation import Chooser, GenerationResult, greedy
 from repro.model.seq2seq import Seq2SeqModel
 from repro.scheduling.baselines import SJFScheduler
@@ -47,6 +56,7 @@ from repro.scheduling.das import DASScheduler
 from repro.scheduling.slotted_das import SlottedDASScheduler
 from repro.serving.simulator import ServingSimulator
 from repro.types import Request
+from repro.workload.generator import LengthDistribution
 from repro.experiments.serving_sweeps import make_workload
 
 __all__ = [
@@ -57,6 +67,8 @@ __all__ = [
     "concat_aware_ablation",
     "incremental_decode_ablation",
     "recompute_decode",
+    "attention_kernel_ablation",
+    "encode_full_width",
 ]
 
 
@@ -380,4 +392,105 @@ def incremental_decode_ablation(
         out["recompute_ms"].append(1e3 * t_full)
         out["kv_cached_ms"].append(1e3 * t_cached)
         out["speedup"].append(t_full / t_cached if t_cached > 0 else float("inf"))
+    return out
+
+
+def encode_full_width(model: Seq2SeqModel, layout: BatchLayout) -> np.ndarray:
+    """Eq. 5 literally: the dense encoder stack under the mask of Eq. 6.
+
+    Every row computes one ``W × W`` score matrix per head — off-diagonal
+    blocks and padding included — and every padding position goes
+    through the linears.  Simple, obviously the paper's formula, and
+    not a production path: the baseline arm of
+    :func:`attention_kernel_ablation` and the oracle the ragged-encoder
+    tests compare :meth:`Seq2SeqModel.encode_layout` with.
+    """
+    cfg = model.config
+    x = model.embed(
+        layout.token_matrix(pad_token=cfg.pad_token), layout.position_matrix()
+    )
+    mask = block_diagonal_mask(layout.segment_id_matrix())
+    return encode(model.params.encoder_layers, cfg.num_heads, x, mask)
+
+
+def attention_kernel_ablation(
+    *,
+    num_rows: int = 10,
+    row_length: int = 400,
+    slot_size: int = 100,
+    seed: int = 0,
+    repeats: int = 3,
+) -> dict[str, list]:
+    """Measured encoder wall-time of one packed batch under each kernel.
+
+    A backlog of §6.2.1 lengths is packed once into slots (so all three
+    kernels accept the layout) and encoded by Eq. 5 full-width, Eq. 8
+    slot-wise and the packed per-segment kernel.  ``score_elements`` is
+    how many ``QKᵀ`` entries an encode computes (all layers and heads):
+    ``B·W²``, ``B·Σz²`` and ``Σℓ²`` per layer and head respectively.
+    ``max_abs_diff`` is against Eq. 5 on the useful positions; a kernel
+    that disagrees raises.
+    """
+    cfg = ModelConfig(
+        vocab_size=256,
+        d_model=128,
+        num_heads=4,
+        num_encoder_layers=2,
+        num_decoder_layers=2,
+        max_len=row_length,
+    )
+    model = Seq2SeqModel(cfg, seed=seed)
+    rng = np.random.default_rng(seed)
+    lengths = LengthDistribution("normal", 20.0, 10.0, 3, min(100, slot_size)).sample(
+        num_rows * row_length // 10, rng
+    )
+    reqs = [
+        Request(
+            request_id=i,
+            length=int(n),
+            tokens=tuple(int(t) for t in rng.integers(4, cfg.vocab_size, size=n)),
+        )
+        for i, n in enumerate(lengths)
+    ]
+    layout = pack_into_slots(reqs, num_rows, row_length, slot_size).layout
+    index = layout.segment_index()
+    useful = index.coords()
+    w = layout.effective_width
+    slots = [min(b, w) - a for a, b in layout.slot_boundaries()[0] if a < w]
+    # kernel -> (encode, score elements per layer and head)
+    kernels = {
+        "Eq. 5 full-width": (
+            lambda: encode_full_width(model, layout),
+            num_rows * w * w,
+        ),
+        "Eq. 8 slotted": (
+            lambda: model.encode_layout(layout, slotted=True),
+            num_rows * sum(z * z for z in slots),
+        ),
+        "packed per-segment": (
+            lambda: model.encode_layout(layout),
+            int((index.lengths**2).sum()),
+        ),
+    }
+    out: dict[str, list] = {
+        "kernel": list(kernels),
+        "encode_ms": [],
+        "score_elements": [],
+        "max_abs_diff": [],
+    }
+    oracle = None
+    for name, (run, scores) in kernels.items():
+        best = float("inf")
+        for _ in range(repeats):
+            t0 = time.perf_counter()
+            states = run()[useful]
+            best = min(best, time.perf_counter() - t0)
+        if oracle is None:
+            oracle = states
+        diff = float(np.abs(states - oracle).max())
+        if not diff <= 1e-9:
+            raise RuntimeError(f"{name} diverged from Eq. 5 by {diff:.3e}")
+        out["encode_ms"].append(1e3 * best)
+        out["score_elements"].append(cfg.num_encoder_layers * cfg.num_heads * scores)
+        out["max_abs_diff"].append(f"{diff:.1e}")
     return out

@@ -58,6 +58,7 @@ def run_all_ablations() -> dict[str, dict]:
         "memory": ab.early_cleaning_ablation(),
         "awareness": ab.concat_aware_ablation(seeds=(0,)),
         "kv-cache": ab.incremental_decode_ablation(),
+        "attention-kernel": ab.attention_kernel_ablation(),
     }
 
 

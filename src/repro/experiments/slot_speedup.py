@@ -10,9 +10,13 @@ Two modes:
 - ``mode="cost"`` (default) — latency from the calibrated GPU cost model
   (paper-scale reproduction),
 - ``mode="measured"`` — actually executes the tiny NumPy model and
-  wall-clock times pure vs slotted attention (same code path the
-  correctness tests validate; CPU BLAS has no occupancy floor, so the
-  measured curve keeps growing with slot count — kept as an ablation).
+  wall-clock times Eq. 8 ``att_cb_s`` at each slot count; one slot is
+  Eq. 5 full-width under the Eq. 6 mask, so this stays the measured
+  Eq. 5 → Eq. 8 speedup the paper plots.  It is not the kernel
+  ``ConcatEngine`` runs (that is the packed per-segment encoder, which
+  computes no off-diagonal block to begin with).  CPU BLAS has no
+  occupancy floor, so the measured curve keeps growing with slot count
+  — kept as an ablation.
 """
 
 from __future__ import annotations

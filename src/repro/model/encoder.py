@@ -3,11 +3,16 @@
 One encoder layer = self-attention + residual + LayerNorm, then FFN +
 residual + LayerNorm (post-norm, as in the original architecture the
 paper's Fig. 2 depicts).  The self-attention mask is supplied by the
-caller so the same stack serves all batching schemes:
+caller so the same stack serves the padded batching schemes:
 
 - NaiveBatching / TurboBatching: padding-key mask,
-- pure ConcatBatching: block-diagonal mask (Eq. 6),
+- pure ConcatBatching, paper-literal: block-diagonal mask (Eq. 6),
 - slotted ConcatBatching: slot spans + within-slot masks (Eq. 8).
+
+:func:`encode_packed` is the stack ConcatBatching runs in production: it
+takes the useful tokens only, as one ``(T, d)`` array, and attends within
+each segment, so it computes ``Σℓ²`` scores where Eq. 5 computes ``W²``
+per row, builds no mask and never touches a padding position.
 """
 
 from __future__ import annotations
@@ -16,15 +21,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from repro.core.concat_attention import attention
 from repro.model.attention import (
     multi_head_attention,
     multi_head_attention_slotted,
 )
 from repro.model.feedforward import feed_forward
-from repro.model.functional import layer_norm
+from repro.model.functional import layer_norm, linear
 from repro.model.params import EncoderLayerParams
 
-__all__ = ["encoder_layer", "encoder_layer_slotted", "encode"]
+__all__ = ["encoder_layer", "encoder_layer_slotted", "encode", "encode_packed"]
 
 
 def _residual_ffn(
@@ -79,4 +85,45 @@ def encode(
             h = encoder_layer_slotted(layer, num_heads, h, slot_spans, slot_masks)
         else:
             h = encoder_layer(layer, num_heads, h, mask)
+    return h
+
+
+def encode_packed(
+    layers: Sequence[EncoderLayerParams],
+    num_heads: int,
+    x: np.ndarray,
+    lengths: np.ndarray,
+) -> np.ndarray:
+    """Run the encoder stack over segments packed back to back.
+
+    ``x`` is ``(T, d)``: segment ``i`` owns the next ``lengths[i]`` rows.
+    Linears, LayerNorm and FFN are position-wise and run on ``(T, d)``;
+    self-attention runs once per run of equal-length segments, as a
+    maskless ``(n, H, ℓ, ℓ)`` batched matmul over that contiguous slice.
+    Any segment order is correct; sorted by length, every distinct
+    length is one matmul.
+    """
+    lengths = np.asarray(lengths)
+    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
+    offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
+    # (first token, end token, segments, segment length) of each run.
+    runs = [
+        (offsets[i], offsets[j], j - i, int(lengths[i]))
+        for i, j in zip(bounds, bounds[1:])
+        if i < j
+    ]
+    h = x
+    for layer in layers:
+        p = layer.self_attn
+        q = linear(h, p.w_q, p.b_q)
+        k = linear(h, p.w_k, p.b_k)
+        v = linear(h, p.w_v, p.b_v)
+        ctx = np.empty_like(q)
+        for a, b, n, length in runs:
+            qh, kh, vh = (
+                t[a:b].reshape(n, length, num_heads, -1).transpose(0, 2, 1, 3)
+                for t in (q, k, v)
+            )
+            ctx[a:b] = attention(qh, kh, vh).transpose(0, 2, 1, 3).reshape(b - a, -1)
+        h = _residual_ffn(layer, h, linear(ctx, p.w_o, p.b_o))
     return h

@@ -90,19 +90,6 @@ def _project(
     return out.reshape(len(x), num_heads, -1)
 
 
-def _pack_memory(
-    layout: BatchLayout, memory: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Useful tokens of ``memory`` as ``(T, d)`` plus per-request lengths."""
-    segments = layout.segments()
-    lengths = np.array([seg.length for _, seg in segments])
-    first = np.cumsum(lengths) - lengths
-    rows = np.repeat([k for k, _ in segments], lengths)
-    shift = np.array([seg.start for _, seg in segments]) - first
-    cols = np.arange(lengths.sum()) + np.repeat(shift, lengths)
-    return memory[rows, cols], lengths
-
-
 def generate(
     model: "Seq2SeqModel",
     layout: BatchLayout,
@@ -114,8 +101,12 @@ def generate(
     """Decode every request of ``layout``; ``choose`` picks each next token."""
     if layout.num_requests == 0:
         return GenerationResult()
+    index = layout.segment_index()
     if memory is None:
-        memory = model.encode_layout(layout)
+        packed = model.encode_requests(layout, index)
+    else:
+        packed = memory[index.coords()]
+    lengths = index.lengths
     cfg = model.config
     heads = cfg.num_heads
     layers = model.params.decoder_layers
@@ -125,7 +116,6 @@ def generate(
     result = GenerationResult(
         outputs={rid: [] for rid in rids}, completion_step=dict.fromkeys(rids, 0)
     )
-    packed, lengths = _pack_memory(layout, memory)
     caches = [
         _LayerCache(
             self_k=np.empty((len(rids), heads, max_new_tokens, cfg.head_dim)),

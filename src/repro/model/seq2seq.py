@@ -25,16 +25,20 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.config import ModelConfig
-from repro.core.layout import BatchLayout
+from repro.core.layout import BatchLayout, SegmentIndex
 from repro.core.masks import block_diagonal_mask, padding_key_mask
 from repro.core.positional import sinusoidal_positional_encoding
-from repro.model.encoder import encode
+from repro.model.encoder import encode, encode_packed
 from repro.model.functional import linear
 from repro.model.generation import GenerationResult, generate, greedy
 from repro.model.params import Seq2SeqParams, init_seq2seq
 from repro.types import Request
 
 __all__ = ["Seq2SeqModel", "GenerationResult"]
+
+# One request per row, padded to the widest: the baselines ConcatBatching
+# is measured against, so their padding is computed, not skipped.
+PADDED_SCHEMES = ("naive", "turbo")
 
 
 class Seq2SeqModel:
@@ -72,16 +76,41 @@ class Seq2SeqModel:
         concat_mask: bool = True,
         slotted: bool = False,
     ) -> np.ndarray:
-        """Run the encoder over a batch layout.
+        """Run the encoder over a batch layout; returns ``(B, W, d)``.
 
-        ``separate_pe=False`` / ``concat_mask=False`` deliberately
-        reproduce the *wrong* default-framework behaviour (used by tests
-        to show why TCB's customisations are necessary).
-        ``slotted=True`` computes self-attention per slot (Eq. 8).
+        Which kernel runs follows from what the layout says it is:
 
-        Only rows that hold a segment go through the encoder; a row
-        without one is all padding and comes back as zeros.
+        - a concatenated layout (every scheme but the two below) goes
+          through :meth:`encode_requests`, the packed stack that attends
+          within segments only — ``Σℓ²`` scores, no mask, no padding
+          token computed;
+        - ``"naive"`` / ``"turbo"`` layouts run the dense padded stack:
+          their padding is the baseline being measured;
+        - ``slotted=True`` computes self-attention per slot (Eq. 8);
+        - ``separate_pe=False`` / ``concat_mask=False`` deliberately
+          reproduce the *wrong* default-framework behaviour on the dense
+          stack (used by tests to show why TCB's customisations are
+          necessary).
+
+        Segment positions are exact under every kernel.  Padding
+        positions come back as zeros from the packed stack and are
+        unspecified under the dense ones (a row without any segment is
+        zeros everywhere).  A request without token ids raises
+        ``ValueError("request … has no tokens")``.
         """
+        dense = (
+            slotted
+            or not (separate_pe and concat_mask)
+            or layout.scheme in PADDED_SCHEMES
+        )
+        if not dense:
+            index = layout.segment_index()
+            memory = np.zeros(
+                (layout.num_rows, layout.effective_width, self.config.d_model)
+            )
+            memory[index.coords()] = self.encode_requests(layout, index)
+            return memory
+
         live = [k for k, row in enumerate(layout.rows) if row.segments]
         seg = layout.segment_id_matrix()[live]
         positions = (
@@ -122,6 +151,36 @@ class Seq2SeqModel:
         memory = np.zeros((layout.num_rows, *out.shape[1:]))
         memory[live] = out
         return memory
+
+    def encode_requests(self, layout: BatchLayout, index: SegmentIndex) -> np.ndarray:
+        """Encoder states of the useful tokens only, packed to ``(T, d)``.
+
+        Request after request in row-major order — ``index`` is
+        ``layout.segment_index()`` — which is the form the decode loop
+        consumes.  Concatenated layouts never become a ``(B, W, d)``
+        tensor on the way: their tokens are gathered with equal-length
+        segments adjacent (stable sort by length) and positions
+        restarting at 0 per segment, run through
+        :func:`~repro.model.encoder.encode_packed`, and put back in
+        row-major order.  Padded schemes are encoded densely and packed.
+        """
+        if layout.scheme in PADDED_SCHEMES:
+            return self.encode_layout(layout)[index.coords()]
+        order = np.argsort(index.lengths, kind="stable")
+        lengths = index.lengths[order]
+        rows, cols = index.coords(order)
+        positions = cols - np.repeat(index.starts[order], lengths)
+        tokens = layout.token_matrix(pad_token=self.config.pad_token)[rows, cols]
+        states = encode_packed(
+            self.params.encoder_layers,
+            self.config.num_heads,
+            self.embed(tokens, positions),
+            lengths,
+        )
+        first = np.cumsum(index.lengths) - index.lengths
+        packed = np.empty_like(states)
+        packed[np.repeat(first[order], lengths) + positions] = states
+        return packed
 
     def encode_single(self, tokens: Sequence[int]) -> np.ndarray:
         """Reference path: encode one request alone (no padding, no concat)."""
