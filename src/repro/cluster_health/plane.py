@@ -47,6 +47,7 @@ from repro.cluster_health.score import (
 )
 from repro.obs.recorder import NO_TRACE
 from repro.rng import ensure_rng
+from repro.watermark import mark
 
 __all__ = [
     "DrainWindow",
@@ -383,7 +384,11 @@ class TailTolerancePlane:
     # ------------------------------------------------------------------ #
 
     def export_state(self) -> dict[str, Any]:
-        """All mutable plane state as plain data (fresh containers)."""
+        """All mutable plane state as plain data.
+
+        Fresh containers for the bounded windows; each board's grow-only
+        transition log is a (reference, length) watermark.
+        """
         return {
             "boards": {
                 e: {
@@ -391,7 +396,7 @@ class TailTolerancePlane:
                     "state": b.state.value,
                     "probe_at": b.probe_at,
                     "probe_successes": b._probe_successes,
-                    "transitions": list(b.transitions),
+                    "transitions": mark(b.transitions),
                 }
                 for e, b in self.boards.items()
             },
@@ -401,7 +406,7 @@ class TailTolerancePlane:
         }
 
     def apply_state(self, state: dict[str, Any]) -> None:
-        """Restore :meth:`export_state` output (warm-restart path)."""
+        """Adopt a thawed :meth:`export_state` (warm-restart path)."""
         self.begin_run()
         for engine, bs in state["boards"].items():
             b = self.board(engine)
@@ -409,7 +414,7 @@ class TailTolerancePlane:
             b.state = HealthState(bs["state"])
             b.probe_at = bs["probe_at"]
             b._probe_successes = bs["probe_successes"]
-            b.transitions[:] = list(bs["transitions"])
+            b.transitions = bs["transitions"]
         for value in state["latency"]:
             self._latency.add(value)
         self._decision = state["decision"]

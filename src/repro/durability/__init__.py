@@ -3,8 +3,9 @@
 A deterministic, sim-clock-pure checkpoint/restore layer for the
 serving loops (see ``docs/recovery.md``):
 
-- :class:`~repro.durability.snapshot.Snapshot` — deep checkpoint of the
-  full serving state at a step boundary,
+- :class:`~repro.durability.snapshot.Snapshot` — checkpoint of the full
+  serving state at a step boundary: each owner's ``export_state()``
+  (live state + watermarks into grow-only ledgers), never a deep copy,
 - :class:`~repro.durability.journal.Journal` — write-ahead log of typed
   replay-idempotent mutation records between snapshots,
 - :class:`~repro.durability.plane.DurabilityPlane` — the per-run

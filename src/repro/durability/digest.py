@@ -87,7 +87,7 @@ def trace_digest(tracer: Any) -> Optional[dict[str, Any]]:
             (e.t, e.kind, dict(e.attrs))
             for e in getattr(tracer, "tenant_events", [])
         ],
-        "outcomes": dict(tracer._outcome),
+        "outcomes": tracer.outcomes(),
         "duplicates": tracer.duplicate_terminals,
         "attempts": dict(tracer.attempts),
     }

@@ -2,7 +2,7 @@
 
 The journal is the durability plane's single source of truth: mutation
 records are appended in execution order, a :class:`CommitRecord` seals
-each completed step, and full :class:`~repro.durability.snapshot.Snapshot`
+each completed step, and :class:`~repro.durability.snapshot.Snapshot`
 checkpoints bound how much journal a restore has to replay.
 
 A step is **committed** once its commit record lands; records of a step
@@ -19,8 +19,10 @@ from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.durability.records import (
     CommitRecord,
+    DispatchRecord,
     EnqueueRecord,
     JournalRecord,
+    RequeueRecord,
     TerminalRecord,
     record_from_dict,
 )
@@ -76,6 +78,37 @@ class Journal:
         for rec in self.records:
             if rec.step >= from_step and rec.step in committed:
                 yield rec
+
+    def request_history(self, before_step: int) -> tuple[set[int], dict[int, int]]:
+        """``(served_ids, attempts)`` of the queue at the start of a step.
+
+        The two pieces of queue state that are keyed by request id and
+        change per key, so a checkpoint cannot watermark them — and need
+        not: every change is one of the records folded here (a resident
+        dispatch or a dequeuing ``served`` terminal marks ids
+        dispatched, a requeue assigns absolute attempt counts and, for
+        evicted residents, un-marks the retained ones).  A journal's run
+        starts on a fresh queue, so the fold starts empty.
+        """
+        committed = self.committed_steps()
+        served_ids: set[int] = set()
+        attempts: dict[int, int] = {}
+        for rec in self.records:
+            if rec.step >= before_step or rec.step not in committed:
+                continue
+            if isinstance(rec, RequeueRecord):
+                attempts.update(rec.attempts)
+                if rec.readd:
+                    served_ids.difference_update(
+                        r.request_id for r in rec.retained
+                    )
+            elif (isinstance(rec, DispatchRecord) and rec.resident) or (
+                isinstance(rec, TerminalRecord)
+                and rec.terminal == "served"
+                and rec.dequeue
+            ):
+                served_ids.update(r.request_id for r in rec.requests)
+        return served_ids, attempts
 
     def uncommitted_records(self) -> list[JournalRecord]:
         """Trailing records of steps a crash left unsealed."""

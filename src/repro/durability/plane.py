@@ -4,8 +4,9 @@ One :class:`DurabilityPlane` per serving run (or per
 :class:`~repro.serving.server.TCBServer` lifetime) receives the loop's
 semantic mutations — enqueue, dispatch, terminal, requeue, shed — as
 typed journal records, seals each completed step with a commit record
-carrying the small absolute state, and takes a full deep
-:class:`~repro.durability.snapshot.Snapshot` every
+carrying the small absolute state, and takes a
+:class:`~repro.durability.snapshot.Snapshot` (each owner's exported
+state: what is live plus watermarks, never a deep copy) every
 ``checkpoint_every`` steps.  Everything runs on the simulated clock
 (``repro/durability`` is inside tcblint TCB003's scope) and the plane
 is pure bookkeeping: with ``durability=None`` the loops take exactly
@@ -24,7 +25,6 @@ uninterrupted run's terminal ledger bit-for-bit.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Any, Callable, Optional, Sequence
 
@@ -41,14 +41,7 @@ from repro.durability.records import (
     TerminalRecord,
 )
 from repro.durability.restore import RestoredState, restore_state
-from repro.durability.snapshot import (
-    LiveState,
-    Snapshot,
-    capture_engine_cursors,
-    health_state,
-    overload_state,
-    tenancy_state,
-)
+from repro.durability.snapshot import LiveState, Snapshot, absolute_state
 from repro.faults.plan import SchedulerCrash, SchedulerCrashed
 from repro.types import Request
 
@@ -94,7 +87,10 @@ class DurabilityPlane:
         self._crash_fired = False
         self._capture: Optional[Callable[[], LiveState]] = None
         self._tracer: Any = None
+        # The tracer's grow-only emission sink and how much of it
+        # earlier commits have journaled.
         self._sink: list = []
+        self._sink_seen = 0
         self._admission_seen = 0
         self._ended = False
         # Records a crash left trailing, pruned at resume (kept for the
@@ -126,14 +122,13 @@ class DurabilityPlane:
         self._capture = capture
         self._tracer = (
             tracer
-            if tracer is not None
-            and getattr(tracer, "enabled", False)
-            and hasattr(tracer, "sink")
+            if tracer is not None and getattr(tracer, "enabled", False)
             else None
         )
-        self._sink = []
-        if self._tracer is not None:
-            self._tracer.sink = self._sink
+        self._sink = (
+            self._tracer.attach_sink() if self._tracer is not None else []
+        )
+        self._sink_seen = 0
         if resume is None:
             self.journal.clear()
             self.voided = []
@@ -376,21 +371,17 @@ class DurabilityPlane:
         return snap
 
     def _drain_sink(self) -> tuple:
-        if not self._sink:
-            return ()
-        delta = tuple(self._sink)
-        self._sink.clear()
+        delta = tuple(self._sink[self._sink_seen:])
+        self._sink_seen = len(self._sink)
         return delta
 
     def _commit(self, live: LiveState) -> None:
         m = live.metrics
         delta: tuple[Request, ...] = ()
-        tokens = None
         if live.admission is not None:
             rejected = live.admission.rejected
             delta = tuple(rejected[self._admission_seen:])
             self._admission_seen = len(rejected)
-            tokens = live.admission._queued_tokens
         state = StepState(
             now=live.now,
             next_arrival=live.next_arrival,
@@ -409,20 +400,8 @@ class DurabilityPlane:
             hedge_wasted=m.hedge_wasted,
             tracer_delta=self._drain_sink(),
             admission_rejected=delta,
-            admission_tokens=tokens,
-            overload=overload_state(live.overload),
-            idle=None if live.idle is None else tuple(live.idle),
-            running=None if live.running is None else tuple(live.running),
-            iteration=live.iteration,
-            rng_state=(
-                None
-                if live.rng is None
-                else copy.deepcopy(live.rng.bit_generator.state)
-            ),
-            engine_cursors=capture_engine_cursors(live.engines),
-            health=health_state(live.health),
-            tenancy=tenancy_state(live.tenancy),
-            extra=dict(live.extra),
+            absolute=absolute_state(live),
+            extra=live.extra,
         )
         self.journal.append(CommitRecord(step=self._step, state=state))
 

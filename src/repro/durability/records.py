@@ -259,14 +259,16 @@ class HedgeRecord(JournalRecord):
 class StepState:
     """Absolute small state sealed into a step's commit.
 
-    Everything here is cheap to copy per step and impossible to derive
+    Everything here is cheap to export per step and impossible to derive
     from the mutation records: the simulated clock, the arrival cursor,
     metric counters (absolute values — note ``scheduler_time`` is
     wall-clock, which is exactly why it must be *recorded* rather than
-    re-measured on replay), per-loop structures (cluster idle heap,
-    iteration-level residents, RNG cursor), fault-engine cursors, and
-    the per-step deltas of grow-only side state (tracer emissions,
-    admission rejections, finished responses).
+    re-measured on replay), the per-step deltas of grow-only side state
+    (tracer emissions, admission rejections), and ``absolute`` — what
+    :func:`repro.durability.snapshot.absolute_state` exports whole at
+    every commit: the shared controllers and planes, per-loop structures
+    (cluster idle heap, iteration-level residents, RNG cursor) and
+    fault-engine cursors.
     """
 
     now: float = 0.0
@@ -284,22 +286,13 @@ class StepState:
     hedges: int = 0
     hedge_wins: int = 0
     hedge_wasted: float = 0.0
-    # Per-step deltas of grow-only state.
+    # Per-step deltas of grow-only state.  The admission delta is the
+    # journal's only trace of an offline run's arrival-time refusals
+    # (restore takes the controller's state from ``absolute``).
     tracer_delta: tuple = ()
     admission_rejected: tuple[Request, ...] = ()
-    # Absolute shared-controller state (None when absent from the run).
-    admission_tokens: Optional[int] = None
-    overload: Optional[Any] = None  # deep-copied OverloadController
-    # Per-loop absolute structures (None when the loop has no such state).
-    idle: Optional[tuple] = None  # cluster (idle_at, tiebreak, engine) heap
-    running: Optional[tuple] = None  # iteration-level (request, remaining)
-    iteration: Optional[int] = None
-    rng_state: Optional[dict] = None
-    engine_cursors: Optional[tuple] = None  # (serve_calls, stragglers, down_until)
-    # Tail-tolerance plane state (None when the run carries no plane).
-    health: Optional[dict] = None
-    # Tenancy plane state (None when the run carries no plane).
-    tenancy: Optional[dict] = None
+    # name -> exported state; None where the run has no such state.
+    absolute: dict[str, Any] = field(default_factory=dict)
     # Loop-specific extras (e.g. the online server's new responses).
     extra: dict[str, Any] = field(default_factory=dict)
 
@@ -322,7 +315,7 @@ class StepState:
             "admission_rejected": [
                 r.request_id for r in self.admission_rejected
             ],
-            "iteration": self.iteration,
+            "iteration": self.absolute.get("iteration"),
         }
 
 

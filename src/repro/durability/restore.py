@@ -6,7 +6,8 @@ The crash-boundary resolution rules (see ``docs/recovery.md``):
   replayed onto the snapshot in journal order; list-valued state is
   rebuilt by appending, scalar state is overwritten absolutely at each
   commit — so replay is idempotent and replaying a prefix twice is
-  impossible by construction (a fresh deep copy is taken every call);
+  impossible by construction (the checkpoint is thawed into new
+  containers on every call);
 - **uncommitted** trailing records are *voided*: the crashed step never
   happened, and the resumed loop re-executes it deterministically from
   the commit boundary (the restored RNG/fault-engine cursors guarantee
@@ -26,9 +27,8 @@ TCB008).
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Optional
+from typing import Any, Optional
 
 from repro.durability.journal import Journal
 from repro.durability.records import (
@@ -40,45 +40,17 @@ from repro.durability.records import (
     ShedRecord,
     TerminalRecord,
 )
-from repro.obs.spans import TERMINAL_KINDS, EventKind
+from repro.durability.snapshot import (
+    ABSOLUTE,
+    REPLAYED,
+    apply_engine_cursors,
+)
+from repro.obs.recorder import Tracer
 from repro.overload.ledger import shed_requests
 from repro.scheduling.queue import RequestQueue
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from repro.serving.metrics import ServingMetrics
+from repro.watermark import thaw
 
 __all__ = ["RestoredState", "restore_state"]
-
-
-def _apply_tracer_delta(tstate: Optional[dict], delta: tuple) -> None:
-    """Replay one commit's tracer emissions onto the tracer-state dict."""
-    if tstate is None:
-        return
-    for item in delta:
-        tag = item[0]
-        if tag == "event":
-            _, rid, ev = item
-            tstate["events"].setdefault(rid, []).append(ev)
-            if ev.kind in TERMINAL_KINDS:
-                tstate["outcome"][rid] = ev.kind.value
-            if ev.kind is EventKind.SCHEDULED:
-                tstate["attempts"][rid] = ev.attrs.get(
-                    "attempt", tstate["attempts"].get(rid, 0)
-                )
-        elif tag == "dup":
-            tstate["duplicate_terminals"] += 1
-        elif tag == "batch":
-            tstate["batches"].append(item[1])
-        elif tag == "decision":
-            tstate["decisions"].append(item[1])
-        elif tag == "overload":
-            tstate["overload_events"].append(item[1])
-        elif tag == "durability":
-            tstate["durability_events"].append(item[1])
-        elif tag == "health":
-            tstate.setdefault("health_events", []).append(item[1])
-        elif tag == "tenant":
-            tstate.setdefault("tenant_events", []).append(item[1])
 
 
 @dataclass
@@ -86,9 +58,10 @@ class RestoredState:
     """Everything a loop needs to resume from the crash boundary.
 
     ``queue``/``metrics`` are fresh objects the resumed loop owns;
-    tracer/overload/admission/engine state is applied *into* the
-    caller-held shared objects via :meth:`apply_shared` (loops keep
-    using ``self.trace`` / ``self.admission`` untouched).
+    ``shared`` maps each caller-held owner (the tracer and the
+    :data:`~repro.durability.snapshot.ABSOLUTE` controllers and planes)
+    to its exported state, which :meth:`apply_shared` applies *into* the
+    objects the caller keeps using (``self.trace`` / ``self.admission``).
     """
 
     step: int
@@ -96,17 +69,13 @@ class RestoredState:
     next_arrival: int
     rejected_before: int
     queue: RequestQueue
-    metrics: ServingMetrics
-    tracer: Optional[dict] = None
-    overload: Optional[dict] = None
-    admission: Optional[tuple] = None
+    metrics: Any  # ServingMetrics
+    shared: dict[str, Any] = field(default_factory=dict)
     idle: Optional[list] = None
     running: Optional[list] = None
     iteration: Optional[int] = None
     rng_state: Optional[dict] = None
     engine_cursors: Optional[tuple] = None
-    health: Optional[dict] = None
-    tenancy: Optional[dict] = None
     extra: dict = field(default_factory=dict)
     snapshot_seq: int = 0
     replayed_records: int = 0
@@ -116,68 +85,18 @@ class RestoredState:
 
     # ------------------------------------------------------------------ #
 
-    def apply_shared(
-        self,
-        *,
-        tracer: Any = None,
-        overload: Any = None,
-        admission: Any = None,
-        engines: Any = (),
-        health: Any = None,
-        tenancy: Any = None,
-    ) -> None:
-        """Copy restored state in place into the caller-held objects."""
-        if (
-            tracer is not None
-            and self.tracer is not None
-            and hasattr(tracer, "events")
-        ):
-            t = self.tracer
-            tracer.events.clear()
-            tracer.events.update(
-                {rid: list(evs) for rid, evs in t["events"].items()}
-            )
-            tracer.batches[:] = t["batches"]
-            tracer.decisions[:] = t["decisions"]
-            tracer.overload_events[:] = t["overload_events"]
-            if hasattr(tracer, "durability_events"):
-                tracer.durability_events[:] = t["durability_events"]
-            if hasattr(tracer, "health_events"):
-                tracer.health_events[:] = t.get("health_events", [])
-            if hasattr(tracer, "tenant_events"):
-                tracer.tenant_events[:] = t.get("tenant_events", [])
-            tracer._outcome.clear()
-            tracer._outcome.update(t["outcome"])
-            tracer.duplicate_terminals = t["duplicate_terminals"]
-            tracer.attempts.clear()
-            tracer.attempts.update(t["attempts"])
-        if overload is not None and self.overload is not None:
-            o = self.overload
-            overload.level = o["level"]
-            overload.transitions[:] = o["transitions"]
-            overload.shed_total = o["shed_total"]
-            overload.denied = o["denied"]
-            overload._outcomes.clear()
-            overload._outcomes.extend(o["outcomes"])
-            overload._breakers.clear()
-            overload._breakers.update(copy.deepcopy(o["breakers"]))
-            if o["shedder_decision"] is not None:
-                overload._shedder._decision = o["shedder_decision"]
-        if admission is not None and self.admission is not None:
-            tokens, rejected = self.admission
-            admission._queued_tokens = tokens
-            admission.rejected[:] = list(rejected)
-        if engines and self.engine_cursors is not None:
-            for engine, cursors in zip(engines, self.engine_cursors):
-                if cursors is None or not hasattr(engine, "serve_calls"):
-                    continue
-                engine.serve_calls = cursors[0]
-                engine.straggler_events = cursors[1]
-                engine.down_until = cursors[2]
-        if health is not None and self.health is not None:
-            health.apply_state(copy.deepcopy(self.health))
-        if tenancy is not None and self.tenancy is not None:
-            tenancy.apply_state(copy.deepcopy(self.tenancy))
+    def apply_shared(self, *, engines: Any = (), **owners: Any) -> None:
+        """Apply restored state into the caller-held objects, by name.
+
+        Each owner gets its own thaw, so applying one restored state to
+        two sets of objects never makes them share a container.  A name
+        no checkpoint captures is a ``KeyError``, not a silent skip.
+        """
+        for name, owner in owners.items():
+            state = self.shared[name]
+            if owner is not None and state is not None:
+                owner.apply_state(thaw(state))
+        apply_engine_cursors(engines, self.engine_cursors)
 
 
 def restore_state(
@@ -185,34 +104,37 @@ def restore_state(
 ) -> RestoredState:
     """Latest snapshot + committed-record replay → :class:`RestoredState`.
 
-    Repeatable: every call deep-copies the snapshot payloads, so
+    Repeatable: every call thaws the checkpoint into new containers, so
     restoring twice from the same journal yields two independent,
     identical states.
     """
+    # Deferred: repro.serving imports this module through its loops.
+    from repro.serving.metrics import ServingMetrics
+
     snap = journal.latest_snapshot
     if snap is None:
         raise ValueError("cannot restore: journal holds no snapshot")
 
-    queue: RequestQueue = copy.deepcopy(snap.queue)
-    metrics: ServingMetrics = copy.deepcopy(snap.metrics)
-    tstate = copy.deepcopy(snap.tracer)
-    ovstate = copy.deepcopy(snap.overload)
-    admission = (
-        None
-        if snap.admission is None
-        else (snap.admission[0], list(snap.admission[1]))
-    )
-    idle = None if snap.idle is None else list(snap.idle)
-    running = None if snap.running is None else list(snap.running)
-    iteration = snap.iteration
-    rng_state = copy.deepcopy(snap.rng_state)
-    engine_cursors = snap.engine_cursors
-    hstate = copy.deepcopy(snap.health)
-    tnstate = copy.deepcopy(snap.tenancy)
-    extra = copy.deepcopy(snap.extra)
-    now = snap.now
-    next_arrival = snap.next_arrival
-    rejected_before = snap.rejected_before
+    base = snap.state
+    queue_state, metrics_state, tracer_state = (base[name] for name in REPLAYED)
+    queue = RequestQueue()
+    queue.apply_state(thaw(queue_state))
+    queue.served_ids, queue.attempts = journal.request_history(snap.step)
+    metrics = ServingMetrics()
+    metrics.apply_state(thaw(metrics_state))
+    tracer: Optional[Tracer] = None
+    if tracer_state is not None:
+        tracer = Tracer()
+        tracer.apply_state(thaw(tracer_state))
+    # Latest export per name (and per extras key): commits overwrite
+    # these whole, so they are thawed once, after the last commit.
+    absolute = {
+        name: value
+        for name, value in base.items()
+        if name not in REPLAYED and name != "extra"
+    }
+    extra = dict(base["extra"])
+    now = base["now"]
     step = snap.step
 
     replayed = 0
@@ -268,8 +190,8 @@ def restore_state(
             pass
         elif isinstance(rec, CommitRecord):
             st = rec.state
-            now = st.now
-            next_arrival = st.next_arrival
+            now = absolute["now"] = st.now
+            absolute["next_arrival"] = st.next_arrival
             metrics.arrived = st.arrived
             metrics.total_engine_time = st.engine_time
             metrics.total_scheduler_time = st.scheduler_time
@@ -283,29 +205,14 @@ def restore_state(
             metrics.hedges = st.hedges
             metrics.hedge_wins = st.hedge_wins
             metrics.hedge_wasted = st.hedge_wasted
-            _apply_tracer_delta(tstate, st.tracer_delta)
-            if admission is not None:
-                admission[1].extend(st.admission_rejected)
-                if st.admission_tokens is not None:
-                    admission = (st.admission_tokens, admission[1])
-            if st.overload is not None:
-                ovstate = copy.deepcopy(st.overload)
-            if st.idle is not None:
-                idle = list(st.idle)
-            if st.running is not None:
-                running = list(st.running)
-            if st.iteration is not None:
-                iteration = st.iteration
-            if st.rng_state is not None:
-                rng_state = copy.deepcopy(st.rng_state)
-            if st.engine_cursors is not None:
-                engine_cursors = st.engine_cursors
-            if st.health is not None:
-                hstate = copy.deepcopy(st.health)
-            if st.tenancy is not None:
-                tnstate = copy.deepcopy(st.tenancy)
-            if st.extra:
-                extra.update(copy.deepcopy(st.extra))
+            if tracer is not None:
+                tracer.replay(st.tracer_delta)
+            absolute.update(
+                (name, value)
+                for name, value in st.absolute.items()
+                if value is not None
+            )
+            extra.update(st.extra)
             step = rec.step + 1
 
     recovered: list = []
@@ -320,26 +227,21 @@ def restore_state(
             metrics.arrived += 1
             recovered.append((enq.request, enq.submit_time))
 
+    absolute = thaw(absolute)
+    shared = {name: absolute.pop(name) for name in ABSOLUTE}
+    shared["tracer"] = None if tracer is None else tracer.export_state()
+    for name in ("idle", "running"):
+        if absolute[name] is not None:
+            absolute[name] = list(absolute[name])
     return RestoredState(
         step=step,
-        now=now,
-        next_arrival=next_arrival,
-        rejected_before=rejected_before,
         queue=queue,
         metrics=metrics,
-        tracer=tstate,
-        overload=ovstate,
-        admission=admission,
-        idle=idle,
-        running=running,
-        iteration=iteration,
-        rng_state=rng_state,
-        engine_cursors=engine_cursors,
-        health=hstate,
-        tenancy=tnstate,
-        extra=extra,
+        shared=shared,
+        extra=thaw(extra),
         snapshot_seq=snap.seq,
         replayed_records=replayed,
         voided_records=len(journal.uncommitted_records()),
         recovered=recovered,
+        **absolute,
     )

@@ -1,108 +1,76 @@
-"""Snapshot: a deep, self-contained checkpoint of serving state.
+"""Snapshot: a checkpoint of serving state that copies only what is live.
 
-A :class:`Snapshot` freezes everything a serving loop needs to restart
-from a step boundary: the wait queue (contents, attempts map, terminal
-ledgers), the metrics ledger, tracer spans, overload-controller and
-circuit-breaker state, admission-controller pressure, per-loop
-structures (cluster idle heap, iteration-level residents, RNG cursor),
-and fault-engine cursors — so a restored run re-consumes the *same*
-seeded fault events the crashed run would have.
+A :class:`Snapshot` holds what a serving loop needs to restart from a
+step boundary, as the mapping *name → exported state*.  Each owner —
+the wait queue, the metrics ledger, the tracer, the admission and
+overload controllers, the cluster-health and tenancy planes — lowers
+itself to plain data through its own ``export_state()``; the loop's
+locals (clock, arrival cursor, cluster idle heap, iteration-level
+residents, RNG cursor) and the fault-engine cursors ride along, so a
+restored run re-consumes the *same* seeded fault events the crashed run
+would have.  Nothing is deep-copied.  An exported state is made of three
+things:
 
-Loops hand the plane a :class:`LiveState` carrier (built fresh by a
-zero-argument capture closure over the loop's locals); the snapshot
-deep-copies through it so later mutation of the live objects can never
-reach back into a checkpoint.
+- **fresh containers** for state that mutates in place and is bounded
+  by what is live (the waiting set, a breaker's counters, the miss
+  window, token buckets) — copied shallowly, the elements shared;
+- **watermarks** (:class:`repro.watermark.Watermark`: the container
+  itself plus its length) for state that only ever grows — the terminal
+  ledgers, ``finish_times``, transition logs, the admission
+  controller's refusals, and the tracer's emission sink, which
+  determines every per-request event list;
+- **nothing** for what the journal already holds: the queue's
+  ``served_ids`` and ``attempts`` change per request id, every change is
+  a journal record, and restore folds them back
+  (:meth:`~repro.durability.journal.Journal.request_history`).
 
-Field discipline: every field annotated on :class:`Snapshot` must be
-consumed by :func:`repro.durability.restore.restore_state` — and every
-``snap.<field>`` read there must exist here.  tcblint TCB013 enforces
-both directions, so snapshot/restore drift is a lint error, not a
-latent recovery bug.
+So a checkpoint costs the live state plus a constant, however long the
+run has been going, and is still safe from later mutation — under one
+rule every owner keeps: **leaves are immutable** (``Request``, the
+``obs.spans`` events, tuples, numbers; ``RequestEvent.attrs`` is never
+mutated after emit), and **a watermarked container is never truncated,
+reordered or rewritten below its mark** — it is appended to, or left
+alone (``apply_state`` rebinds such a container, it does not refill
+it).  Restore thaws an export into new lists and dicts on every call
+(:func:`repro.watermark.thaw`), so restored state never aliases a
+checkpoint, another restore, or the crashed objects.
+
+One table drives both directions: :data:`REPLAYED` and :data:`ABSOLUTE`
+name the owners, :meth:`Snapshot.capture` exports exactly those and
+:func:`repro.durability.restore.restore_state` /
+:meth:`~repro.durability.restore.RestoredState.apply_shared` consume
+exactly those, so an owner that is captured is restored by
+construction.
 """
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Optional
 
 __all__ = [
+    "ABSOLUTE",
+    "REPLAYED",
     "LiveState",
     "Snapshot",
+    "absolute_state",
+    "apply_engine_cursors",
     "capture_engine_cursors",
-    "health_state",
-    "overload_state",
-    "tenancy_state",
-    "tracer_state",
 ]
 
+# Owners a checkpoint exports and journal replay then advances record
+# by record (restore rebuilds each as a real object).
+REPLAYED = ("queue", "metrics", "tracer")
+# Owners small enough that every commit re-exports them whole; restore
+# keeps the latest export and hands it back to the caller-held object.
+ABSOLUTE = ("admission", "overload", "health", "tenancy")
 
-def tracer_state(tracer: Any) -> Optional[dict]:
-    """The tracer's mutable state as a plain dict (None when untraced).
 
-    Event objects are frozen dataclasses, so shallow list copies
-    suffice; the dict itself is deep-copied at snapshot time.
-    """
-    if tracer is None or not getattr(tracer, "enabled", False):
+def _export(owner: Any) -> Optional[dict]:
+    """``owner.export_state()``; None for an absent or disabled owner."""
+    if owner is None or not getattr(owner, "enabled", True):
         return None
-    if not hasattr(tracer, "events"):
-        return None
-    return {
-        "events": {rid: list(evs) for rid, evs in tracer.events.items()},
-        "batches": list(tracer.batches),
-        "decisions": list(tracer.decisions),
-        "overload_events": list(tracer.overload_events),
-        "durability_events": list(getattr(tracer, "durability_events", [])),
-        "health_events": list(getattr(tracer, "health_events", [])),
-        "tenant_events": list(getattr(tracer, "tenant_events", [])),
-        "outcome": dict(tracer._outcome),
-        "duplicate_terminals": tracer.duplicate_terminals,
-        "attempts": dict(tracer.attempts),
-    }
-
-
-def overload_state(ov: Any) -> Optional[dict]:
-    """The overload controller's mutable state (None when absent).
-
-    Breakers are deep-copied (they mutate in place); the shedder's
-    decision cursor rides along so a restored RandomShed replays the
-    same per-decision streams.
-    """
-    if ov is None:
-        return None
-    return {
-        "level": ov.level,
-        "transitions": list(ov.transitions),
-        "shed_total": ov.shed_total,
-        "denied": ov.denied,
-        "outcomes": list(ov._outcomes),
-        "breakers": copy.deepcopy(ov._breakers),
-        "shedder_decision": getattr(ov._shedder, "_decision", None),
-    }
-
-
-def health_state(hp: Any) -> Optional[dict]:
-    """The tail-tolerance plane's mutable state (None when absent/inert).
-
-    ``export_state`` returns fresh containers of immutable values, so a
-    later plane mutation can never reach into a snapshot; the dict is
-    deep-copied again where StepState/Snapshot semantics require it.
-    """
-    if hp is None or not getattr(hp, "enabled", False):
-        return None
-    return hp.export_state()
-
-
-def tenancy_state(tn: Any) -> Optional[dict]:
-    """The tenancy plane's mutable state (None when absent).
-
-    ``export_state`` returns fresh JSON-safe containers (ledgers,
-    bucket levels, in-flight charges, fair-share deficits), so a later
-    plane mutation can never reach into a snapshot.
-    """
-    if tn is None or not getattr(tn, "enabled", False):
-        return None
-    return tn.export_state()
+    return owner.export_state()
 
 
 def capture_engine_cursors(engines: Any) -> Optional[tuple]:
@@ -121,6 +89,16 @@ def capture_engine_cursors(engines: Any) -> Optional[tuple]:
         else:
             out.append(None)
     return tuple(out)
+
+
+def apply_engine_cursors(engines: Any, cursors: Optional[tuple]) -> None:
+    """Roll fault-plane cursors back to :func:`capture_engine_cursors`."""
+    if not engines or cursors is None:
+        return
+    for engine, cursor in zip(engines, cursors):
+        if cursor is None or not hasattr(engine, "serve_calls"):
+            continue
+        engine.serve_calls, engine.straggler_events, engine.down_until = cursor
 
 
 @dataclass
@@ -155,75 +133,40 @@ class LiveState:
     extra: dict = field(default_factory=dict)
 
 
+def absolute_state(live: LiveState) -> dict[str, Any]:
+    """What every commit (and every checkpoint) exports whole.
+
+    The :data:`ABSOLUTE` owners plus the loop's own small structures;
+    None marks state this run does not have.
+    """
+    state = {name: _export(getattr(live, name)) for name in ABSOLUTE}
+    state["idle"] = None if live.idle is None else tuple(live.idle)
+    state["running"] = None if live.running is None else tuple(live.running)
+    state["iteration"] = live.iteration
+    # NumPy builds a new state dict on every read; nothing to copy.
+    state["rng_state"] = (
+        None if live.rng is None else live.rng.bit_generator.state
+    )
+    state["engine_cursors"] = capture_engine_cursors(live.engines)
+    return state
+
+
 @dataclass
 class Snapshot:
-    """One checkpoint: full state as of the start of ``step``.
-
-    Every field here must be consumed by ``restore_state`` (tcblint
-    TCB013 checks the pairing in both directions).
-    """
+    """One checkpoint: name → exported state as of the start of ``step``."""
 
     seq: int
     step: int
-    now: float
-    next_arrival: int
-    rejected_before: int
-    queue: Any
-    metrics: Any
-    tracer: Optional[dict]
-    overload: Optional[dict]
-    admission: Optional[tuple]
-    idle: Optional[tuple]
-    running: Optional[tuple]
-    iteration: Optional[int]
-    rng_state: Optional[dict]
-    engine_cursors: Optional[tuple]
-    health: Optional[dict]
-    tenancy: Optional[dict]
-    extra: dict
+    state: dict[str, Any]
 
     @classmethod
     def capture(cls, live: LiveState, *, seq: int, step: int) -> "Snapshot":
-        return cls(
-            seq=seq,
-            step=step,
+        state = {name: _export(getattr(live, name)) for name in REPLAYED}
+        state.update(absolute_state(live))
+        state.update(
             now=live.now,
             next_arrival=live.next_arrival,
             rejected_before=live.rejected_before,
-            queue=copy.deepcopy(live.queue),
-            metrics=copy.deepcopy(live.metrics),
-            tracer=copy.deepcopy(tracer_state(live.tracer)),
-            overload=overload_state(live.overload),
-            admission=(
-                None
-                if live.admission is None
-                else (
-                    live.admission._queued_tokens,
-                    list(live.admission.rejected),
-                )
-            ),
-            idle=None if live.idle is None else tuple(live.idle),
-            running=None if live.running is None else tuple(live.running),
-            iteration=live.iteration,
-            rng_state=(
-                None
-                if live.rng is None
-                else copy.deepcopy(live.rng.bit_generator.state)
-            ),
-            engine_cursors=capture_engine_cursors(live.engines),
-            health=health_state(live.health),
-            tenancy=tenancy_state(live.tenancy),
-            extra=copy.deepcopy(live.extra),
+            extra=live.extra,
         )
-
-    def summary(self) -> dict[str, Any]:
-        """JSON-safe projection for the differential report."""
-        return {
-            "seq": self.seq,
-            "step": self.step,
-            "now": self.now,
-            "next_arrival": self.next_arrival,
-            "queued": len(self.queue),
-            "served": self.metrics.num_served,
-            "arrived": self.metrics.arrived,
-        }
+        return cls(seq=seq, step=step, state=state)

@@ -37,6 +37,7 @@ from repro.obs.spans import (
     TenantEvent,
 )
 from repro.types import Request
+from repro.watermark import mark
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.serving.metrics import ServingMetrics
@@ -90,11 +91,13 @@ class Tracer:
         self.health_events: list[HealthEvent] = []
         # Tenancy-plane actions: quota rejections and fair-share splits.
         self.tenant_events: list[TenantEvent] = []
-        # Optional journal sink: when the durability plane attaches a
-        # list here, every post-dedupe emission is mirrored into it as a
-        # tagged tuple, giving the plane an exact per-step delta of the
-        # tracer's grow-only state (drained at each commit).
+        # Optional journal sink (see attach_sink): while a list is
+        # attached here, every post-dedupe emission is mirrored into it
+        # as a tagged tuple.  The sink only grows, so the durability
+        # plane reads each step's delta off its tail and a checkpoint is
+        # the state at attach time plus a watermark into it.
         self.sink: Optional[list] = None
+        self._base: Optional[dict] = None
 
     # ------------------------------------------------------------------ #
     # Emission (called by the serving loops, guarded by ``enabled``)
@@ -264,6 +267,92 @@ class Tracer:
         self.tenant_events.append(event)
         if self.sink is not None:
             self.sink.append(("tenant", event))
+
+    # ------------------------------------------------------------------ #
+    # Durability export / apply (see repro.durability.snapshot)
+    # ------------------------------------------------------------------ #
+
+    def _lanes(self) -> dict[str, list]:
+        """Sink tag -> the event list emissions with that tag land in."""
+        return {
+            "batch": self.batches,
+            "decision": self.decisions,
+            "overload": self.overload_events,
+            "durability": self.durability_events,
+            "health": self.health_events,
+            "tenant": self.tenant_events,
+        }
+
+    def _full_state(self) -> dict:
+        return {
+            "events": {rid: list(evs) for rid, evs in self.events.items()},
+            "lanes": {tag: list(lane) for tag, lane in self._lanes().items()},
+            "outcome": dict(self._outcome),
+            "duplicate_terminals": self.duplicate_terminals,
+            "attempts": dict(self.attempts),
+        }
+
+    def attach_sink(self) -> list:
+        """Start mirroring emissions into a fresh sink; returns it.
+
+        Copies the current state once (nothing, for a fresh tracer);
+        from here on :meth:`export_state` costs O(1).  Detach by setting
+        ``sink = None``.
+        """
+        self._base = self._full_state()
+        self.sink = []
+        return self.sink
+
+    def export_state(self) -> dict:
+        """Plain-data state: a base plus the emissions made since.
+
+        With a sink attached that is the base taken at attach time and a
+        (sink, length) watermark — per-request event lists mutate per
+        key, so they cannot be watermarked one by one, but the sink is
+        one grow-only list that determines all of them.  Without a sink
+        it is a full copy and an empty tail.
+        """
+        if self.sink is None:
+            return {**self._full_state(), "emitted": []}
+        return {**self._base, "emitted": mark(self.sink)}
+
+    def replay(self, emitted: Iterable[tuple]) -> None:
+        """Re-apply sink entries (post-dedupe emissions) in order."""
+        lanes = self._lanes()
+        for item in emitted:
+            tag = item[0]
+            if tag == "event":
+                _, rid, ev = item
+                self.events.setdefault(rid, []).append(ev)
+                if ev.kind in TERMINAL_KINDS:
+                    self._outcome[rid] = ev.kind.value
+                if ev.kind is EventKind.SCHEDULED:
+                    self.attempts[rid] = ev.attrs.get(
+                        "attempt", self.attempts.get(rid, 0)
+                    )
+            elif tag == "dup":
+                self.duplicate_terminals += 1
+            else:
+                lanes[tag].append(item[1])
+
+    def apply_state(self, state: dict) -> None:
+        """Become the tracer a thawed :meth:`export_state` describes.
+
+        Containers are refilled in place (callers hold ``events`` and the
+        lanes); any attached sink is dropped, since it no longer
+        describes this state.
+        """
+        self.sink = self._base = None
+        self.events.clear()
+        self.events.update(state["events"])
+        for tag, lane in self._lanes().items():
+            lane[:] = state["lanes"][tag]
+        self._outcome.clear()
+        self._outcome.update(state["outcome"])
+        self.duplicate_terminals = state["duplicate_terminals"]
+        self.attempts.clear()
+        self.attempts.update(state["attempts"])
+        self.replay(state["emitted"])
 
     # ------------------------------------------------------------------ #
     # Derived views

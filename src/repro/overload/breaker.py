@@ -26,6 +26,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
+from repro.watermark import mark
+
 __all__ = [
     "BreakerConfig",
     "BreakerState",
@@ -153,6 +155,24 @@ class CircuitBreaker:
     @property
     def is_open(self) -> bool:
         return self.state is BreakerState.OPEN
+
+    def export_state(self) -> dict:
+        """Plain-data state; the transition log is watermarked."""
+        return {
+            "state": self.state,
+            "retry_at": self.retry_at,
+            "transitions": mark(self.transitions),
+            "consecutive_failures": self._consecutive_failures,
+            "probe_successes": self._probe_successes,
+        }
+
+    def apply_state(self, state: dict) -> None:
+        """Adopt a thawed :meth:`export_state`."""
+        self.state = state["state"]
+        self.retry_at = state["retry_at"]
+        self.transitions = state["transitions"]
+        self._consecutive_failures = state["consecutive_failures"]
+        self._probe_successes = state["probe_successes"]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -36,6 +36,7 @@ from repro.overload.breaker import BreakerConfig, CircuitBreaker
 from repro.overload.ledger import shed_requests
 from repro.overload.shedding import LowestUtilityFirst, SheddingPolicy
 from repro.types import Request
+from repro.watermark import mark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduling.queue import RequestQueue
@@ -179,6 +180,43 @@ class OverloadController:
         )
         self._breakers: dict[int, CircuitBreaker] = {}
         self._shedder.reset()
+
+    # ------------------------------------------------------------------ #
+    # Durability export / apply (see repro.durability.snapshot)
+    # ------------------------------------------------------------------ #
+
+    def export_state(self) -> dict:
+        """All per-run state as plain data.
+
+        Fresh containers for what mutates in place (the miss window, each
+        breaker's counters), watermarks for the transition logs, and the
+        shedder's decision cursor so a restored RandomShed replays the
+        same per-decision streams.
+        """
+        return {
+            "level": self.level,
+            "transitions": mark(self.transitions),
+            "shed_total": self.shed_total,
+            "denied": self.denied,
+            "outcomes": list(self._outcomes),
+            "breakers": {
+                engine: br.export_state()
+                for engine, br in self._breakers.items()
+            },
+            "shedder": self._shedder.export_state(),
+        }
+
+    def apply_state(self, state: dict) -> None:
+        """Adopt a thawed :meth:`export_state` (warm-restart path)."""
+        self.begin_run()
+        self.level = state["level"]
+        self.transitions = state["transitions"]
+        self.shed_total = state["shed_total"]
+        self.denied = state["denied"]
+        self._outcomes.extend(state["outcomes"])
+        for engine, bstate in state["breakers"].items():
+            self.breaker(engine).apply_state(bstate)
+        self._shedder.apply_state(state["shedder"])
 
     # ------------------------------------------------------------------ #
     # Degradation state machine

@@ -20,7 +20,7 @@ unbiased baseline the other two must beat.
 from __future__ import annotations
 
 import abc
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -50,6 +50,13 @@ class SheddingPolicy(abc.ABC):
 
     def reset(self) -> None:
         """Forget per-run state (called by the loops at run start)."""
+
+    def export_state(self) -> Optional[int]:
+        """Per-run state for a durability checkpoint (None: stateless)."""
+        return None
+
+    def apply_state(self, state: Optional[int]) -> None:
+        """Restore :meth:`export_state` output."""
 
     @abc.abstractmethod
     def order(
@@ -119,6 +126,14 @@ class RandomShed(SheddingPolicy):
 
     def reset(self) -> None:
         self._decision = 0
+
+    def export_state(self) -> int:
+        return self._decision
+
+    def apply_state(self, state: Optional[int]) -> None:
+        # A restored run replays the same per-decision streams.
+        if state is not None:
+            self._decision = state
 
     def order(
         self, waiting: Sequence[Request], now: float

@@ -33,6 +33,7 @@ from bisect import insort
 from typing import TYPE_CHECKING, Iterable, Optional, Sequence
 
 from repro.types import Request
+from repro.watermark import mark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overload.backpressure import QueueLimits, QueuePressure
@@ -366,6 +367,36 @@ class RequestQueue:
                 self._waiting[r.request_id] = r
                 self._queued_tokens += r.length
                 self._index(r)
+
+    # ------------------------------------------------------------------ #
+    # Durability export / apply (see repro.durability.snapshot)
+    # ------------------------------------------------------------------ #
+
+    def export_state(self) -> dict:
+        """Checkpointable state: the waiting set + watermarked ledgers.
+
+        ``served_ids`` and ``attempts`` are deliberately absent: they
+        are keyed by request id and change per key, so no length can
+        watermark them — and every change to them is a journal record,
+        which is where a restore gets them back
+        (:meth:`~repro.durability.journal.Journal.request_history`).
+        """
+        return {
+            "waiting": list(self._waiting.values()),
+            "expired": mark(self.expired),
+            "abandoned": mark(self.abandoned),
+        }
+
+    def apply_state(self, state: dict) -> None:
+        """Become the queue a thawed :meth:`export_state` describes.
+
+        The waiting set is re-added in its exported (insertion) order,
+        which rebuilds every index; the ledgers are adopted as given.
+        """
+        self.__init__()
+        self.extend(state["waiting"])
+        self.expired = state["expired"]
+        self.abandoned = state["abandoned"]
 
     # ------------------------------------------------------------------ #
     # Overload signals

@@ -23,6 +23,7 @@ from typing import Optional, Sequence
 from repro.config import BatchConfig
 from repro.engine.cost_model import GPUCostModel
 from repro.types import Request
+from repro.watermark import mark
 
 __all__ = ["AdmissionController", "AdmissionDecision"]
 
@@ -89,3 +90,15 @@ class AdmissionController:
     @property
     def queued_tokens(self) -> int:
         return self._queued_tokens
+
+    def export_state(self) -> dict:
+        """Token pressure + the (grow-only, watermarked) refusal list."""
+        return {
+            "queued_tokens": self._queued_tokens,
+            "rejected": mark(self.rejected),
+        }
+
+    def apply_state(self, state: dict) -> None:
+        """Adopt a thawed :meth:`export_state`."""
+        self._queued_tokens = state["queued_tokens"]
+        self.rejected = state["rejected"]

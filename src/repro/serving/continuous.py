@@ -33,7 +33,6 @@ the batch-level loops.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -151,7 +150,7 @@ class ContinuousBatchingSimulator:
                 _Running(req, steps) for req, steps in (resume.running or ())
             ]
             if resume.rng_state is not None:
-                rng.bit_generator.state = copy.deepcopy(resume.rng_state)
+                rng.bit_generator.state = resume.rng_state
         else:
             running = []
             now = 0.0

@@ -123,14 +123,7 @@ class Lifecycle:
         self.queue, self.metrics = state.queue, state.metrics
         self.next_arrival = state.next_arrival
         self.rejected_before = state.rejected_before
-        state.apply_shared(
-            tracer=self.tr,
-            overload=self.ov,
-            admission=self.admission,
-            engines=self.engines,
-            health=self.health,
-            tenancy=self.tn,
-        )
+        state.apply_shared(engines=self.engines, **self._owners())
 
     def arm(
         self,
@@ -142,18 +135,24 @@ class Lifecycle:
         if self.dur is not None:
             self.dur.begin_run(self._live, self.tr, resume=resume)
 
+    def _owners(self) -> dict[str, Any]:
+        """The shared objects a checkpoint exports and a restore refills."""
+        return {
+            "tracer": self.trace_arg,
+            "overload": self.ov,
+            "admission": self.admission,
+            "health": self.health,
+            "tenancy": self.tn,
+        }
+
     def _live(self) -> LiveState:
         return LiveState(
             queue=self.queue,
             metrics=self.metrics,
             next_arrival=self.next_arrival,
             rejected_before=self.rejected_before,
-            tracer=self.trace_arg,
-            overload=self.ov,
-            admission=self.admission,
             engines=self.engines,
-            health=self.health,
-            tenancy=self.tn,
+            **self._owners(),
             **self._loop_state(),
         )
 

@@ -13,6 +13,7 @@ from typing import Optional
 import numpy as np
 
 from repro.types import Request
+from repro.watermark import mark
 
 __all__ = ["ServingMetrics"]
 
@@ -167,6 +168,27 @@ class ServingMetrics:
     @property
     def mean_batch_time(self) -> float:
         return 0.0 if self.num_batches == 0 else self.total_engine_time / self.num_batches
+
+    # ------------------------------------------------------------------ #
+    # Durability export / apply (see repro.durability.snapshot)
+    # ------------------------------------------------------------------ #
+
+    def export_state(self) -> dict:
+        """Every field by name: counters as they are, ledgers watermarked.
+
+        The terminal ledgers and ``finish_times`` only ever grow (one
+        entry per terminal, never rewritten), so each is exported as a
+        (reference, length) watermark instead of a copy.
+        """
+        return {
+            name: mark(value) if isinstance(value, (list, dict)) else value
+            for name, value in vars(self).items()
+        }
+
+    def apply_state(self, state: dict) -> None:
+        """Adopt a thawed :meth:`export_state` (fields are rebound)."""
+        for name, value in state.items():
+            setattr(self, name, value)
 
     def summary(self) -> dict[str, float]:
         """Flat dict convenient for bench tables."""

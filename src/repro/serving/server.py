@@ -43,6 +43,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.tenancy.admission import QuotaExceeded
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
+from repro.watermark import mark
 
 __all__ = ["TCBServer", "Response", "DrainExhausted"]
 
@@ -155,7 +156,8 @@ class TCBServer:
             "now": self._now(),
             "extra": {
                 "next_id": self._next_id,
-                "submit_times": dict(self._submit_times),
+                # One entry per submit, never rewritten: a watermark.
+                "submit_times": mark(self._submit_times),
             },
         }
 
@@ -181,12 +183,16 @@ class TCBServer:
         state = dur.restore(recover_enqueues=True)
         # The online ledger folds expiry immediately (no end-of-run
         # sweep), so the metrics bucket mirrors the queue's ledger.
-        state.metrics.expired[:] = list(state.queue.expired)
+        state.metrics.expired = list(state.queue.expired)
         self._life.adopt(state)
         extra = state.extra
         self._submit_times = dict(extra.get("submit_times", {}))
         self._next_id = extra.get("next_id", 0)
         for req, submit_time in state.recovered:
+            # restore_state re-counted it in metrics.arrived; its tenant's
+            # ledger came from the last commit, before the submit.
+            if self.tenancy is not None:
+                self.tenancy.arrive(req)
             if submit_time is not None:
                 self._submit_times[req.request_id] = submit_time
             self._next_id = max(self._next_id, req.request_id + 1)

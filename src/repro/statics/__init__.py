@@ -23,8 +23,7 @@ graph, ``repro.statics.callgraph``):
   (TCB010),
 - no two call sites consume the same named RNG child stream (TCB011),
 - raised typed faults always reach a ledgered handler somewhere on the
-  call graph (TCB012), and the durability plane's snapshot/restore
-  field parity (TCB013).
+  call graph (TCB012).
 
 Run it as ``python -m repro lint`` (or ``make lint``); the tier-1 test
 ``tests/test_statics_clean.py`` asserts the tree is clean, making every

@@ -3,7 +3,7 @@
 Each rule protects one cross-cutting invariant of the reproduction;
 ``docs/statics.md`` ties every rule to the paper equation or
 reproducibility requirement behind it.  The flow-sensitive rules
-(TCB009–TCB013) live in :mod:`repro.statics.flowchecks` and are merged
+(TCB009–TCB012) live in :mod:`repro.statics.flowchecks` and are merged
 into :data:`ALL_RULES` here.
 """
 

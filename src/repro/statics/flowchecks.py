@@ -1,4 +1,4 @@
-"""The flow-sensitive and project-wide tcblint rules (TCB009–TCB013).
+"""The flow-sensitive and project-wide tcblint rules (TCB009–TCB012).
 
 TCB009 and TCB010 are per-file dataflow rules over the CFGs built by
 :mod:`repro.statics.cfg`; TCB011 and TCB012 are *project* rules that see
@@ -31,12 +31,6 @@ rule-authoring guide; the short version of each policy:
   function's / class's / module's docstring).  Handlers that catch a
   typed fault and ignore its payload are flagged directly — the
   ``.requests`` they drop silently break the conservation invariant.
-- **TCB013 snapshot/restore parity** — every field of the durability
-  ``Snapshot`` dataclass must be read back by restore code, and every
-  snapshot attribute restore code reads must be a declared field.  A
-  field captured but never restored silently drops state across a warm
-  restart (the crash-consistency bug class); a read of an undeclared
-  field is a stale-schema AttributeError waiting for the next crash.
 """
 
 from __future__ import annotations
@@ -56,7 +50,6 @@ __all__ = [
     "LedgerEscape",
     "RngStreamAliasing",
     "SimTimeTaint",
-    "SnapshotRestoreParity",
     "TypedFaultEscape",
 ]
 
@@ -817,186 +810,9 @@ class TypedFaultEscape(ProjectRule):
             )
 
 
-# ---------------------------------------------------------------------- #
-# TCB013 — snapshot/restore field parity (project rule)
-# ---------------------------------------------------------------------- #
-
-
-@dataclass(frozen=True)
-class _FieldSite:
-    path: str
-    line: int
-    col: int
-
-
-class SnapshotRestoreParity(ProjectRule):
-    """TCB013 — durability Snapshot fields pair with restore reads."""
-
-    rule_id = "TCB013"
-    title = "snapshot/restore field parity"
-    severity = Severity.ERROR
-
-    # The durability plane's crash-consistency claim (docs/recovery.md)
-    # is exactly "snapshot ∘ restore == identity on serving state"; a
-    # Snapshot field nobody reads back is state silently dropped across
-    # every warm restart, and a restore read of an undeclared field is
-    # a schema drift that only surfaces at the next real crash.
-    _SCOPE = ("repro/durability/",)
-    _CLASS = "Snapshot"
-    # Attribute chains whose value yields a snapshot, for inferring
-    # which local names hold one (``snap = journal.latest_snapshot``).
-    _PRODUCERS = frozenset({"latest_snapshot"})
-
-    @staticmethod
-    def _annotation_names(node: Optional[ast.expr]) -> set[str]:
-        """Bare names mentioned anywhere in an annotation expression."""
-        if node is None:
-            return set()
-        out: set[str] = set()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name):
-                out.add(n.id)
-            elif isinstance(n, ast.Constant) and isinstance(n.value, str):
-                # ``from __future__ import annotations`` / quoted annots.
-                try:
-                    out |= SnapshotRestoreParity._annotation_names(
-                        ast.parse(n.value, mode="eval").body
-                    )
-                except SyntaxError:
-                    pass
-        return out
-
-    def _class_members(
-        self, ctx: ModuleContext
-    ) -> Optional[tuple[dict[str, _FieldSite], set[str]]]:
-        """(declared fields with sites, all attribute names) of Snapshot."""
-        for node in ast.walk(ctx.tree):
-            if not isinstance(node, ast.ClassDef) or node.name != self._CLASS:
-                continue
-            fields: dict[str, _FieldSite] = {}
-            members: set[str] = set()
-            for stmt in node.body:
-                if isinstance(stmt, ast.AnnAssign) and isinstance(
-                    stmt.target, ast.Name
-                ):
-                    fields[stmt.target.id] = _FieldSite(
-                        ctx.path, stmt.lineno, stmt.col_offset
-                    )
-                    members.add(stmt.target.id)
-                elif isinstance(stmt, ast.Assign):
-                    for t in stmt.targets:
-                        if isinstance(t, ast.Name):
-                            members.add(t.id)
-                elif isinstance(
-                    stmt, (ast.FunctionDef, ast.AsyncFunctionDef)
-                ):
-                    members.add(stmt.name)
-            return fields, members
-        return None
-
-    def _snapshot_names(self, ctx: ModuleContext) -> set[str]:
-        """Local names bound to a Snapshot instance in this module."""
-        names: set[str] = set()
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = list(node.args.args) + list(node.args.kwonlyargs)
-                for a in args:
-                    if self._CLASS in self._annotation_names(a.annotation):
-                        names.add(a.arg)
-            elif isinstance(node, ast.AnnAssign) and isinstance(
-                node.target, ast.Name
-            ):
-                if self._CLASS in self._annotation_names(node.annotation):
-                    names.add(node.target.id)
-            elif isinstance(node, ast.Assign) and len(node.targets) == 1:
-                target, value = node.targets[0], node.value
-                if not isinstance(target, ast.Name):
-                    continue
-                if isinstance(value, ast.Call):
-                    value = value.func
-                if (
-                    isinstance(value, ast.Attribute)
-                    and value.attr in self._PRODUCERS
-                ):
-                    names.add(target.id)
-        return names
-
-    def check_project(
-        self, contexts: Sequence[ModuleContext]
-    ) -> Iterator[Finding]:
-        scoped = [
-            c for c in contexts if c.path.startswith(self._SCOPE)
-        ] or [c for c in contexts if self._class_members(c) is not None]
-        fields: Optional[dict[str, _FieldSite]] = None
-        members: set[str] = set()
-        for ctx in scoped:
-            got = self._class_members(ctx)
-            if got is not None:
-                fields, members = got
-                break
-        if fields is None:
-            return  # no Snapshot class in this lint run
-
-        read: set[str] = set()
-        unknown: list[tuple[_FieldSite, str]] = []
-        for ctx in scoped:
-            bound = self._snapshot_names(ctx)
-            if not bound:
-                continue
-            for node in ast.walk(ctx.tree):
-                if not isinstance(node, ast.Attribute):
-                    continue
-                if not (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id in bound
-                ):
-                    continue
-                if node.attr in fields:
-                    read.add(node.attr)
-                elif node.attr not in members:
-                    unknown.append(
-                        (
-                            _FieldSite(ctx.path, node.lineno, node.col_offset),
-                            node.attr,
-                        )
-                    )
-
-        for name, site in sorted(fields.items()):
-            if name in read:
-                continue
-            yield Finding(
-                rule=self.rule_id,
-                path=site.path,
-                line=site.line,
-                col=site.col,
-                severity=self.severity,
-                message=(
-                    f"Snapshot field {name!r} is captured at checkpoint "
-                    "but never read back by restore code; state it holds "
-                    "is silently dropped across every warm restart — "
-                    "apply it in restore_state (or remove the field)"
-                ),
-            )
-        for site, name in unknown:
-            yield Finding(
-                rule=self.rule_id,
-                path=site.path,
-                line=site.line,
-                col=site.col,
-                severity=self.severity,
-                message=(
-                    f"restore code reads snapshot attribute {name!r} which "
-                    "is not a declared Snapshot field; the schema drifted — "
-                    "declare the field in Snapshot (and capture it) or "
-                    "drop the read"
-                ),
-            )
-
-
 FLOW_RULES: tuple[Rule, ...] = (
     LedgerEscape(),
     SimTimeTaint(),
     RngStreamAliasing(),
     TypedFaultEscape(),
-    SnapshotRestoreParity(),
 )

@@ -20,7 +20,7 @@ subsystem:
   at end of run.
 
 State is export/apply round-trippable for the durability plane
-(Snapshot + journal commits, TCB013), mirroring the health plane.
+(Snapshot + journal commits), mirroring the health plane.
 """
 
 from __future__ import annotations
@@ -354,7 +354,7 @@ class TenancyPlane:
         return IterationShare(self, groups, budget)
 
     # ------------------------------------------------------------------
-    # durability (Snapshot / journal round trip, TCB013)
+    # durability (Snapshot / journal round trip)
 
     def export_state(self) -> dict[str, Any]:
         """Serializable run state (fresh containers, JSON-safe)."""

@@ -371,41 +371,6 @@ class TestRuleTCB011:
         assert found == []
 
 
-class TestRuleTCB013:
-    def test_fires_on_both_parity_directions(self):
-        found = _lint_fixture(
-            "bad_tcb013.py", "repro/durability/restore.py", rules=["TCB013"]
-        )
-        # Direction A: the never-restored field, reported at its
-        # declaration; direction B: the undeclared-attribute read.
-        assert _lines(found, "TCB013") == [17, 39]
-        msgs = [f.message for f in found]
-        assert any("never read back" in m for m in msgs)
-        assert any("not a declared Snapshot field" in m for m in msgs)
-
-    def test_method_access_is_not_a_field_read(self):
-        found = _lint_fixture(
-            "bad_tcb013.py", "repro/durability/restore.py", rules=["TCB013"]
-        )
-        # snap.describe() resolves to a class member: never reported.
-        assert not any("describe" in f.message for f in found)
-
-    def test_real_durability_package_is_parity_clean(self):
-        report = lint_paths([SRC / "durability"], rules=["TCB013"])
-        assert report.findings == []
-        assert report.files_scanned > 0
-
-    def test_silent_without_a_snapshot_class(self):
-        src = (
-            "def restore(journal):\n"
-            "    snap = journal.latest_snapshot\n"
-            "    return snap.anything\n"
-        )
-        assert lint_source(
-            src, "repro/durability/x.py", rules=["TCB013"]
-        ) == []
-
-
 class TestRuleTCB012:
     def test_fires_on_swallow_and_escape_only(self):
         found = _lint_fixture(
