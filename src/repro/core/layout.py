@@ -14,9 +14,12 @@ Layouts are the single source of truth consumed by the mask builders
 (:mod:`repro.core.masks`), the separate positional encoding
 (:mod:`repro.core.positional`), the engines and the memory simulator.
 
-All index math here is plain Python (layouts are tiny — at most a few
-thousand segments); the hot numeric paths operate on the vectorised
-``segment_id_matrix`` / ``position_matrix`` this module produces.
+Rows and slots keep a *running* occupancy: ``used`` / ``free`` /
+``can_fit`` / ``add`` are O(1), because a saturated serving loop packs a
+few hundred requests into 64 rows on every scheduling decision and
+first-fit probes occupancy once per (request, row) pair.  The hot
+numeric paths operate on the vectorised ``segment_id_matrix`` /
+``position_matrix`` this module produces.
 """
 
 from __future__ import annotations
@@ -76,8 +79,42 @@ class SegmentIndex(NamedTuple):
         return np.repeat(rows, lengths), cols
 
 
+class _Occupancy:
+    """Running token count of a ``segments`` list (rows and slots).
+
+    ``segments`` stays a public list that callers may append to directly
+    (slot packing puts one segment in a slot *and* in its row) or assign
+    afresh, so every read reconciles the total with the list: one that
+    grew is caught up on its new tail, one that shrank or is a different
+    list is recounted.  Replacing a segment in place is not seen — build
+    a new row instead.
+    """
+
+    segments: list[Segment]
+    _used: int
+    _counted: int
+    _counted_list: Optional[list[Segment]]
+
+    @property
+    def used(self) -> int:
+        """Tokens occupied by the segments (O(1) between mutations)."""
+        segs = self.segments
+        if segs is not self._counted_list or len(segs) < self._counted:
+            self._counted_list, self._used, self._counted = segs, 0, 0
+        if len(segs) > self._counted:
+            self._used += sum(s.request.length for s in segs[self._counted :])
+            self._counted = len(segs)
+        return self._used
+
+    def _append(self, seg: Segment) -> None:
+        """Append a segment placed at ``used``, which the caller just read."""
+        self.segments.append(seg)
+        self._used += seg.request.length
+        self._counted += 1
+
+
 @dataclass
-class SlotLayout:
+class SlotLayout(_Occupancy):
     """A fixed-width slot inside a row (slotted ConcatBatching).
 
     ``start``/``size`` are token offsets within the row.  Segments placed in
@@ -87,14 +124,15 @@ class SlotLayout:
     start: int
     size: int
     segments: list[Segment] = field(default_factory=list)
+    _used: int = field(default=0, init=False, repr=False, compare=False)
+    _counted: int = field(default=0, init=False, repr=False, compare=False)
+    _counted_list: Optional[list[Segment]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def end(self) -> int:
         return self.start + self.size
-
-    @property
-    def used(self) -> int:
-        return sum(s.length for s in self.segments)
 
     @property
     def free(self) -> int:
@@ -104,27 +142,29 @@ class SlotLayout:
         return length <= self.free
 
     def add(self, request: Request) -> Segment:
-        if not self.can_fit(request.length):
+        used = self.used
+        if request.length > self.size - used:
             raise ValueError(
                 f"request of length {request.length} does not fit in slot "
-                f"with {self.free} free tokens"
+                f"with {self.size - used} free tokens"
             )
-        seg = Segment(request=request, start=self.start + self.used)
-        self.segments.append(seg)
+        seg = Segment(request=request, start=self.start + used)
+        self._append(seg)
         return seg
 
 
 @dataclass
-class RowLayout:
+class RowLayout(_Occupancy):
     """One batch row of capacity ``L`` tokens holding packed segments."""
 
     capacity: int
     segments: list[Segment] = field(default_factory=list)
     slots: Optional[list[SlotLayout]] = None
-
-    @property
-    def used(self) -> int:
-        return sum(s.length for s in self.segments)
+    _used: int = field(default=0, init=False, repr=False, compare=False)
+    _counted: int = field(default=0, init=False, repr=False, compare=False)
+    _counted_list: Optional[list[Segment]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     @property
     def extent(self) -> int:
@@ -150,13 +190,14 @@ class RowLayout:
 
     def add(self, request: Request) -> Segment:
         """Append a request at the current end of the row."""
-        if not self.can_fit(request.length):
+        used = self.used
+        if request.length > self.capacity - used:
             raise ValueError(
                 f"request of length {request.length} does not fit in row "
-                f"with {self.free} free tokens"
+                f"with {self.capacity - used} free tokens"
             )
-        seg = Segment(request=request, start=self.used)
-        self.segments.append(seg)
+        seg = Segment(request=request, start=used)
+        self._append(seg)
         return seg
 
     def requests(self) -> list[Request]:

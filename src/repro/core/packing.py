@@ -70,18 +70,41 @@ def pack_in_order(
     packed: list[Request] = []
     rejected: list[Request] = []
     row_idx = 0
+    free = row_length
     for req in requests:
-        if req.length > row_length:
+        length = req.length
+        if length > row_length:
             rejected.append(req)
             continue
-        while row_idx < num_rows and not layout.rows[row_idx].can_fit(req.length):
+        if length > free:
+            # Every later row is still empty, so the next one fits.
             row_idx += 1
+            free = row_length
         if row_idx >= num_rows:
             rejected.append(req)
             continue
         layout.rows[row_idx].add(req)
+        free -= length
         packed.append(req)
     return PackingResult(layout=layout, packed=packed, rejected=rejected)
+
+
+def first_fit(free: list[int], start_at: list[int], length: int) -> int:
+    """Lowest index ``k`` with ``free[k] >= length``, or ``len(free)``.
+
+    ``free`` only ever shrinks while a batch is packed, so the first bin
+    that fits a given length never moves left: ``start_at[length]``
+    remembers where the last probe for that length ended and the next
+    one resumes there.  All probes of one pack together cost
+    O(requests + lengths × bins) integer comparisons instead of
+    O(requests × bins) occupancy sums.
+    """
+    k = start_at[length]
+    n = len(free)
+    while k < n and free[k] < length:
+        k += 1
+    start_at[length] = k
+    return k
 
 
 def pack_first_fit(
@@ -89,19 +112,22 @@ def pack_first_fit(
 ) -> PackingResult:
     """First-fit: each request goes to the lowest-index row with space."""
     layout = _new_layout(num_rows, row_length)
+    rows = layout.rows
     packed: list[Request] = []
     rejected: list[Request] = []
+    free = [row_length] * num_rows
+    start_at = [0] * (row_length + 1)
     for req in requests:
-        if req.length > row_length:
+        length = req.length
+        if length > row_length:
             rejected.append(req)
             continue
-        target = next(
-            (row for row in layout.rows if row.can_fit(req.length)), None
-        )
-        if target is None:
+        k = first_fit(free, start_at, length)
+        if k == num_rows:
             rejected.append(req)
         else:
-            target.add(req)
+            rows[k].add(req)
+            free[k] -= length
             packed.append(req)
     return PackingResult(layout=layout, packed=packed, rejected=rejected)
 
@@ -118,15 +144,18 @@ def pack_best_fit_decreasing(
     layout = _new_layout(num_rows, row_length)
     packed: list[Request] = []
     rejected: list[Request] = []
+    free = [row_length] * num_rows
     for req in sorted(requests, key=lambda r: r.length, reverse=True):
-        if req.length > row_length:
+        length = req.length
+        # Tightest row that fits, lowest index among equals.
+        spare, k = min(
+            ((f, k) for k, f in enumerate(free) if f >= length),
+            default=(0, num_rows),
+        )
+        if k == num_rows:
             rejected.append(req)
             continue
-        candidates = [row for row in layout.rows if row.can_fit(req.length)]
-        if not candidates:
-            rejected.append(req)
-            continue
-        target = min(candidates, key=lambda row: row.free)
-        target.add(req)
+        layout.rows[k].add(req)
+        free[k] = spare - length
         packed.append(req)
     return PackingResult(layout=layout, packed=packed, rejected=rejected)

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 from repro.core.layout import BatchLayout, RowLayout, SlotLayout
+from repro.core.packing import first_fit
 from repro.types import Request
 
 __all__ = [
@@ -102,25 +103,26 @@ def pack_into_slots(
     slotting the paper's slot-size policy is designed to bound.
     """
     layout = BatchLayout(num_rows=num_rows, row_length=row_length, scheme="slotted")
+    # Rows in order, slots within a row in order: one flat first-fit.
+    bins: list[tuple[RowLayout, SlotLayout]] = []
     for row in layout.rows:
         row.slots = divide_row_into_slots(row, slot_size)
+        bins.extend((row, slot) for slot in row.slots)
+    free = [slot.size for _, slot in bins]
+    largest = max(free, default=0)
+    start_at = [0] * (largest + 1)
     packed: list[Request] = []
     rejected: list[Request] = []
     for req in requests:
-        placed = False
-        for row in layout.rows:
-            assert row.slots is not None
-            for slot in row.slots:
-                if slot.can_fit(req.length):
-                    seg = slot.add(req)
-                    row.segments.append(seg)
-                    packed.append(req)
-                    placed = True
-                    break
-            if placed:
-                break
-        if not placed:
+        length = req.length
+        k = first_fit(free, start_at, length) if length <= largest else len(bins)
+        if k == len(bins):
             rejected.append(req)
+            continue
+        row, slot = bins[k]
+        row.segments.append(slot.add(req))
+        free[k] -= length
+        packed.append(req)
     return SlottedPackingResult(
         layout=layout, slot_size=slot_size, packed=packed, rejected=rejected
     )

@@ -17,19 +17,20 @@ Theorem 5.1: the algorithm is ``ηq/(ηq+1)``-competitive; with the paper's
 ``η = q = ½`` that is ⅕.  ``tests/test_theory.py`` checks the bound
 against exact offline optima on random instances.
 
-Fast path (ISSUE 8, ``docs/performance.md``): the line-7 sort is a
-*total* order (utility with a request-id tie-break), and removing a
-row's chosen requests preserves that order — so re-sorting ``remaining``
-on every row, as the original implementation did, is provably the
-identity after the first row.  :meth:`DASScheduler.select` therefore
-sorts **once** per decision (or reuses the queue's maintained
-``by_utility`` view, skipping even that), keeps a running token total
-instead of re-summing the queue per row, and finds ``N^D_t`` by binary
-search (the candidates are utility-sorted, so the threshold cut is a
-prefix).  The original implementations are kept verbatim as
-``_reference_das_row_parts`` / ``DASScheduler._reference_select`` — the
-oracles that ``tests/test_das_fastpath.py`` and the differential
-equivalence harness compare against, bit for bit.
+Fast path (``docs/performance.md``): the line-7 sort is a *total* order
+(utility with a request-id tie-break), and removing a row's chosen
+requests preserves that order — so one sort per decision serves every
+row.  :meth:`DASScheduler.select` takes that order as flat columns
+(:func:`~repro.scheduling.queue.utility_columns`: requests, lengths,
+negated utilities, and one earliest-deadline-first ordering of the whole
+set) and never touches a request object inside the row loop: chosen
+requests are cleared in an ``alive`` byte mask, the saturating prefix
+walks from a moving head pointer, the ``q·v̄`` threshold is a ``bisect``
+on the utility column, and ``N^D_t`` is the live slice up to that cut
+read off the precomputed EDF ordering — no per-row sort.  The original
+re-sort-per-row implementation is the differential oracle in
+``tests/oracles/``; ``tests/test_das_fastpath.py`` and the equivalence
+harness compare against it bit for bit.
 """
 
 from __future__ import annotations
@@ -38,56 +39,16 @@ import math
 import time
 from bisect import bisect_right
 from itertools import accumulate
-from operator import itemgetter
 from typing import Optional, Sequence
+
+import numpy as np
 
 from repro.config import BatchConfig, SchedulerConfig
 from repro.scheduling.base import Scheduler, SchedulingDecision
+from repro.scheduling.queue import utility_columns
 from repro.types import Request
 
 __all__ = ["DASScheduler", "das_row_parts"]
-
-
-def _reference_das_row_parts(
-    candidates: Sequence[Request],
-    row_length: int,
-    eta: float,
-    q: float,
-) -> tuple[list[Request], list[Request], list[Request]]:
-    """The original O(n)-loop row split, kept as a differential oracle.
-
-    :func:`das_row_parts` must return bit-identical output on every
-    contract-satisfying input (candidates sorted by utility
-    non-increasingly); ``tests/test_das_fastpath.py`` enforces it on
-    adversarial and randomized inputs.
-    """
-    # Line 8: s_tk = saturating prefix size.
-    s = 0
-    acc = 0
-    for r in candidates:
-        if acc + r.length > row_length:
-            break
-        acc += r.length
-        s += 1
-    if s == 0:
-        # Even the highest-utility request alone does not fit (it is
-        # longer than L) — skip utility-dominant selection entirely.
-        return [], [], list(candidates)
-
-    # Line 9: p_tk = η · s_tk (at least one task so v̄ is defined).
-    p = max(1, math.floor(eta * s))
-    utility_dominant = list(candidates[:p])
-
-    v_bar = sum(r.utility for r in utility_dominant) / len(utility_dominant)
-    threshold = q * v_bar
-
-    deadline_aware: list[Request] = []
-    rest: list[Request] = []
-    for r in candidates[p:]:
-        (deadline_aware if r.utility >= threshold else rest).append(r)
-    # Line 12: deadline-aware set is consumed earliest-deadline-first.
-    deadline_aware.sort(key=lambda r: (r.deadline, r.request_id))
-    return utility_dominant, deadline_aware, rest
 
 
 def das_row_parts(
@@ -108,7 +69,7 @@ def das_row_parts(
     increasing, lengths being ≥ 1), and the ``N^D`` threshold split is
     a second binary search — the candidates are utility-sorted, so
     ``utility ≥ q·v̄`` holds for exactly a prefix of ``candidates[p:]``.
-    Bit-identical to :func:`_reference_das_row_parts` (tested).
+    Bit-identical to the plain-loop oracle in ``tests/oracles/`` (tested).
     """
     # Line 8: s_tk = saturating prefix size, by binary search on the
     # strictly-increasing prefix sums.
@@ -139,20 +100,9 @@ def das_row_parts(
     return utility_dominant, deadline_aware, rest
 
 
-# Tuple layout of the fast path's candidate entries: sorting compares
-# (-utility, request_id) — a total order, the id tie-break means later
-# elements are never reached — while the row loops index lengths,
-# deadlines and the request itself without attribute lookups.
-_NEG_UTILITY, _RID, _LENGTH, _DEADLINE, _REQ = range(5)
-_key_neg_utility = itemgetter(_NEG_UTILITY)
-_key_edf = itemgetter(_DEADLINE, _RID)
-
-
 class DASScheduler(Scheduler):
     """Algorithm 1.  ``record_parts=True`` keeps per-row (N^U, N^D) for
-    Algorithm 2 and for the theory tests.  ``reference=True`` runs the
-    original per-row-re-sort implementation (the equivalence oracle —
-    slower, bit-identical output)."""
+    Algorithm 2 and for the theory tests."""
 
     name = "das"
 
@@ -162,178 +112,28 @@ class DASScheduler(Scheduler):
         config: Optional[SchedulerConfig] = None,
         *,
         record_parts: bool = False,
-        reference: bool = False,
     ):
         super().__init__(batch)
         self.config = config or SchedulerConfig()
         self.record_parts = record_parts
-        self.reference = reference
         self.last_parts: list[tuple[list[Request], list[Request]]] = []
 
     def select(
         self, waiting: Sequence[Request], now: float = 0.0
     ) -> SchedulingDecision:
-        if self.reference:
-            return self._reference_select(waiting, now)
         start = time.perf_counter()
-        eta, q = self.config.eta, self.config.q
         L = self.batch.row_length
-        rows: list[list[Request]] = []
-        parts: list[tuple[list[Request], list[Request]]] = []
-
-        # Row 0 sees the waiting set in arrival order (like the
-        # reference, which only sorts on the first oversubscribed row).
-        arrival_order = [r for r in waiting if r.length <= L]
-        total = sum(r.length for r in arrival_order)
-        # Utility-sorted candidates as packed tuples; built lazily at
-        # the first oversubscribed row, then *reused* — removal keeps
-        # the order, so the reference's later re-sorts are identities.
-        # Chosen requests become tombstones in a ``dead`` set (rebuilding
-        # the list per row was the dominant cost at 10k+ queued); the
-        # list is compacted once tombstones outnumber the living.
-        cand: Optional[list[tuple]] = None
-        dead: set[int] = set()
-        live = 0
-        min_len = 1
-
-        for _k in range(self.batch.num_rows):
-            if cand is None:
-                if not arrival_order:
-                    break
-                if total <= L:
-                    # Lines 4–5: everything fits in this row.
-                    rows.append(list(arrival_order))
-                    parts.append((list(arrival_order), []))
-                    arrival_order = []
-                    break
-                # Line 7: sort by utility non-increasingly (stable
-                # tie-break on id for determinism) — once per decision.
-                # A WaitingView's maintained index skips even that.
-                by_util = getattr(waiting, "by_utility", None)
-                if by_util is not None:
-                    cand = [
-                        (-r.utility, r.request_id, r.length, r.deadline, r)
-                        for r in by_util
-                        if r.length <= L
-                    ]
-                else:
-                    cand = sorted(
-                        (-r.utility, r.request_id, r.length, r.deadline, r)
-                        for r in arrival_order
-                    )
-                arrival_order = []
-                live = len(cand)
-                min_len = min(t[_LENGTH] for t in cand)
-            else:
-                if live == 0:
-                    break
-                if total <= L:
-                    # Lines 4–5 on a later row: the survivors are in
-                    # utility order, exactly as the reference leaves
-                    # them after its row-(k-1) sort.
-                    survivors = [
-                        t[_REQ] for t in cand if t[_RID] not in dead
-                    ]
-                    rows.append(survivors)
-                    parts.append((list(survivors), []))
-                    live = 0
-                    break
-
-            # Line 8: saturating prefix s_tk (early-exit scan over the
-            # live entries; the prefix is at most one row's worth).
-            s = 0
-            acc = 0
-            for t in cand:
-                if t[_RID] in dead:
-                    continue
-                if acc + t[_LENGTH] > L:
-                    break
-                acc += t[_LENGTH]
-                s += 1
-
-            row: list[Request] = []
-            used = 0
-            chosen: set[int] = set()
-            n_d: list[tuple] = []
-            if s == 0:
-                # Unreachable after the length<=L filter (kept for
-                # parity with das_row_parts' degenerate contract): no
-                # utility-dominant set, back-fill from everything.
-                n_u: list[tuple] = []
-                rest_start = 0
-            else:
-                # Line 9: p_tk = η·s_tk, at least one so v̄ is defined.
-                p = max(1, math.floor(eta * s))
-                n_u = []
-                i_p = 0
-                for i_p, t in enumerate(cand):
-                    if t[_RID] in dead:
-                        continue
-                    n_u.append(t)
-                    if len(n_u) == p:
-                        break
-                i_p += 1
-                # Negation commutes with IEEE rounding, so summing the
-                # stored -u values and negating is bit-identical to the
-                # reference's sum of utilities.
-                v_bar = sum(-t[_NEG_UTILITY] for t in n_u) / p
-                threshold = q * v_bar
-                # N^D (line 11) is a prefix of the utility-sorted tail:
-                # u ≥ q·v̄ ⇔ -u ≤ -q·v̄ and -u is non-decreasing (the
-                # bisect keys on values, so tombstones don't perturb it).
-                cut = bisect_right(
-                    cand, -threshold, i_p, len(cand), key=_key_neg_utility
-                )
-                # Line 12: earliest-deadline-first within N^D.
-                n_d = sorted(
-                    (t for t in cand[i_p:cut] if t[_RID] not in dead),
-                    key=_key_edf,
-                )
-                rest_start = cut
-
-                for t in n_u:
-                    # The utility-dominant prefix fits by construction
-                    # of s_tk (p ≤ s), but guard anyway.
-                    if used + t[_LENGTH] <= L:
-                        row.append(t[_REQ])
-                        used += t[_LENGTH]
-                        chosen.add(t[_RID])
-            # Lines 11–12 consume N^D, lines 13–15 back-fill from the
-            # rest; once the spare capacity is below the shortest
-            # candidate nothing further can fit, so stop scanning (the
-            # reference walks on, selecting nothing — same outcome).
-            for t in n_d:
-                if L - used < min_len:
-                    break
-                if used + t[_LENGTH] <= L:
-                    row.append(t[_REQ])
-                    used += t[_LENGTH]
-                    chosen.add(t[_RID])
-            if L - used >= min_len:
-                for j in range(rest_start, len(cand)):
-                    t = cand[j]
-                    if t[_RID] in dead:
-                        continue
-                    if L - used < min_len:
-                        break
-                    if used + t[_LENGTH] <= L:
-                        row.append(t[_REQ])
-                        used += t[_LENGTH]
-                        chosen.add(t[_RID])
-
-            rows.append(row)
-            parts.append(
-                (
-                    [t[_REQ] for t in n_u if t[_RID] in chosen],
-                    [t[_REQ] for t in n_d if t[_RID] in chosen],
-                )
-            )
-            dead |= chosen
-            live -= len(chosen)
-            total -= used
-            if len(dead) * 2 > len(cand):
-                cand = [t for t in cand if t[_RID] not in dead]
-                dead.clear()
+        # Lines 4–5 on row 0, ahead of any column construction (a
+        # shallow queue never pays for one): everything fits, taken in
+        # arrival order.
+        servable = [r for r in waiting if r.length <= L]
+        total = sum(r.length for r in servable)
+        if not servable:
+            rows, parts = [], []
+        elif total <= L:
+            rows, parts = [servable], [(list(servable), [])]
+        else:
+            rows, parts = self._fill_rows(waiting, len(servable), total)
 
         if self.record_parts:
             self.last_parts = parts
@@ -343,8 +143,8 @@ class DASScheduler(Scheduler):
             # selection split between Algorithm 1's two mechanisms.
             info={
                 "scheduler": self.name,
-                "eta": eta,
-                "q": q,
+                "eta": self.config.eta,
+                "q": self.config.q,
                 "num_utility_dominant": sum(len(u) for u, _ in parts),
                 "num_deadline_aware": sum(len(d) for _, d in parts),
             },
@@ -352,80 +152,118 @@ class DASScheduler(Scheduler):
         decision.runtime = time.perf_counter() - start
         return decision
 
-    def _reference_select(
-        self, waiting: Sequence[Request], now: float = 0.0
-    ) -> SchedulingDecision:
-        """The original select — full re-sort and re-sum per row.
+    def _fill_rows(
+        self, waiting: Sequence[Request], live: int, total: int
+    ) -> tuple[list[list[Request]], list[tuple[list[Request], list[Request]]]]:
+        """Lines 6–15 for an oversubscribed waiting set, on columns.
 
-        Kept verbatim as the differential oracle; the fast path must
-        reproduce its output (rows, parts, info) bit for bit.
+        ``live`` requests of ``total`` tokens are servable (no longer
+        than a row).  Line 7's sort happens once, inside
+        :func:`utility_columns`; a chosen request is cleared in
+        ``alive`` and the order of the survivors is untouched.  Returns
+        the rows and their (N^U, N^D) parts.
         """
-        start = time.perf_counter()
         eta, q = self.config.eta, self.config.q
         L = self.batch.row_length
-        remaining = [r for r in waiting if r.length <= L]
+        reqs, lengths, neg_u, edf_order = utility_columns(waiting)
+        n = len(reqs)
+        len_col = np.array(lengths, dtype=np.int64)
+        # One buffer, two views: scalar reads and writes go through the
+        # bytearray (cheap in Python), whole-column tests through NumPy.
+        alive = bytearray(b"\x01") * n if live == n else bytearray(x <= L for x in lengths)
+        alive_col = np.frombuffer(alive, dtype=np.bool_)
+        # Live requests per length and the shortest live length: once a
+        # row's spare capacity is below it nothing further can fit.  The
+        # extra last entry stops the pointer when nothing is left.
+        live_of_length = np.bincount(len_col[alive_col], minlength=L + 2).tolist()
+        live_of_length[L + 1] = 1
+        shortest = 1
+        head = 0
         rows: list[list[Request]] = []
         parts: list[tuple[list[Request], list[Request]]] = []
 
+        def take(order: np.ndarray, chosen: list[int], spare: int) -> int:
+            """Greedily move what fits from *order* to *chosen*, in order.
+
+            Called with ``spare >= shortest``; returns as soon as that
+            stops holding, which is usually within the first chunk — so
+            the positions are unboxed a chunk at a time.
+            """
+            nonlocal shortest
+            for lo in range(0, len(order), 64):
+                for i in order[lo : lo + 64].tolist():
+                    length = lengths[i]
+                    if length <= spare:
+                        chosen.append(i)
+                        spare -= length
+                        alive[i] = 0
+                        live_of_length[length] -= 1
+                        while not live_of_length[shortest]:
+                            shortest += 1
+                        if spare < shortest:
+                            return spare
+            return spare
+
         for _k in range(self.batch.num_rows):
-            if not remaining:
+            if live == 0:
                 break
-            total = sum(r.length for r in remaining)
             if total <= L:
-                # Lines 4–5: everything fits in this row.
-                rows.append(list(remaining))
-                parts.append((list(remaining), []))
-                remaining = []
+                # Lines 4–5 on a later row: the survivors, in utility
+                # order (as a per-row re-sort would leave them).
+                survivors = [reqs[i] for i in np.flatnonzero(alive_col).tolist()]
+                rows.append(survivors)
+                parts.append((list(survivors), []))
                 break
 
-            # Line 7: sort by utility non-increasingly (stable tie-break
-            # on id for determinism).
-            remaining.sort(key=lambda r: (-r.utility, r.request_id))
-            n_u, n_d, rest = _reference_das_row_parts(remaining, L, eta, q)
+            # Line 8: saturating prefix s_tk over the live entries, from
+            # the first live one (at most one row's worth of steps).
+            while not alive[head]:
+                head += 1
+            prefix: list[int] = []
+            acc = 0
+            for i in range(head, n):
+                if alive[i]:
+                    acc += lengths[i]
+                    if acc > L:
+                        break
+                    prefix.append(i)
+            # Line 9: p_tk = η·s_tk, at least one so v̄ is defined
+            # (s_tk ≥ 1: every live request fits an empty row).
+            n_u = prefix[: max(1, math.floor(eta * len(prefix)))]
+            after_u = n_u[-1] + 1
+            # Summed left to right in Python: bit-equal to the oracle.
+            v_bar = sum([-neg_u[i] for i in n_u]) / len(n_u)
+            # N^D (line 11) is a prefix of the utility-sorted tail:
+            # u ≥ q·v̄ ⇔ -u ≤ -q·v̄ and -u is non-decreasing (the bisect
+            # keys on values, so cleared entries don't perturb it).
+            cut = bisect_right(neg_u, -(q * v_bar), after_u)
 
-            row: list[Request] = []
-            used = 0
-            chosen: set[int] = set()
-            for r in n_u:
-                # The utility-dominant prefix fits by construction of s_tk
-                # (p ≤ s), but guard anyway.
-                if used + r.length <= L:
-                    row.append(r)
-                    used += r.length
-                    chosen.add(r.request_id)
-            # Lines 11–12: earliest-deadline-first from N^D.
-            for r in n_d:
-                if used + r.length <= L:
-                    row.append(r)
-                    used += r.length
-                    chosen.add(r.request_id)
-            # Lines 13–15: back-fill from the rest (utility order).
-            for r in rest:
-                if used + r.length <= L:
-                    row.append(r)
-                    used += r.length
-                    chosen.add(r.request_id)
+            # The utility-dominant prefix fits by construction (p ≤ s).
+            chosen = list(n_u)
+            spare = L
+            for i in n_u:
+                spare -= lengths[i]
+                alive[i] = 0
+                live_of_length[lengths[i]] -= 1
+            while not live_of_length[shortest]:
+                shortest += 1
+            num_d = 0
+            if spare >= shortest and cut > after_u:
+                # Lines 11–12: N^D, earliest deadline first.  Only a live
+                # request no longer than the spare capacity can be taken,
+                # now or later in this row: the others are left out of
+                # the walk up front.  (Nothing before N^U's end is live.)
+                n_d = edf_order[(alive_col & (len_col <= spare))[edf_order]]
+                spare = take(n_d[n_d < cut], chosen, spare)
+                num_d = len(chosen) - len(n_u)
+            if spare >= shortest and cut < n:
+                # Lines 13–15: back-fill from the rest, in utility order.
+                rest = np.flatnonzero(alive_col[cut:] & (len_col[cut:] <= spare))
+                spare = take(rest + cut, chosen, spare)
 
+            row = [reqs[i] for i in chosen]
             rows.append(row)
-            parts.append(
-                (
-                    [r for r in n_u if r.request_id in chosen],
-                    [r for r in n_d if r.request_id in chosen],
-                )
-            )
-            remaining = [r for r in remaining if r.request_id not in chosen]
-
-        if self.record_parts:
-            self.last_parts = parts
-        decision = SchedulingDecision(
-            rows=rows,
-            info={
-                "scheduler": self.name,
-                "eta": eta,
-                "q": q,
-                "num_utility_dominant": sum(len(u) for u, _ in parts),
-                "num_deadline_aware": sum(len(d) for _, d in parts),
-            },
-        )
-        decision.runtime = time.perf_counter() - start
-        return decision
+            parts.append((row[: len(n_u)], row[len(n_u) : len(n_u) + num_d]))
+            live -= len(chosen)
+            total -= L - spare
+        return rows, parts

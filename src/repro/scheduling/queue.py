@@ -12,25 +12,28 @@ requeued.  Every request ends in exactly one ledger — served, expired,
 or abandoned — which is what the serving loops' conservation invariant
 checks.
 
-Fast path (ISSUE 8, ``docs/performance.md``): the queue is *indexed*.
-A deadline min-heap with lazy deletion makes :meth:`expire` ``O(k log
-n)`` for ``k`` casualties instead of a full ``O(n)`` scan per step; an
-arrival min-heap makes :meth:`queue_delay` ``O(1)`` amortised; and
-maintained sorted views (by utility for DAS, by arrival for
-iteration-level admission) let schedulers stop re-sorting the waiting
-set from scratch on every decision.  All of it sits *behind* the
-pre-existing public API, and every observable output — contents,
-ordering, ledgers, token counts — is bit-identical to the reference
-implementation kept below as :class:`_ReferenceRequestQueue` (the
-differential oracle of ``tests/test_fastpath_equivalence.py`` and the
-property fuzz suite in ``tests/test_queue_fuzz.py``).
+Fast path (``docs/performance.md``): the queue is *indexed* where an
+index pays for itself.  A deadline min-heap with lazy deletion makes
+:meth:`expire` ``O(k log n)`` for ``k`` casualties instead of a full
+``O(n)`` scan per step, and an arrival min-heap makes
+:meth:`queue_delay` ``O(1)`` amortised.  The *sorted* orders schedulers
+need (by utility for DAS, by arrival for iteration-level admission) are
+not maintained: :class:`WaitingView` lowers ``N_t`` to flat columns and
+takes one ``np.lexsort`` per decision, which costs less than keeping an
+insertion-sorted index current through every add (a saturated run makes
+~300 adds per decision).  All of it sits *behind* the public API, and
+every observable output — contents, ordering, ledgers, token counts —
+is bit-identical to the dict-and-scan queue kept as the differential
+oracle in ``tests/oracles/`` (``tests/test_fastpath_equivalence.py``,
+``tests/test_queue_fuzz.py``).
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
-from typing import TYPE_CHECKING, Iterable, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.types import Request
 from repro.watermark import mark
@@ -38,80 +41,69 @@ from repro.watermark import mark
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overload.backpressure import QueueLimits, QueuePressure
 
-__all__ = ["RequestQueue", "WaitingView"]
+__all__ = ["RequestQueue", "UtilityColumns", "WaitingView", "utility_columns"]
+
+
+class UtilityColumns(NamedTuple):
+    """A waiting set in DAS's line-7 order, lowered to aligned columns.
+
+    Position ``i`` of every column is the request with the ``i``-th
+    highest utility (ties broken by request id, so the order is total).
+    What :meth:`DASScheduler.select` walks instead of request objects.
+    """
+
+    requests: list[Request]
+    lengths: list[int]
+    #: ``-utility`` per position: non-decreasing, so ``bisect`` works.
+    neg_utilities: list[float]
+    #: Positions in earliest-deadline-first order (ties by request id).
+    edf_order: np.ndarray
+
+
+def utility_columns(requests: Sequence[Request]) -> UtilityColumns:
+    """Lower *requests* (any order) to :class:`UtilityColumns`.
+
+    One pass over the objects per column, then two ``np.lexsort`` calls:
+    no key tuples, no Python-level comparisons.
+    """
+    ids = np.array([r.request_id for r in requests], dtype=np.int64)
+    neg_u = np.array([-r.utility for r in requests], dtype=np.float64)
+    order = np.lexsort((ids, neg_u))
+    ids = ids[order]
+    by_utility = [requests[i] for i in order.tolist()]
+    deadlines = np.array([r.deadline for r in by_utility], dtype=np.float64)
+    return UtilityColumns(
+        requests=by_utility,
+        lengths=[r.length for r in by_utility],
+        neg_utilities=neg_u[order].tolist(),
+        edf_order=np.lexsort((ids, deadlines)),
+    )
 
 
 class WaitingView(list):
-    """``N_t`` as a list (arrival/insertion order) plus sorted views.
+    """``N_t`` as a list (arrival/insertion order) plus its sort orders.
 
     Plain ``list`` everywhere a list is expected; additionally exposes
-    ``by_utility`` (sorted by ``(-utility, request_id)``, DAS's line-7
-    order) and ``by_arrival`` (sorted by ``(arrival, request_id)``,
-    iteration-level FCFS admission order) without re-sorting when the
-    queue's maintained indexes are fresh.
-
-    The sorted views are only valid until the queue next mutates; the
-    view detects staleness via the queue's mutation counter and falls
-    back to an explicit sort, so a held-too-long view degrades to the
-    reference behaviour instead of returning stale order.
+    ``by_utility`` (DAS's line-7 order — :func:`utility_columns` is the
+    same order with the columns DAS walks) and ``by_arrival`` (sorted by
+    ``(arrival, request_id)``, iteration-level FCFS admission order).
+    Each is computed from the view's own contents when asked for, so a
+    view held across queue mutations stays a consistent snapshot.
     """
 
-    __slots__ = ("_queue", "_now", "_stamp")
-
-    def __init__(self, items, queue: Optional["RequestQueue"], now: float):
-        super().__init__(items)
-        self._queue = queue
-        self._now = now
-        self._stamp = queue._mutations if queue is not None else -1
+    __slots__ = ()
 
     @property
     def by_utility(self) -> list[Request]:
         """Contents sorted by ``(-utility, request_id)`` (unique order)."""
-        q = self._queue
-        if q is not None and q._mutations == self._stamp:
-            return q._utility_sorted(self._now)
-        return sorted(self, key=lambda r: (-r.utility, r.request_id))
+        return utility_columns(self).requests
 
     @property
     def by_arrival(self) -> list[Request]:
         """Contents sorted by ``(arrival, request_id)`` (unique order)."""
-        q = self._queue
-        if q is not None and q._mutations == self._stamp:
-            return q._arrival_sorted(self._now)
-        return sorted(self, key=lambda r: (r.arrival, r.request_id))
-
-
-class _SortedIndex:
-    """A maintained sorted list of ``(key, request_id, seq)`` entries.
-
-    Removal is *lazy*: an entry is live iff the queue's incarnation map
-    still carries its ``(request_id, seq)`` pair, so deletes cost
-    nothing here and stale entries are skipped (and periodically
-    compacted) at read time.  Activation is lazy too — until the first
-    query the index is not maintained at all, so runs that never sort
-    by this key pay nothing per operation.
-    """
-
-    __slots__ = ("entries", "active")
-
-    def __init__(self) -> None:
-        self.entries: list[tuple] = []
-        self.active = False
-
-    def insert(self, key: tuple, rid: int, seq: int) -> None:
-        if self.active:
-            insort(self.entries, (key, rid, seq))
-
-    def activate(self, items: Iterable[tuple[tuple, int, int]]) -> None:
-        self.entries = sorted((key, rid, seq) for key, rid, seq in items)
-        self.active = True
-
-    def live(self, order: dict[int, int]) -> Iterable[tuple]:
-        return (e for e in self.entries if order.get(e[1]) == e[2])
-
-    def compact(self, order: dict[int, int]) -> None:
-        if len(self.entries) > 2 * len(order) + 64:
-            self.entries = [e for e in self.entries if order.get(e[1]) == e[2]]
+        ids = np.array([r.request_id for r in self], dtype=np.int64)
+        arrivals = np.array([r.arrival for r in self], dtype=np.float64)
+        return [self[i] for i in np.lexsort((ids, arrivals)).tolist()]
 
 
 class RequestQueue:
@@ -129,10 +121,8 @@ class RequestQueue:
         self._queued_tokens = 0
         # ---- fast-path indexes (never observable through the API) ----
         # Monotone insertion counter; _order maps each *currently
-        # waiting* request id to the seq of its live incarnation, which
-        # is what makes lazy deletion sound: an index entry is live iff
-        # its (rid, seq) pair is still in _order, so a request that was
-        # removed and later requeued can never resurrect stale entries.
+        # waiting* request id to the seq of its insertion, so expire()
+        # can report heap-ordered casualties in insertion order.
         self._seq = 0
         self._order: dict[int, int] = {}
         # (deadline, request_id) min-heap with lazy deletion → expire()
@@ -141,12 +131,6 @@ class RequestQueue:
         # (arrival, request_id) min-heap with lazy deletion → O(1)
         # amortised head-of-line age for the overload controller.
         self._arrival_heap: list[tuple[float, int]] = []
-        # Maintained sorted views (lazily activated on first use).
-        self._by_utility = _SortedIndex()
-        self._by_arrival = _SortedIndex()
-        # Bumped on every mutation; WaitingView uses it to detect
-        # staleness of its cached sorted views.
-        self._mutations = 0
 
     def __len__(self) -> int:
         return len(self._waiting)
@@ -181,52 +165,16 @@ class RequestQueue:
         self._order[rid] = seq
         heapq.heappush(self._deadline_heap, (request.deadline, rid))
         heapq.heappush(self._arrival_heap, (request.arrival, rid))
-        self._by_utility.insert((-request.utility, rid), rid, seq)
-        self._by_arrival.insert((request.arrival, rid), rid, seq)
-        self._mutations += 1
 
     def _forget(self, request: Request) -> None:
-        """Remove one request from ``_waiting`` and the incarnation map.
+        """Remove one request from ``_waiting`` and the insertion map.
 
-        Heap/index entries are *not* touched — they die lazily when a
-        read encounters them with a missing or mismatched seq.
+        Heap entries are *not* touched — they die lazily when a read
+        encounters them with no (or a different) waiting request.
         """
         del self._waiting[request.request_id]
         self._order.pop(request.request_id, None)
         self._queued_tokens -= request.length
-        self._mutations += 1
-
-    def _utility_sorted(self, now: float) -> list[Request]:
-        """Available requests by ``(-utility, request_id)`` (maintained)."""
-        idx = self._by_utility
-        if not idx.active:
-            idx.activate(
-                ((-r.utility, rid), rid, self._order[rid])
-                for rid, r in self._waiting.items()
-            )
-        idx.compact(self._order)
-        waiting = self._waiting
-        return [
-            r
-            for (_key, rid, _seq) in idx.live(self._order)
-            if (r := waiting[rid]).arrival <= now <= r.deadline
-        ]
-
-    def _arrival_sorted(self, now: float) -> list[Request]:
-        """Available requests by ``(arrival, request_id)`` (maintained)."""
-        idx = self._by_arrival
-        if not idx.active:
-            idx.activate(
-                ((r.arrival, rid), rid, self._order[rid])
-                for rid, r in self._waiting.items()
-            )
-        idx.compact(self._order)
-        waiting = self._waiting
-        return [
-            r
-            for (_key, rid, _seq) in idx.live(self._order)
-            if (r := waiting[rid]).arrival <= now <= r.deadline
-        ]
 
     def _maybe_compact_heaps(self) -> None:
         """Bound lazy-deletion debris under heavy requeue churn."""
@@ -287,18 +235,12 @@ class RequestQueue:
     def waiting(self, now: float) -> "WaitingView":
         """``N_t``: available requests at time ``now`` (arrival order).
 
-        The result is a plain list (insertion order, as before) that
-        additionally carries maintained ``by_utility`` / ``by_arrival``
-        sorted views for schedulers (see :class:`WaitingView`).
+        The result is a plain list (insertion order) that additionally
+        lowers itself to sorted columns for schedulers (see
+        :class:`WaitingView`).
         """
         return WaitingView(
-            (
-                r
-                for r in self._waiting.values()
-                if r.arrival <= now <= r.deadline
-            ),
-            self,
-            now,
+            [r for r in self._waiting.values() if r.arrival <= now <= r.deadline]
         )
 
     def drop(self, requests: Sequence[Request]) -> None:
@@ -433,79 +375,3 @@ class RequestQueue:
                 continue
             return max(0.0, now - arrival)
         return 0.0
-
-
-class _ReferenceRequestQueue(RequestQueue):
-    """The pre-ISSUE-8 O(n)-scan queue, kept verbatim as a test oracle.
-
-    Overrides every index-accelerated method with the original
-    full-scan implementation (the indexes stay inert).  The fast path
-    must be bit-identical to this class on every observable output —
-    the differential equivalence harness and the property fuzz suite
-    enforce it.  Not part of the public API; never use it in serving
-    code.
-    """
-
-    def add(self, request: Request) -> None:
-        if request.request_id in self._waiting or request.request_id in self.served_ids:
-            raise ValueError(f"duplicate request id {request.request_id}")
-        self._waiting[request.request_id] = request
-        self._queued_tokens += request.length
-
-    def expire(self, now: float) -> list[Request]:
-        dead = [r for r in self._waiting.values() if r.deadline < now]
-        for r in dead:
-            del self._waiting[r.request_id]
-            self._queued_tokens -= r.length
-        self.expired.extend(dead)
-        return dead
-
-    def waiting(self, now: float) -> list[Request]:  # type: ignore[override]
-        return [
-            r
-            for r in self._waiting.values()
-            if r.arrival <= now <= r.deadline
-        ]
-
-    def drop(self, requests: Sequence[Request]) -> None:
-        for r in requests:
-            if r.request_id in self._waiting:
-                del self._waiting[r.request_id]
-                self._queued_tokens -= r.length
-                self.expired.append(r)
-
-    def take(self, requests: Sequence[Request]) -> list[Request]:
-        taken: list[Request] = []
-        for r in requests:
-            if r.request_id in self._waiting:
-                del self._waiting[r.request_id]
-                self._queued_tokens -= r.length
-                taken.append(r)
-        return taken
-
-    def remove_served(self, requests: Sequence[Request]) -> None:
-        for r in requests:
-            if r.request_id not in self._waiting:
-                raise KeyError(f"request {r.request_id} not in queue")
-            del self._waiting[r.request_id]
-            self._queued_tokens -= r.length
-            self.served_ids.add(r.request_id)
-
-    def abandon(self, requests: Sequence[Request]) -> None:
-        for r in requests:
-            if self._waiting.pop(r.request_id, None) is not None:
-                self._queued_tokens -= r.length
-            self.abandoned.append(r)
-
-    def requeue(self, requests: Sequence[Request]) -> None:
-        for r in requests:
-            self.served_ids.discard(r.request_id)
-            if r.request_id not in self._waiting:
-                self._waiting[r.request_id] = r
-                self._queued_tokens += r.length
-
-    def queue_delay(self, now: float) -> float:
-        if not self._waiting:
-            return 0.0
-        oldest = min(r.arrival for r in self._waiting.values())
-        return max(0.0, now - oldest)

@@ -33,14 +33,10 @@ class SlottedDASScheduler(Scheduler):
         self,
         batch: BatchConfig,
         config: Optional[SchedulerConfig] = None,
-        *,
-        reference: bool = False,
     ):
         super().__init__(batch)
         self.config = config or SchedulerConfig()
-        self._das = DASScheduler(
-            batch, self.config, record_parts=True, reference=reference
-        )
+        self._das = DASScheduler(batch, self.config, record_parts=True)
 
     def select(
         self, waiting: Sequence[Request], now: float = 0.0

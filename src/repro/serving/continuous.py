@@ -191,8 +191,8 @@ class ContinuousBatchingSimulator:
             iter_budget = budget if ov is None else ov.scale_budget(budget)
             used = sum(r.request.length for r in running)
             # The admission orders are total (request-id tie-break), so
-            # the queue's maintained sorted views are bit-identical to
-            # an explicit sort — and skip the per-iteration O(n log n).
+            # the view's column sort (one np.lexsort, no key tuples) is
+            # bit-identical to an explicit keyed sort of the requests.
             view = queue.waiting(now)
             attr = "by_arrival" if self.admission == "fcfs" else "by_utility"
             waiting = getattr(view, attr, None)

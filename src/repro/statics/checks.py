@@ -315,30 +315,9 @@ class QuadraticAllocation(Rule):
                 return kw.value
         return node.args[0] if node.args else None
 
-    @staticmethod
-    def _reference_spans(tree: ast.AST) -> list[tuple[int, int]]:
-        """Line ranges of ``_reference_*`` functions (differential
-        oracles kept verbatim for the fast-path equivalence harness —
-        exempt by design, see docs/statics.md)."""
-        spans: list[tuple[int, int]] = []
-        for node in ast.walk(tree):
-            is_oracle = (
-                isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and node.name.startswith("_reference_")
-            ) or (
-                isinstance(node, ast.ClassDef)
-                and node.name.startswith("_Reference")
-            )
-            if is_oracle:
-                spans.append((node.lineno, node.end_lineno or node.lineno))
-        return spans
-
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        oracle_spans = self._reference_spans(ctx.tree)
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
-                continue
-            if any(a <= node.lineno <= b for a, b in oracle_spans):
                 continue
             target = resolve(ctx, node.func)
             if target not in self._ALLOCATORS:

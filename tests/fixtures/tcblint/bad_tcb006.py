@@ -17,14 +17,3 @@ def fine_rectangular(b, w, d):
 
 def fine_small_constant():
     return np.zeros((3, 3))  # constants are not the L-by-L pattern
-
-
-def _reference_score_matrix(b, w):
-    # Differential oracle kept verbatim (ISSUE 8): exempt by name.
-    return np.zeros((b, w, w))
-
-
-class _ReferenceThing:
-    def dense(self, L):
-        # Inside a _Reference* oracle class: exempt.
-        return np.empty(shape=(L, L))

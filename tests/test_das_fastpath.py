@@ -19,13 +19,10 @@ import pytest
 
 from repro.config import BatchConfig, SchedulerConfig
 from repro.rng import ensure_rng
-from repro.scheduling.das import (
-    DASScheduler,
-    _reference_das_row_parts,
-    das_row_parts,
-)
+from repro.scheduling.das import DASScheduler, das_row_parts
 from repro.scheduling.queue import RequestQueue
 from repro.types import Request
+from tests.oracles.das import _reference_das_row_parts, das_scheduler
 
 
 def _ids(requests):
@@ -179,7 +176,7 @@ class TestIncrementalSelect:
                 q=float(rng.choice([0.1, 0.5, 0.9])),
             )
             fast = DASScheduler(batch, cfg, record_parts=True)
-            ref = DASScheduler(batch, cfg, record_parts=True, reference=True)
+            ref = das_scheduler(batch, cfg, record_parts=True, reference=True)
             _assert_select_equal(fast, ref, _random_state(rng, n))
 
     @pytest.mark.parametrize("seed", range(4))
@@ -195,7 +192,7 @@ class TestIncrementalSelect:
             now = float(rng.uniform(2.0, 8.0))
             batch = BatchConfig(num_rows=4, row_length=20)
             fast = DASScheduler(batch, record_parts=True)
-            ref = DASScheduler(batch, record_parts=True, reference=True)
+            ref = das_scheduler(batch, record_parts=True, reference=True)
             _assert_select_equal(fast, ref, queue.waiting(now), now)
 
 
@@ -224,7 +221,7 @@ class TestMultiRowRegressionPin:
 
     @pytest.mark.parametrize("reference", [False, True])
     def test_pinned_selection(self, reference):
-        sched = DASScheduler(
+        sched = das_scheduler(
             BatchConfig(num_rows=3, row_length=16),
             SchedulerConfig(),
             record_parts=True,

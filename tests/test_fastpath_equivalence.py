@@ -3,8 +3,9 @@
 The ISSUE 8 headline guarantee.  The fast path (indexed
 ``RequestQueue``, incremental ``DASScheduler.select``, memoized
 ``GPUCostModel``) must be **bit-identical** to the pre-ISSUE-8
-implementations — kept verbatim as ``_ReferenceRequestQueue`` and
-``DASScheduler(reference=True)`` — on every observable output.  The
+implementations — kept verbatim in ``tests/oracles/`` as
+``_ReferenceRequestQueue`` and ``das_scheduler(reference=True)`` — on
+every observable output.  The
 proof obligation is discharged end to end: seeded randomized workloads
 through all three serving loops × {DAS, Slotted DAS, FCFS} × seeds,
 with and without faults + overload + durability, comparing
@@ -30,9 +31,6 @@ from repro.obs.recorder import Tracer
 from repro.overload import OverloadConfig, OverloadController, QueueLimits
 from repro.overload.controller import DegradationConfig
 from repro.scheduling.baselines import FCFSScheduler
-from repro.scheduling.das import DASScheduler
-from repro.scheduling.queue import _ReferenceRequestQueue
-from repro.scheduling.slotted_das import SlottedDASScheduler
 from repro.serving import lifecycle as _lifecycle_mod
 from repro.serving.autoscale import AutoscalingSimulator
 from repro.serving.cluster import ClusterSimulator
@@ -40,6 +38,8 @@ from repro.serving.continuous import ContinuousBatchingSimulator
 from repro.serving.simulator import ServingSimulator
 from repro.workload.deadlines import DeadlineModel
 from repro.workload.generator import LengthDistribution, WorkloadGenerator
+from tests.oracles.das import das_scheduler, slotted_das_scheduler
+from tests.oracles.queue import _ReferenceRequestQueue
 
 BATCH = BatchConfig(num_rows=4, row_length=20)
 HORIZON = 10.0
@@ -51,7 +51,7 @@ def reference_serving_core():
     """Run serving loops on the pre-ISSUE-8 reference queue.
 
     Schedulers are constructed by callers, so the reference *scheduler*
-    is selected separately via ``DASScheduler(..., reference=True)``;
+    is selected separately via ``das_scheduler(..., reference=True)``;
     this context only swaps the queue class.  ``serving/lifecycle.py`` is
     the one module that constructs the run's queue (by module-local
     name), so the swap covers every loop and ``TCBServer``.
@@ -104,9 +104,9 @@ def _overload():
 def _scheduler(kind, *, reference):
     cfg = SchedulerConfig()
     if kind == "das":
-        return DASScheduler(BATCH, cfg, reference=reference)
+        return das_scheduler(BATCH, cfg, reference=reference)
     if kind == "slotted_das":
-        return SlottedDASScheduler(BATCH, cfg, reference=reference)
+        return slotted_das_scheduler(BATCH, cfg, reference=reference)
     if kind == "fcfs":
         # FCFS has no fast/reference split of its own; its runs differ
         # only through the queue swap.
@@ -297,7 +297,7 @@ class TestEtaQSettings:
         def run(_kind, seed, *, reference, faults, overload, durability):
             tr = Tracer()
             sim = ServingSimulator(
-                DASScheduler(BATCH, cfg, reference=reference),
+                das_scheduler(BATCH, cfg, reference=reference),
                 _engine(seed, faults),
                 trace=tr,
                 overload=_overload() if overload else None,
@@ -327,7 +327,7 @@ class TestOverloadTransitions:
                 )
             )
             sim = ServingSimulator(
-                DASScheduler(BATCH, reference=reference),
+                das_scheduler(BATCH, reference=reference),
                 ConcatEngine(BATCH),
                 overload=ov,
             )

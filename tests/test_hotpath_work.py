@@ -1,0 +1,178 @@
+"""Deterministic work guard for the scheduler → packer hot path.
+
+No clock: the interpreter's own hooks count what one ``select`` and one
+pack do on a fixed deep-queue instance (1 000 waiting requests, 64 rows
+× 100 tokens — the shape of the saturated simulator workload).  The
+counts are exact and repeat on any machine, so a return to sorting per
+row, to walking every candidate per row, or to re-summing a row's
+segments per probe fails here whatever the box is doing.
+"""
+
+import sys
+from collections import Counter
+from pathlib import Path
+
+import pytest
+
+from repro.config import BatchConfig
+from repro.core.packing import pack_first_fit
+from repro.core.slotting import pack_into_slots
+from repro.rng import ensure_rng
+from repro.scheduling.das import DASScheduler
+from repro.scheduling.queue import RequestQueue
+from repro.types import Request
+
+BATCH = BatchConfig(num_rows=64, row_length=100)
+DEPTH = 1000
+SORTS = ("sorted", "sort", "argsort", "lexsort")
+
+
+class Work:
+    """What one call did: calls by name, and executions per source line."""
+
+    def __init__(self) -> None:
+        self.calls: Counter = Counter()  # C and Python callables, by name
+        self.frames: Counter = Counter()  # Python frames, by (file stem, name)
+        self.lines: Counter = Counter()  # (file stem, function, line number)
+
+    def python_calls(self, stem: str) -> int:
+        return sum(n for (s, _), n in self.frames.items() if s == stem)
+
+    def hottest_line(self, stem: str, function: str) -> int:
+        """Executions of the most-executed line of *function* (its inner loop)."""
+        return max(
+            (n for (s, f, _), n in self.lines.items() if (s, f) == (stem, function)),
+            default=0,
+        )
+
+
+def measure(fn, *args) -> tuple[object, Work]:
+    work = Work()
+
+    def on_call(frame, event, arg):
+        if event == "c_call":
+            work.calls[getattr(arg, "__name__", "?")] += 1
+        elif event == "call":
+            code = frame.f_code
+            work.calls[code.co_name] += 1
+            work.frames[(Path(code.co_filename).stem, code.co_name)] += 1
+
+    def on_line(frame, event, arg):
+        if event == "line":
+            code = frame.f_code
+            work.lines[(Path(code.co_filename).stem, code.co_name, frame.f_lineno)] += 1
+        return on_line
+
+    def on_frame(frame, event, arg):
+        return on_line if "repro" in frame.f_code.co_filename else None
+
+    sys.setprofile(on_call)
+    sys.settrace(on_frame)
+    try:
+        result = fn(*args)
+    finally:
+        sys.settrace(None)
+        sys.setprofile(None)
+    return result, work
+
+
+@pytest.fixture(scope="module")
+def waiting():
+    """A deep queue with §6.2.1 lengths, through the production queue."""
+    rng = ensure_rng(21)
+    queue = RequestQueue()
+    for i in range(DEPTH):
+        queue.add(
+            Request(
+                request_id=i,
+                length=int(min(100, max(3, round(rng.normal(20.0, 20.0))))),
+                arrival=0.0,
+                deadline=float(rng.uniform(1.0, 6.0)),
+            )
+        )
+    return queue.waiting(0.5)
+
+
+@pytest.fixture(scope="module")
+def selection(waiting):
+    decision, work = measure(DASScheduler(BATCH).select, waiting)
+    assert len(decision.rows) == BATCH.num_rows
+    return decision.selected(), work
+
+
+class TestSelectWork:
+    def test_orders_the_candidates_once(self, selection):
+        _, work = selection
+        # One utility ordering and one deadline ordering per decision …
+        assert work.calls["lexsort"] == 2
+        # … and no other sort of any kind, so none per row.
+        assert sum(work.calls[name] for name in SORTS) == 2
+        # No key function: nothing of ours is called per comparison.
+        assert work.frames[("das", "<lambda>")] == 0
+        assert work.frames[("queue", "<lambda>")] == 0
+        assert work.calls["itemgetter"] == 0
+
+    def test_python_calls_do_not_grow_with_rows_times_candidates(self, selection):
+        _, work = selection
+        rows = BATCH.num_rows
+        # A few passes over the candidates to lower them to columns, and
+        # a handful of calls per row.
+        assert work.python_calls("queue") <= 6
+        assert work.python_calls("das") <= 3 * DEPTH + 4 * rows
+        assert work.frames[("types", "utility")] == DEPTH
+
+    def test_walks_stop_at_the_shortest_live_request(self, selection):
+        selected, work = selection
+        # Candidates examined while filling N^D and the back-fill, all
+        # rows together.  Each row's walk ends once its spare capacity
+        # is below the shortest request still alive, so this stays near
+        # what was taken (505 for 559 selected) — not rows × candidates
+        # (64 000), and not the 7 677 it is on this instance when the
+        # bound is the shortest request of the whole waiting set.
+        examined = work.hottest_line("das", "take")
+        assert len(selected) // 2 <= examined <= 2 * len(selected)
+        # The saturating-prefix scan restarts at the first live entry.
+        assert work.hottest_line("das", "_fill_rows") <= 4 * len(selected)
+
+
+class TestPackWork:
+    def test_first_fit_reads_occupancy_once_per_placement(self, selection):
+        selected, _ = selection
+        result, work = measure(
+            pack_first_fit, selected, BATCH.num_rows, BATCH.row_length
+        )
+        packed = len(result.packed)
+        assert packed == len(selected)
+        # O(requests + rows) occupancy reads, none of them a re-sum.
+        assert work.frames[("layout", "used")] == packed
+        assert work.calls["sum"] == 0
+        assert work.frames[("layout", "<genexpr>")] == 0
+        assert work.frames[("layout", "length")] == 0
+        # One probe per request; all of them together scan each row at
+        # most once per distinct length.
+        assert work.frames[("packing", "first_fit")] == packed
+        lengths = len({r.length for r in selected})
+        assert work.hottest_line("packing", "first_fit") <= packed + lengths * BATCH.num_rows
+        # Objects built: a segment per request, a row per row, the
+        # layout and the result.
+        assert work.calls["__init__"] == packed + BATCH.num_rows + 2
+        assert work.python_calls("layout") + work.python_calls("packing") <= (
+            6 * packed + 2 * BATCH.num_rows + 8
+        )
+
+    def test_slot_packing_reads_occupancy_once_per_placement(self, selection):
+        selected, _ = selection
+        slot_size = 25
+        result, work = measure(
+            pack_into_slots, selected, BATCH.num_rows, BATCH.row_length, slot_size
+        )
+        packed = len(result.packed)
+        slots = BATCH.num_rows * (BATCH.row_length // slot_size)
+        assert packed > 0 and result.rejected
+        # The slot's total is read once per placement; the row's is not
+        # read at all (its segments are appended directly).
+        assert work.frames[("layout", "used")] == packed
+        assert work.frames[("layout", "<genexpr>")] == 0
+        assert work.frames[("layout", "length")] == 0
+        assert work.frames[("packing", "first_fit")] <= len(selected)
+        assert work.calls["__init__"] == packed + slots + BATCH.num_rows + 2

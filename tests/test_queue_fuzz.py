@@ -15,8 +15,9 @@ alone, no global RNG).
 import pytest
 
 from repro.rng import ensure_rng
-from repro.scheduling.queue import RequestQueue, _ReferenceRequestQueue
+from repro.scheduling.queue import RequestQueue
 from repro.types import Request
+from tests.oracles.queue import _ReferenceRequestQueue
 
 
 def _ids(requests):

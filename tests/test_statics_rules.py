@@ -113,14 +113,6 @@ class TestRuleTCB006:
         found = _lint_fixture("bad_tcb006.py", "repro/core/concat_attention.py")
         assert _lines(found, "TCB006") == []
 
-    def test_reference_oracles_exempt(self):
-        # ``_reference_*`` functions and ``_Reference*`` classes are
-        # verbatim pre-fast-path oracles (docs/statics.md): the fixture
-        # contains one of each with square allocations, and neither
-        # appears in the findings above (only lines 7 and 11 fire).
-        found = _lint_fixture("bad_tcb006.py", "repro/engine/somewhere.py")
-        assert _lines(found, "TCB006") == [7, 11]
-
 
 class TestRuleTCB007:
     def test_fires_on_bare_and_silent_handlers(self):
