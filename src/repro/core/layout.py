@@ -80,11 +80,11 @@ class SegmentIndex(NamedTuple):
 
 
 class _Occupancy:
-    """Running token count of a ``segments`` list (rows and slots).
+    """Running token count and extent of a ``segments`` list (rows, slots).
 
     ``segments`` stays a public list that callers may append to directly
     (slot packing puts one segment in a slot *and* in its row) or assign
-    afresh, so every read reconciles the total with the list: one that
+    afresh, so every read reconciles the figures with the list: one that
     grew is caught up on its new tail, one that shrank or is a different
     list is recounted.  Replacing a segment in place is not seen — build
     a new row instead.
@@ -92,24 +92,35 @@ class _Occupancy:
 
     segments: list[Segment]
     _used: int
+    _extent: int
     _counted: int
     _counted_list: Optional[list[Segment]]
+
+    def _sync(self) -> None:
+        """Bring ``_used`` and ``_extent`` up to date with ``segments``."""
+        segs = self.segments
+        if segs is not self._counted_list or len(segs) < self._counted:
+            self._counted_list, self._used, self._extent, self._counted = segs, 0, 0, 0
+        tail = segs[self._counted :]
+        if tail:
+            self._used += sum(s.request.length for s in tail)
+            self._extent = max(self._extent, max(s.end for s in tail))
+            self._counted = len(segs)
 
     @property
     def used(self) -> int:
         """Tokens occupied by the segments (O(1) between mutations)."""
-        segs = self.segments
-        if segs is not self._counted_list or len(segs) < self._counted:
-            self._counted_list, self._used, self._counted = segs, 0, 0
-        if len(segs) > self._counted:
-            self._used += sum(s.request.length for s in segs[self._counted :])
-            self._counted = len(segs)
+        if self.segments is not self._counted_list or len(self.segments) != self._counted:
+            self._sync()
         return self._used
 
     def _append(self, seg: Segment) -> None:
         """Append a segment placed at ``used``, which the caller just read."""
         self.segments.append(seg)
-        self._used += seg.request.length
+        length = seg.request.length
+        self._used += length
+        if seg.start + length > self._extent:
+            self._extent = seg.start + length
         self._counted += 1
 
 
@@ -125,6 +136,7 @@ class SlotLayout(_Occupancy):
     size: int
     segments: list[Segment] = field(default_factory=list)
     _used: int = field(default=0, init=False, repr=False, compare=False)
+    _extent: int = field(default=0, init=False, repr=False, compare=False)
     _counted: int = field(default=0, init=False, repr=False, compare=False)
     _counted_list: Optional[list[Segment]] = field(
         default=None, init=False, repr=False, compare=False
@@ -161,6 +173,7 @@ class RowLayout(_Occupancy):
     segments: list[Segment] = field(default_factory=list)
     slots: Optional[list[SlotLayout]] = None
     _used: int = field(default=0, init=False, repr=False, compare=False)
+    _extent: int = field(default=0, init=False, repr=False, compare=False)
     _counted: int = field(default=0, init=False, repr=False, compare=False)
     _counted_list: Optional[list[Segment]] = field(
         default=None, init=False, repr=False, compare=False
@@ -169,8 +182,11 @@ class RowLayout(_Occupancy):
     @property
     def extent(self) -> int:
         """Highest occupied token index + 1 (≥ ``used`` under slotting,
-        where segments sit at slot offsets and need not be contiguous)."""
-        return max((s.end for s in self.segments), default=0)
+        where segments sit at slot offsets and need not be contiguous).
+        O(1) between mutations, like ``used``."""
+        if self.segments is not self._counted_list or len(self.segments) != self._counted:
+            self._sync()
+        return self._extent
 
     @property
     def free(self) -> int:

@@ -64,8 +64,6 @@ def trace_digest(tracer: Any) -> Optional[dict[str, Any]]:
     """
     if tracer is None or not getattr(tracer, "enabled", False):
         return None
-    if not hasattr(tracer, "events"):
-        return None
     return {
         "events": {
             rid: [(ev.kind.value, ev.t, dict(ev.attrs)) for ev in evs]
@@ -79,14 +77,8 @@ def trace_digest(tracer: Any) -> Optional[dict[str, Any]]:
         "overload": [
             (e.t, e.kind, dict(e.attrs)) for e in tracer.overload_events
         ],
-        "health": [
-            (e.t, e.kind, dict(e.attrs))
-            for e in getattr(tracer, "health_events", [])
-        ],
-        "tenant": [
-            (e.t, e.kind, dict(e.attrs))
-            for e in getattr(tracer, "tenant_events", [])
-        ],
+        "health": [(e.t, e.kind, dict(e.attrs)) for e in tracer.health_events],
+        "tenant": [(e.t, e.kind, dict(e.attrs)) for e in tracer.tenant_events],
         "outcomes": tracer.outcomes(),
         "duplicates": tracer.duplicate_terminals,
         "attempts": dict(tracer.attempts),

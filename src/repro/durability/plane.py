@@ -87,10 +87,8 @@ class DurabilityPlane:
         self._crash_fired = False
         self._capture: Optional[Callable[[], LiveState]] = None
         self._tracer: Any = None
-        # The tracer's grow-only emission sink and how much of it
-        # earlier commits have journaled.
-        self._sink: list = []
-        self._sink_seen = 0
+        # How much of the tracer's log earlier commits have journaled.
+        self._log_seen = 0
         self._admission_seen = 0
         self._ended = False
         # Records a crash left trailing, pruned at resume (kept for the
@@ -125,10 +123,9 @@ class DurabilityPlane:
             if tracer is not None and getattr(tracer, "enabled", False)
             else None
         )
-        self._sink = (
-            self._tracer.attach_sink() if self._tracer is not None else []
+        self._log_seen = (
+            len(self._tracer.log) if self._tracer is not None else 0
         )
-        self._sink_seen = 0
         if resume is None:
             self.journal.clear()
             self.voided = []
@@ -202,8 +199,6 @@ class DurabilityPlane:
             self._commit(live)
             self._pending = False
         self._ended = True
-        if self._tracer is not None:
-            self._tracer.sink = None
         self._tracer = None
 
     def restore(self, *, recover_enqueues: bool = False) -> RestoredState:
@@ -370,9 +365,13 @@ class DurabilityPlane:
         self.journal.add_snapshot(snap)
         return snap
 
-    def _drain_sink(self) -> tuple:
-        delta = tuple(self._sink[self._sink_seen:])
-        self._sink_seen = len(self._sink)
+    def _tracer_delta(self) -> tuple:
+        """What the tracer logged since the last commit."""
+        if self._tracer is None:
+            return ()
+        log = self._tracer.log
+        delta = tuple(log[self._log_seen:])
+        self._log_seen = len(log)
         return delta
 
     def _commit(self, live: LiveState) -> None:
@@ -398,7 +397,7 @@ class DurabilityPlane:
             hedges=m.hedges,
             hedge_wins=m.hedge_wins,
             hedge_wasted=m.hedge_wasted,
-            tracer_delta=self._drain_sink(),
+            tracer_delta=self._tracer_delta(),
             admission_rejected=delta,
             absolute=absolute_state(live),
             extra=live.extra,

@@ -45,7 +45,6 @@ from repro.durability.snapshot import (
     REPLAYED,
     apply_engine_cursors,
 )
-from repro.obs.recorder import Tracer
 from repro.overload.ledger import shed_requests
 from repro.scheduling.queue import RequestQueue
 from repro.watermark import thaw
@@ -122,10 +121,9 @@ def restore_state(
     queue.served_ids, queue.attempts = journal.request_history(snap.step)
     metrics = ServingMetrics()
     metrics.apply_state(thaw(metrics_state))
-    tracer: Optional[Tracer] = None
-    if tracer_state is not None:
-        tracer = Tracer()
-        tracer.apply_state(thaw(tracer_state))
+    # A tracer is its log: the checkpointed prefix, which every
+    # committed step's delta extends (None when the run is untraced).
+    tracer_state = thaw(tracer_state)
     # Latest export per name (and per extras key): commits overwrite
     # these whole, so they are thawed once, after the last commit.
     absolute = {
@@ -205,8 +203,8 @@ def restore_state(
             metrics.hedges = st.hedges
             metrics.hedge_wins = st.hedge_wins
             metrics.hedge_wasted = st.hedge_wasted
-            if tracer is not None:
-                tracer.replay(st.tracer_delta)
+            if tracer_state is not None:
+                tracer_state["events"].extend(st.tracer_delta)
             absolute.update(
                 (name, value)
                 for name, value in st.absolute.items()
@@ -229,7 +227,7 @@ def restore_state(
 
     absolute = thaw(absolute)
     shared = {name: absolute.pop(name) for name in ABSOLUTE}
-    shared["tracer"] = None if tracer is None else tracer.export_state()
+    shared["tracer"] = tracer_state
     for name in ("idle", "running"):
         if absolute[name] is not None:
             absolute[name] = list(absolute[name])

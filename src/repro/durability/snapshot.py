@@ -17,8 +17,8 @@ things:
 - **watermarks** (:class:`repro.watermark.Watermark`: the container
   itself plus its length) for state that only ever grows — the terminal
   ledgers, ``finish_times``, transition logs, the admission
-  controller's refusals, and the tracer's emission sink, which
-  determines every per-request event list;
+  controller's refusals, and the tracer's log, which is all the state
+  a tracer has;
 - **nothing** for what the journal already holds: the queue's
   ``served_ids`` and ``attempts`` change per request id, every change is
   a journal record, and restore folds them back
@@ -27,8 +27,8 @@ things:
 So a checkpoint costs the live state plus a constant, however long the
 run has been going, and is still safe from later mutation — under one
 rule every owner keeps: **leaves are immutable** (``Request``, the
-``obs.spans`` events, tuples, numbers; ``RequestEvent.attrs`` is never
-mutated after emit), and **a watermarked container is never truncated,
+``obs.spans`` events, tuples, numbers; the ``attrs`` of a tracer log
+entry is never mutated after emit), and **a watermarked container is never truncated,
 reordered or rewritten below its mark** — it is appended to, or left
 alone (``apply_state`` rebinds such a container, it does not refill
 it).  Restore thaws an export into new lists and dicts on every call

@@ -79,15 +79,17 @@ class GPUMemorySimulator:
         per-batch memory annotation the tracing layer records.
         """
         total = 0
+        slotted = layout.scheme == "slotted"
+        row_bytes = self.slot_bytes(layout.effective_width)
         for row in layout.rows:
-            if layout.scheme == "slotted" and row.slots:
+            if slotted and row.slots:
                 total += sum(
                     self.slot_bytes(slot.size)
                     for slot in row.slots
                     if slot.segments
                 )
             elif row.segments:
-                total += self.slot_bytes(layout.effective_width)
+                total += row_bytes
         return total
 
     def simulate(

@@ -84,8 +84,17 @@ _PROCESS_NAMES = {
     PID_TENANCY: "tenancy",
 }
 
+# The control-plane lanes: (tracer attribute, Chrome category, pid,
+# whether an event's ``engine`` attribute picks its tid — breaker and
+# health events concern one engine; everything else sits on tid 0).
+_CONTROL_LANES = (
+    ("overload_events", "overload", PID_OVERLOAD, True),
+    ("durability_events", "durability", PID_DURABILITY, False),
+    ("health_events", "health", PID_HEALTH, True),
+    ("tenant_events", "tenancy", PID_TENANCY, False),
+)
 # Lanes whose metadata is conditional on the trace actually using them.
-_OPTIONAL_PIDS = (PID_OVERLOAD, PID_DURABILITY, PID_HEALTH, PID_TENANCY)
+_OPTIONAL_PIDS = tuple(pid for _, _, pid, _ in _CONTROL_LANES)
 
 
 def _metadata_events(*, active: frozenset[int] = frozenset()) -> list[dict[str, Any]]:
@@ -106,19 +115,8 @@ def _metadata_events(*, active: frozenset[int] = frozenset()) -> list[dict[str, 
 
 def chrome_trace(tracer: Tracer) -> dict[str, Any]:
     """Lower a recorded trace to a Chrome ``trace_event`` document."""
-    overload = getattr(tracer, "overload_events", [])
-    durability = getattr(tracer, "durability_events", [])
-    health = getattr(tracer, "health_events", [])
-    tenant = getattr(tracer, "tenant_events", [])
     active = frozenset(
-        pid
-        for pid, used in (
-            (PID_OVERLOAD, overload),
-            (PID_DURABILITY, durability),
-            (PID_HEALTH, health),
-            (PID_TENANCY, tenant),
-        )
-        if used
+        pid for lane, _, pid, _ in _CONTROL_LANES if getattr(tracer, lane)
     )
     events: list[dict[str, Any]] = _metadata_events(active=active)
     for span in tracer.spans():
@@ -168,60 +166,20 @@ def chrome_trace(tracer: Tracer) -> dict[str, Any]:
                 "args": {"runtime": d.runtime, **d.attrs},
             }
         )
-    for ov in overload:
-        events.append(
-            {
-                "name": ov.kind,
-                "cat": "overload",
-                "ph": "i",
-                "s": "t",
-                "ts": ov.t * TIME_SCALE,
-                "pid": PID_OVERLOAD,
-                # Breaker events get the engine's lane; sheds/levels 0.
-                "tid": int(ov.attrs.get("engine", 0)),
-                "args": {"t": ov.t, **ov.attrs},
-            }
-        )
-    for du in durability:
-        events.append(
-            {
-                "name": du.kind,
-                "cat": "durability",
-                "ph": "i",
-                "s": "t",
-                "ts": du.t * TIME_SCALE,
-                "pid": PID_DURABILITY,
-                "tid": 0,
-                "args": {"t": du.t, **du.attrs},
-            }
-        )
-    for he in health:
-        events.append(
-            {
-                "name": he.kind,
-                "cat": "health",
-                "ph": "i",
-                "s": "t",
-                "ts": he.t * TIME_SCALE,
-                "pid": PID_HEALTH,
-                # Health events always concern one engine's lane.
-                "tid": int(he.attrs.get("engine", 0)),
-                "args": {"t": he.t, **he.attrs},
-            }
-        )
-    for te in tenant:
-        events.append(
-            {
-                "name": te.kind,
-                "cat": "tenancy",
-                "ph": "i",
-                "s": "t",
-                "ts": te.t * TIME_SCALE,
-                "pid": PID_TENANCY,
-                "tid": 0,
-                "args": {"t": te.t, **te.attrs},
-            }
-        )
+    for lane, category, pid, by_engine in _CONTROL_LANES:
+        for ev in getattr(tracer, lane):
+            events.append(
+                {
+                    "name": ev.kind,
+                    "cat": category,
+                    "ph": "i",
+                    "s": "t",
+                    "ts": ev.t * TIME_SCALE,
+                    "pid": pid,
+                    "tid": int(ev.attrs.get("engine", 0)) if by_engine else 0,
+                    "args": {"t": ev.t, **ev.attrs},
+                }
+            )
     return {
         "traceEvents": events,
         "displayTimeUnit": "ms",

@@ -6,10 +6,13 @@ Two recorders share one call surface:
   It advertises ``enabled = False``; every emission site in a loop is
   guarded by that flag, so a run without tracing pays exactly one
   attribute lookup per site and never builds event objects.
-- :class:`Tracer` — records typed :class:`~repro.obs.spans.RequestEvent`
-  streams per request plus batch/scheduler lanes, all on the simulated
-  clock (no wall-clock reads — ``repro/obs`` is inside tcblint TCB003's
-  scope).
+- :class:`Tracer` — appends every emission, request lifecycle and lane
+  alike, to one log on the simulated clock (no wall-clock reads —
+  ``repro/obs`` is inside tcblint TCB003's scope).  That log is the only
+  store: the typed per-request :class:`~repro.obs.spans.RequestEvent`
+  streams, the lanes, ``attempts`` and :meth:`Tracer.spans` are folded
+  from its unseen tail when read, and a durability checkpoint is a
+  watermark into it (``docs/observability.md``).
 
 The recorder enforces the conservation ledger structurally: terminal
 events are **deduped on request id** (a requeued request that is later
@@ -37,7 +40,7 @@ from repro.obs.spans import (
     TenantEvent,
 )
 from repro.types import Request
-from repro.watermark import mark
+from repro.watermark import Watermark, mark
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from repro.serving.metrics import ServingMetrics
@@ -60,6 +63,25 @@ class NullTracer:
 
 NO_TRACE = NullTracer()
 
+# The kinds the write path passes around, bound once: an enum member
+# looked up through its class, hashed or asked for ``.value`` costs a
+# Python-level call each, which the emission path never makes.
+_ARRIVE, _ENQUEUE, _SCHEDULED = EventKind.ARRIVE, EventKind.ENQUEUE, EventKind.SCHEDULED
+_PACKED, _EXECUTED, _REQUEUED = EventKind.PACKED, EventKind.EXECUTED, EventKind.REQUEUED
+_SERVED, _EXPIRED = EventKind.SERVED, EventKind.EXPIRED
+_REJECTED, _ABANDONED = EventKind.REJECTED, EventKind.ABANDONED
+# The tags of lane entries in the log; each lane's view goes by its tag.
+_LANES = ("batch", "decision", "overload", "durability", "health", "tenant")
+
+
+def _view(name: str, doc: str) -> property:
+    """A read-only attribute served from the folded log (see ``_fold``)."""
+
+    def read(self: "Tracer") -> Any:
+        return self._fold()[name]
+
+    return property(read, doc=doc)
+
 
 class Tracer:
     """Records request lifecycles, batch lanes and scheduler decisions.
@@ -71,33 +93,33 @@ class Tracer:
 
     def __init__(self, *, enabled: bool = True):
         self.enabled = enabled
-        # request_id -> ordered lifecycle events.
-        self.events: dict[int, list[RequestEvent]] = {}
-        self.batches: list[BatchEvent] = []
-        self.decisions: list[SchedulerEvent] = []
-        # Overload-plane actions: sheds, level changes, breaker trips.
-        self.overload_events: list[OverloadEvent] = []
-        # request_id -> terminal outcome (the dedupe ledger).
-        self._outcome: dict[int, str] = {}
-        # Terminal events dropped by the dedupe (should stay 0; counted
-        # so the regression tests can see attempted double-counts).
-        self.duplicate_terminals = 0
-        # request_id -> number of times scheduled (attempt counter).
-        self.attempts: dict[int, int] = {}
-        # Durability-plane actions: snapshots, commits, crash, restore.
-        self.durability_events: list[DurabilityEvent] = []
-        # Tail-tolerance-plane actions: health transitions, probes,
-        # hedges and their resolutions.
-        self.health_events: list[HealthEvent] = []
-        # Tenancy-plane actions: quota rejections and fair-share splits.
-        self.tenant_events: list[TenantEvent] = []
-        # Optional journal sink (see attach_sink): while a list is
-        # attached here, every post-dedupe emission is mirrored into it
-        # as a tagged tuple.  The sink only grows, so the durability
-        # plane reads each step's delta off its tail and a checkpoint is
-        # the state at attach time plus a watermark into it.
-        self.sink: Optional[list] = None
-        self._base: Optional[dict] = None
+        # The one store.  Every emission appends exactly one entry and
+        # nothing ever rewrites one: ``(kind, request_id, t, attrs or
+        # None)`` for a lifecycle event, ``(lane, event)`` for a lane,
+        # ``("dup", request_id)`` for a terminal the dedupe dropped.
+        self.log: list[tuple] = []
+        # What the write path needs to decide an emission: request_id ->
+        # terminal kind (the dedupe ledger), and request_id -> time of
+        # its latest event while it has no terminal (the clamp).
+        self._outcome: dict[int, EventKind] = {}
+        self._last_t: dict[int, float] = {}
+        # Everything readers see, folded from ``log[:_folded]``.
+        self._folded = 0
+        self._views: dict[str, Any] = {
+            "events": {}, "attempts": {}, "dup": 0, **{lane: [] for lane in _LANES},
+        }
+
+    events = _view("events", "request_id -> ordered lifecycle events")
+    attempts = _view("attempts", "request_id -> number of times scheduled")
+    duplicate_terminals = _view(
+        "dup", "terminal events dropped by the dedupe (should stay 0)"
+    )
+    batches = _view("batch", "engine slots / iterations, in emission order")
+    decisions = _view("decision", "scheduler decisions")
+    overload_events = _view("overload", "sheds, level changes, breaker trips")
+    durability_events = _view("durability", "snapshots, commits, crash, restore")
+    health_events = _view("health", "health transitions, probes, hedges")
+    tenant_events = _view("tenant", "quota rejections and fair-share splits")
 
     # ------------------------------------------------------------------ #
     # Emission (called by the serving loops, guarded by ``enabled``)
@@ -110,60 +132,52 @@ class Tracer:
         t: float,
         attrs: Optional[Mapping[str, Any]] = None,
     ) -> None:
+        """One non-terminal event; *attrs* is kept, never copied or mutated."""
+        if self.enabled:
+            rid = request.request_id
+            self._last_t[rid] = t
+            self.log.append((kind, rid, t, attrs))
+
+    def _end(self, request: Request, kind: EventKind, t: float) -> None:
+        """One terminal event: at most one per request id."""
         if not self.enabled:
             return
         rid = request.request_id
-        if kind in TERMINAL_KINDS:
-            if rid in self._outcome:
-                self.duplicate_terminals += 1
-                if self.sink is not None:
-                    self.sink.append(("dup", rid))
-                return
-            self._outcome[rid] = kind.value
-            # A request factually stayed unserved until its last recorded
-            # event; clamp so end-of-run sweeps cannot time-travel.
-            history = self.events.get(rid)
-            if history:
-                t = max(t, history[-1].t)
-        event = RequestEvent(kind=kind, t=t, attrs=dict(attrs or {}))
-        self.events.setdefault(rid, []).append(event)
-        if self.sink is not None:
-            self.sink.append(("event", rid, event))
+        if rid in self._outcome:
+            self.log.append(("dup", rid))
+            return
+        self._outcome[rid] = kind
+        # A request factually stayed unserved until its last recorded
+        # event; clamp so end-of-run sweeps cannot time-travel.
+        last = self._last_t.pop(rid, t)
+        self.log.append((kind, rid, last if last > t else t, None))
 
     def arrive(self, request: Request, t: float) -> None:
-        self._emit(request, EventKind.ARRIVE, t, {"length": request.length})
+        self._emit(request, _ARRIVE, t, {"length": request.length})
 
     def enqueue(self, request: Request, t: float) -> None:
-        self._emit(request, EventKind.ENQUEUE, t)
+        self._emit(request, _ENQUEUE, t)
 
     def scheduled(
         self, requests: Iterable[Request], t: float, **attrs: Any
     ) -> None:
+        """The fold numbers each request's attempts (``attrs["attempt"]``)."""
         for r in requests:
-            n = self.attempts.get(r.request_id, 0) + 1
-            self.attempts[r.request_id] = n
-            self._emit(r, EventKind.SCHEDULED, t, {"attempt": n, **attrs})
+            self._emit(r, _SCHEDULED, t, attrs)
 
     def packed_layouts(self, layouts: Iterable, t: float) -> None:
         """PACKED events with (row, slot, start) from executed layouts."""
         for layout in layouts:
             for row_idx, row in enumerate(layout.rows):
-                if getattr(row, "slots", None):
-                    for slot_idx, slot in enumerate(row.slots):
-                        for seg in slot.segments:
-                            self._emit(
-                                seg.request,
-                                EventKind.PACKED,
-                                t,
-                                {"row": row_idx, "slot": slot_idx, "start": seg.start},
-                            )
-                else:
-                    for seg in row.segments:
+                # An unslotted row counts as its own slot 0.
+                slots = getattr(row, "slots", None) or (row,)
+                for slot_idx, slot in enumerate(slots):
+                    for seg in slot.segments:
                         self._emit(
                             seg.request,
-                            EventKind.PACKED,
+                            _PACKED,
                             t,
-                            {"row": row_idx, "slot": 0, "start": seg.start},
+                            {"row": row_idx, "slot": slot_idx, "start": seg.start},
                         )
 
     def executed(
@@ -174,18 +188,17 @@ class Tracer:
         *,
         engine: int = 0,
     ) -> None:
+        attrs = {"latency": latency, "engine": engine}
         for r in requests:
-            self._emit(
-                r, EventKind.EXECUTED, t, {"latency": latency, "engine": engine}
-            )
+            self._emit(r, _EXECUTED, t, attrs)
 
     def requeued(self, requests: Iterable[Request], t: float) -> None:
         for r in requests:
-            self._emit(r, EventKind.REQUEUED, t)
+            self._emit(r, _REQUEUED, t)
 
     def served(self, requests: Iterable[Request], t: float) -> None:
         for r in requests:
-            self._emit(r, EventKind.SERVED, t)
+            self._end(r, _SERVED, t)
 
     def expired(self, requests: Iterable[Request], t: float) -> None:
         """Expiry sweep at simulated time ``t`` (or horizon clean-up).
@@ -195,14 +208,14 @@ class Tracer:
         servable set; Eq. 12's window is closed so ties go to ``t``.
         """
         for r in requests:
-            self._emit(r, EventKind.EXPIRED, min(max(r.deadline, r.arrival), t))
+            self._end(r, _EXPIRED, min(max(r.deadline, r.arrival), t))
 
     def rejected(self, request: Request, t: float) -> None:
-        self._emit(request, EventKind.REJECTED, t)
+        self._end(request, _REJECTED, t)
 
     def abandoned(self, requests: Iterable[Request], t: float) -> None:
         for r in requests:
-            self._emit(r, EventKind.ABANDONED, t)
+            self._end(r, _ABANDONED, t)
 
     def batch(
         self,
@@ -213,150 +226,94 @@ class Tracer:
         kind: str = "batch",
         **attrs: Any,
     ) -> None:
-        if not self.enabled:
-            return
-        event = BatchEvent(
-            t_start=t, duration=duration, engine=engine, kind=kind, attrs=attrs
-        )
-        self.batches.append(event)
-        if self.sink is not None:
-            self.sink.append(("batch", event))
+        if self.enabled:
+            self.log.append(
+                ("batch", BatchEvent(t, duration, engine=engine, kind=kind, attrs=attrs))
+            )
 
     def decision(
         self, t: float, runtime: float, attrs: Optional[Mapping[str, Any]] = None
     ) -> None:
-        if not self.enabled:
-            return
-        event = SchedulerEvent(t=t, runtime=runtime, attrs=dict(attrs or {}))
-        self.decisions.append(event)
-        if self.sink is not None:
-            self.sink.append(("decision", event))
+        if self.enabled:
+            self.log.append(
+                ("decision", SchedulerEvent(t=t, runtime=runtime, attrs=dict(attrs or {})))
+            )
 
     def overload(self, t: float, kind: str, **attrs: Any) -> None:
         """Record one overload-plane action (shed / level / breaker)."""
-        if not self.enabled:
-            return
-        event = OverloadEvent(t=t, kind=kind, attrs=attrs)
-        self.overload_events.append(event)
-        if self.sink is not None:
-            self.sink.append(("overload", event))
+        if self.enabled:
+            self.log.append(("overload", OverloadEvent(t=t, kind=kind, attrs=attrs)))
 
     def durability(self, t: float, kind: str, **attrs: Any) -> None:
         """Record one durability-plane action (snapshot / commit / …)."""
-        if not self.enabled:
-            return
-        event = DurabilityEvent(t=t, kind=kind, attrs=attrs)
-        self.durability_events.append(event)
-        if self.sink is not None:
-            self.sink.append(("durability", event))
+        if self.enabled:
+            self.log.append(("durability", DurabilityEvent(t=t, kind=kind, attrs=attrs)))
 
     def health(self, t: float, kind: str, **attrs: Any) -> None:
         """Record one tail-tolerance action (transition / probe / hedge)."""
-        if not self.enabled:
-            return
-        event = HealthEvent(t=t, kind=kind, attrs=attrs)
-        self.health_events.append(event)
-        if self.sink is not None:
-            self.sink.append(("health", event))
+        if self.enabled:
+            self.log.append(("health", HealthEvent(t=t, kind=kind, attrs=attrs)))
 
     def tenant(self, t: float, kind: str, **attrs: Any) -> None:
         """Record one tenancy-plane action (quota / share)."""
-        if not self.enabled:
-            return
-        event = TenantEvent(t=t, kind=kind, attrs=attrs)
-        self.tenant_events.append(event)
-        if self.sink is not None:
-            self.sink.append(("tenant", event))
+        if self.enabled:
+            self.log.append(("tenant", TenantEvent(t=t, kind=kind, attrs=attrs)))
 
     # ------------------------------------------------------------------ #
     # Durability export / apply (see repro.durability.snapshot)
     # ------------------------------------------------------------------ #
 
-    def _lanes(self) -> dict[str, list]:
-        """Sink tag -> the event list emissions with that tag land in."""
-        return {
-            "batch": self.batches,
-            "decision": self.decisions,
-            "overload": self.overload_events,
-            "durability": self.durability_events,
-            "health": self.health_events,
-            "tenant": self.tenant_events,
-        }
+    def export_state(self) -> dict[str, Watermark]:
+        """The log as it stands: a reference and a length, O(1)."""
+        return {"events": mark(self.log)}
 
-    def _full_state(self) -> dict:
-        return {
-            "events": {rid: list(evs) for rid, evs in self.events.items()},
-            "lanes": {tag: list(lane) for tag, lane in self._lanes().items()},
-            "outcome": dict(self._outcome),
-            "duplicate_terminals": self.duplicate_terminals,
-            "attempts": dict(self.attempts),
-        }
+    def apply_state(self, state: dict[str, list]) -> None:
+        """Become the tracer whose log a thawed :meth:`export_state` holds.
 
-    def attach_sink(self) -> list:
-        """Start mirroring emissions into a fresh sink; returns it.
-
-        Copies the current state once (nothing, for a fresh tracer);
-        from here on :meth:`export_state` costs O(1).  Detach by setting
-        ``sink = None``.
+        That list is adopted, not copied; the old log is left as it was
+        (earlier checkpoints hold watermarks into it) and the views
+        start over from nothing.
         """
-        self._base = self._full_state()
-        self.sink = []
-        return self.sink
-
-    def export_state(self) -> dict:
-        """Plain-data state: a base plus the emissions made since.
-
-        With a sink attached that is the base taken at attach time and a
-        (sink, length) watermark — per-request event lists mutate per
-        key, so they cannot be watermarked one by one, but the sink is
-        one grow-only list that determines all of them.  Without a sink
-        it is a full copy and an empty tail.
-        """
-        if self.sink is None:
-            return {**self._full_state(), "emitted": []}
-        return {**self._base, "emitted": mark(self.sink)}
-
-    def replay(self, emitted: Iterable[tuple]) -> None:
-        """Re-apply sink entries (post-dedupe emissions) in order."""
-        lanes = self._lanes()
-        for item in emitted:
-            tag = item[0]
-            if tag == "event":
-                _, rid, ev = item
-                self.events.setdefault(rid, []).append(ev)
-                if ev.kind in TERMINAL_KINDS:
-                    self._outcome[rid] = ev.kind.value
-                if ev.kind is EventKind.SCHEDULED:
-                    self.attempts[rid] = ev.attrs.get(
-                        "attempt", self.attempts.get(rid, 0)
-                    )
-            elif tag == "dup":
-                self.duplicate_terminals += 1
-            else:
-                lanes[tag].append(item[1])
-
-    def apply_state(self, state: dict) -> None:
-        """Become the tracer a thawed :meth:`export_state` describes.
-
-        Containers are refilled in place (callers hold ``events`` and the
-        lanes); any attached sink is dropped, since it no longer
-        describes this state.
-        """
-        self.sink = self._base = None
-        self.events.clear()
-        self.events.update(state["events"])
-        for tag, lane in self._lanes().items():
-            lane[:] = state["lanes"][tag]
-        self._outcome.clear()
-        self._outcome.update(state["outcome"])
-        self.duplicate_terminals = state["duplicate_terminals"]
-        self.attempts.clear()
-        self.attempts.update(state["attempts"])
-        self.replay(state["emitted"])
+        self.__init__(enabled=self.enabled)
+        self.log = state["events"]
+        for entry in self.log:
+            if len(entry) == 4:
+                kind, rid, t, _attrs = entry
+                if kind in TERMINAL_KINDS:
+                    self._outcome[rid] = kind
+                    self._last_t.pop(rid, None)
+                else:
+                    self._last_t[rid] = t
 
     # ------------------------------------------------------------------ #
     # Derived views
     # ------------------------------------------------------------------ #
+
+    def _fold(self) -> dict[str, Any]:
+        """The views, brought up to the end of the log.
+
+        Incremental and idempotent: only entries appended since the last
+        read are folded, so reading mid-run and emitting more is fine.
+        This is where ``RequestEvent`` objects come to exist.
+        """
+        views, log = self._views, self.log
+        if self._folded < len(log):
+            events, attempts = views["events"], views["attempts"]
+            for entry in log[self._folded :]:
+                if len(entry) == 4:
+                    kind, rid, t, attrs = entry
+                    if kind is _SCHEDULED:
+                        n = attempts[rid] = attempts.get(rid, 0) + 1
+                        attrs = {"attempt": n, **attrs}
+                    elif attrs is None:
+                        attrs = {}
+                    events.setdefault(rid, []).append(RequestEvent(kind, t, attrs))
+                elif entry[0] == "dup":
+                    views["dup"] += 1
+                else:
+                    views[entry[0]].append(entry[1])
+            self._folded = len(log)
+        return views
 
     def spans(self) -> list[Span]:
         """Lifecycle spans: state opened by event *i* closes at event *i+1*.
@@ -364,10 +321,12 @@ class Tracer:
         Terminal events become zero-length outcome markers.  Spans are
         ordered by (request_id, t_start).
         """
+        events = self.events
         out: list[Span] = []
-        for rid in sorted(self.events):
-            evs = self.events[rid]
-            for ev, nxt in zip(evs, evs[1:]):
+        for rid in sorted(events):
+            evs = events[rid]
+            # The last event closes on itself.
+            for ev, nxt in zip(evs, evs[1:] + evs[-1:]):
                 out.append(
                     Span(
                         request_id=rid,
@@ -377,27 +336,15 @@ class Tracer:
                         attrs=ev.attrs,
                     )
                 )
-            last = evs[-1]
-            out.append(
-                Span(
-                    request_id=rid,
-                    phase=last.kind.value,
-                    t_start=last.t,
-                    t_end=last.t,
-                    attrs=last.attrs,
-                )
-            )
         return out
 
     def outcomes(self) -> dict[int, str]:
         """request_id -> terminal outcome name."""
-        return dict(self._outcome)
+        return {rid: kind.value for rid, kind in self._outcome.items()}
 
     def outcome_counts(self) -> dict[str, int]:
-        counts = {k.value: 0 for k in TERMINAL_KINDS}
-        for outcome in self._outcome.values():
-            counts[outcome] += 1
-        return counts
+        kinds = list(self._outcome.values())
+        return {k.value: kinds.count(k) for k in TERMINAL_KINDS}
 
     @property
     def num_requests(self) -> int:

@@ -63,6 +63,7 @@ class EventKind(str, enum.Enum):
 TERMINAL_KINDS = frozenset(
     {EventKind.SERVED, EventKind.EXPIRED, EventKind.REJECTED, EventKind.ABANDONED}
 )
+_TERMINAL_PHASES = frozenset(k.value for k in TERMINAL_KINDS)
 
 
 @dataclass(frozen=True)
@@ -95,7 +96,7 @@ class Span:
 
     @property
     def is_terminal(self) -> bool:
-        return self.phase in {k.value for k in TERMINAL_KINDS}
+        return self.phase in _TERMINAL_PHASES
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,12 @@ and the decision optionally carries the slot size (Algorithm 2).
 Schedulers are pure policies: they never mutate the queue.  The serving
 loop removes the selected requests afterwards, which keeps schedulers
 trivially testable in isolation.
+
+A decision can also be taken a row at a time: :meth:`Scheduler.open`
+returns a :class:`RowFill` over one waiting set and each
+:meth:`RowFill.next_row` is the first row of a fresh one-row ``select``
+over the requests no earlier row took.  Tenant fair share
+(:mod:`repro.tenancy.fairshare`) interleaves one fill per tenant.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import Optional, Sequence
 from repro.config import BatchConfig
 from repro.types import Request
 
-__all__ = ["SchedulingDecision", "Scheduler"]
+__all__ = ["RowFill", "SchedulingDecision", "Scheduler"]
 
 
 @dataclass
@@ -71,6 +77,41 @@ class SchedulingDecision:
                 seen.add(r.request_id)
 
 
+class RowFill:
+    """The rows of one decision over *waiting*, handed out on request.
+
+    This is the definition, and what every scheduler without a cheaper
+    way inherits: re-run the scheduler with a one-row batch over a list
+    that shrinks by each row handed out.
+    """
+
+    def __init__(self, scheduler: "Scheduler", waiting: Sequence[Request], now: float):
+        self._scheduler = scheduler
+        self._remaining = list(waiting)
+        self._now = now
+        self._one_row = BatchConfig(
+            num_rows=1, row_length=scheduler.batch.row_length
+        )
+
+    def next_row(self) -> SchedulingDecision:
+        """A decision of at most one row; ``rows == []`` when nothing
+        that is left fits a row (asking again will not change that)."""
+        scheduler = self._scheduler
+        saved = scheduler.batch
+        scheduler.batch = self._one_row
+        try:
+            sub = scheduler.select(self._remaining, self._now)
+        finally:
+            scheduler.batch = saved
+        del sub.rows[1:]
+        if sub.rows:
+            taken = {r.request_id for r in sub.rows[0]}
+            self._remaining = [
+                r for r in self._remaining if r.request_id not in taken
+            ]
+        return sub
+
+
 class Scheduler(abc.ABC):
     """Base class for scheduling policies."""
 
@@ -89,6 +130,10 @@ class Scheduler(abc.ABC):
         (arrived, not expired, not yet served) — the serving loop
         guarantees this precondition.
         """
+
+    def open(self, waiting: Sequence[Request], now: float = 0.0) -> RowFill:
+        """Start a row-at-a-time decision over *waiting*."""
+        return RowFill(self, waiting, now)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -20,15 +20,18 @@ against exact offline optima on random instances.
 Fast path (``docs/performance.md``): the line-7 sort is a *total* order
 (utility with a request-id tie-break), and removing a row's chosen
 requests preserves that order — so one sort per decision serves every
-row.  :meth:`DASScheduler.select` takes that order as flat columns
+row.  :class:`DASFill` takes that order as flat columns
 (:func:`~repro.scheduling.queue.utility_columns`: requests, lengths,
 negated utilities, and one earliest-deadline-first ordering of the whole
 set) and never touches a request object inside the row loop: chosen
 requests are cleared in an ``alive`` byte mask, the saturating prefix
 walks from a moving head pointer, the ``q·v̄`` threshold is a ``bisect``
 on the utility column, and ``N^D_t`` is the live slice up to that cut
-read off the precomputed EDF ordering — no per-row sort.  The original
-re-sort-per-row implementation is the differential oracle in
+read off the precomputed EDF ordering — no per-row sort.  The loop is
+resumable: :meth:`DASScheduler.select` opens a fill and takes up to
+``B`` rows at once, tenant fair share opens one per tenant and takes a
+row whenever that tenant wins one, and both pay for one lowering.  The
+original re-sort-per-row implementation is the differential oracle in
 ``tests/oracles/``; ``tests/test_das_fastpath.py`` and the equivalence
 harness compare against it bit for bit.
 """
@@ -38,17 +41,17 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from itertools import accumulate
-from typing import Optional, Sequence
+from itertools import accumulate, islice
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
 from repro.config import BatchConfig, SchedulerConfig
-from repro.scheduling.base import Scheduler, SchedulingDecision
+from repro.scheduling.base import RowFill, Scheduler, SchedulingDecision
 from repro.scheduling.queue import utility_columns
 from repro.types import Request
 
-__all__ = ["DASScheduler", "das_row_parts"]
+__all__ = ["DASFill", "DASScheduler", "das_row_parts"]
 
 
 def das_row_parts(
@@ -100,71 +103,65 @@ def das_row_parts(
     return utility_dominant, deadline_aware, rest
 
 
-class DASScheduler(Scheduler):
-    """Algorithm 1.  ``record_parts=True`` keeps per-row (N^U, N^D) for
-    Algorithm 2 and for the theory tests."""
+class DASFill(RowFill):
+    """Algorithm 1's row loop (lines 3–15), resumable.
 
-    name = "das"
+    The waiting set is lowered once — line 7's sort inside
+    :func:`utility_columns`, the ``alive`` mask, the live-length counts,
+    the head pointer — by the first row that needs it, and every later
+    row carries on from there: a chosen request is cleared in ``alive``
+    and the order of the survivors is untouched, so the next row is what
+    a fresh one-row select over the survivors would fill.  ``parts``
+    collects each row's (N^U, N^D).
+    """
 
-    def __init__(
-        self,
-        batch: BatchConfig,
-        config: Optional[SchedulerConfig] = None,
-        *,
-        record_parts: bool = False,
-    ):
-        super().__init__(batch)
-        self.config = config or SchedulerConfig()
-        self.record_parts = record_parts
-        self.last_parts: list[tuple[list[Request], list[Request]]] = []
+    def __init__(self, waiting: Sequence[Request], L: int, eta: float, q: float):
+        self.parts: list[tuple[list[Request], list[Request]]] = []
+        # [whether the next row is the first of its select] (see
+        # next_rows).  A cell the row generator shares instead of holding
+        # ``self``: a suspended generator that referred back to its fill
+        # would be a reference cycle, and a deep queue's columns would
+        # wait for the cyclic collector instead of dying with the decision.
+        self._opening = [True]
+        self._rows = self._fill(waiting, L, eta, q, self._opening)
 
-    def select(
-        self, waiting: Sequence[Request], now: float = 0.0
-    ) -> SchedulingDecision:
-        start = time.perf_counter()
-        L = self.batch.row_length
-        # Lines 4–5 on row 0, ahead of any column construction (a
-        # shallow queue never pays for one): everything fits, taken in
-        # arrival order.
-        servable = [r for r in waiting if r.length <= L]
-        total = sum(r.length for r in servable)
-        if not servable:
-            rows, parts = [], []
-        elif total <= L:
-            rows, parts = [servable], [(list(servable), [])]
-        else:
-            rows, parts = self._fill_rows(waiting, len(servable), total)
+    def next_rows(self, max_rows: int) -> SchedulingDecision:
+        """What one ``select`` of ``max_rows`` rows decides over the
+        requests not yet handed out (rows and runtime only).
 
-        if self.record_parts:
-            self.last_parts = parts
-        decision = SchedulingDecision(
-            rows=rows,
-            # Per-decision DAS observability (repro.obs): how the
-            # selection split between Algorithm 1's two mechanisms.
-            info={
-                "scheduler": self.name,
-                "eta": self.config.eta,
-                "q": self.config.q,
-                "num_utility_dominant": sum(len(u) for u, _ in parts),
-                "num_deadline_aware": sum(len(d) for _, d in parts),
-            },
-        )
-        decision.runtime = time.perf_counter() - start
-        return decision
-
-    def _fill_rows(
-        self, waiting: Sequence[Request], live: int, total: int
-    ) -> tuple[list[list[Request]], list[tuple[list[Request], list[Request]]]]:
-        """Lines 6–15 for an oversubscribed waiting set, on columns.
-
-        ``live`` requests of ``total`` tokens are servable (no longer
-        than a row).  Line 7's sort happens once, inside
-        :func:`utility_columns`; a chosen request is cleared in
-        ``alive`` and the order of the survivors is untouched.  Returns
-        the rows and their (N^U, N^D) parts.
+        Lines 4–5 differ by position, and both forms are pinned by the
+        goldens: a select whose *first* row takes everything that is
+        left takes it in waiting order, a later row in utility order.
         """
-        eta, q = self.config.eta, self.config.q
-        L = self.batch.row_length
+        start = time.perf_counter()
+        rows = []
+        opening = self._opening
+        opening[0] = True
+        for row, part in islice(self._rows, max_rows):
+            rows.append(row)
+            self.parts.append(part)
+            opening[0] = False
+        return SchedulingDecision(rows=rows, runtime=time.perf_counter() - start)
+
+    def next_row(self) -> SchedulingDecision:
+        return self.next_rows(1)
+
+    @staticmethod
+    def _fill(
+        waiting: Sequence[Request], L: int, eta: float, q: float, opening: list[bool]
+    ) -> Iterator[tuple[list[Request], tuple[list[Request], list[Request]]]]:
+        """Yield ``(row, (N^U, N^D))`` until nothing servable is left."""
+        # Lines 4–5 ahead of any column construction (a shallow queue
+        # never pays for one).
+        servable = [r for r in waiting if r.length <= L]
+        live = len(servable)
+        total = sum(r.length for r in servable)
+        if not live:
+            return
+        if total <= L:
+            yield servable, (list(servable), [])
+            return
+
         reqs, lengths, neg_u, edf_order = utility_columns(waiting)
         n = len(reqs)
         len_col = np.array(lengths, dtype=np.int64)
@@ -179,8 +176,6 @@ class DASScheduler(Scheduler):
         live_of_length[L + 1] = 1
         shortest = 1
         head = 0
-        rows: list[list[Request]] = []
-        parts: list[tuple[list[Request], list[Request]]] = []
 
         def take(order: np.ndarray, chosen: list[int], spare: int) -> int:
             """Greedily move what fits from *order* to *chosen*, in order.
@@ -204,16 +199,17 @@ class DASScheduler(Scheduler):
                             return spare
             return spare
 
-        for _k in range(self.batch.num_rows):
-            if live == 0:
-                break
+        while live:
             if total <= L:
                 # Lines 4–5 on a later row: the survivors, in utility
-                # order (as a per-row re-sort would leave them).
+                # order (as a per-row re-sort would leave them) unless a
+                # select opens here.
                 survivors = [reqs[i] for i in np.flatnonzero(alive_col).tolist()]
-                rows.append(survivors)
-                parts.append((list(survivors), []))
-                break
+                if opening[0]:
+                    left = {r.request_id for r in survivors}
+                    survivors = [r for r in servable if r.request_id in left]
+                yield survivors, (list(survivors), [])
+                return
 
             # Line 8: saturating prefix s_tk over the live entries, from
             # the first live one (at most one row's worth of steps).
@@ -262,8 +258,47 @@ class DASScheduler(Scheduler):
                 spare = take(rest + cut, chosen, spare)
 
             row = [reqs[i] for i in chosen]
-            rows.append(row)
-            parts.append((row[: len(n_u)], row[len(n_u) : len(n_u) + num_d]))
             live -= len(chosen)
             total -= L - spare
-        return rows, parts
+            yield row, (row[: len(n_u)], row[len(n_u) : len(n_u) + num_d])
+
+
+class DASScheduler(Scheduler):
+    """Algorithm 1.  ``record_parts=True`` keeps per-row (N^U, N^D) for
+    Algorithm 2 and for the theory tests."""
+
+    name = "das"
+
+    def __init__(
+        self,
+        batch: BatchConfig,
+        config: Optional[SchedulerConfig] = None,
+        *,
+        record_parts: bool = False,
+    ):
+        super().__init__(batch)
+        self.config = config or SchedulerConfig()
+        self.record_parts = record_parts
+        self.last_parts: list[tuple[list[Request], list[Request]]] = []
+
+    def open(self, waiting: Sequence[Request], now: float = 0.0) -> DASFill:
+        return DASFill(waiting, self.batch.row_length, self.config.eta, self.config.q)
+
+    def select(
+        self, waiting: Sequence[Request], now: float = 0.0
+    ) -> SchedulingDecision:
+        fill = self.open(waiting, now)
+        decision = fill.next_rows(self.batch.num_rows)
+        parts = fill.parts
+        if self.record_parts:
+            self.last_parts = parts
+        # Per-decision DAS observability (repro.obs): how the selection
+        # split between Algorithm 1's two mechanisms.
+        decision.info = {
+            "scheduler": self.name,
+            "eta": self.config.eta,
+            "q": self.config.q,
+            "num_utility_dominant": sum(len(u) for u, _ in parts),
+            "num_deadline_aware": sum(len(d) for _, d in parts),
+        }
+        return decision

@@ -7,11 +7,15 @@ runs: every active tenant's *entitlement* for the decision is its
 weight-proportional share of the budget plus the deficit carried from
 earlier decisions where it was under-served.  Rows are then handed out
 one at a time to the tenant with the largest remaining entitlement, and
-each row is filled by running the *existing* scheduler on that tenant's
-requests alone with a one-row batch — so concatenation efficiency (the
-whole point of TCB) is preserved within a tenant's share, while a noisy
-neighbor can never monopolize rows: its entitlement is spent after its
-share and the next row goes elsewhere.
+each row is the next row of that tenant's own fill
+(:meth:`Scheduler.open <repro.scheduling.base.Scheduler.open>` over the
+tenant's requests alone, opened once per decision when the tenant first
+wins a row) — so concatenation efficiency (the whole point of TCB) is
+preserved within a tenant's share, while a noisy neighbor can never
+monopolize rows: its entitlement is spent after its share and the next
+row goes elsewhere.  A fill is defined as a fresh one-row ``select``
+over what the tenant has left; DAS serves it from one lowering of the
+tenant's pool (``docs/tenancy.md``).
 
 Determinism: entitlement ties (e.g. two equal-weight tenants on their
 first decision) are broken by an RNG drawn from a dedicated stream tag
@@ -21,16 +25,12 @@ plane, seeded per decision — replays are bit-identical.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from repro.config import BatchConfig
-from repro.scheduling.base import Scheduler, SchedulingDecision
+from repro.scheduling.base import RowFill, Scheduler, SchedulingDecision
 from repro.types import Request
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    pass
 
 __all__ = [
     "fair_select",
@@ -95,26 +95,31 @@ def fair_select(
 ) -> SchedulingDecision:
     """One fair-shared scheduling decision over ≥ 2 active tenants.
 
-    Allocates the batch's rows by weight×deficit entitlement, runs the
-    wrapped scheduler per tenant with a one-row batch, and recombines
-    the rows into a single :class:`SchedulingDecision` that satisfies
-    ``validate(batch)`` (row budgets hold per sub-select; duplicates
-    are impossible because each tenant's pool shrinks as it is served).
+    Allocates the batch's rows by weight×deficit entitlement, asks the
+    winning tenant's :class:`~repro.scheduling.base.RowFill` for each
+    row, and recombines the rows into a single
+    :class:`SchedulingDecision` that satisfies ``validate(batch)`` (row
+    budgets hold per fill; duplicates are impossible because a fill
+    never hands a request out twice).  ``discarded`` lists each request
+    a fill discarded once, in first-discard order, and never one the
+    decision selected.
     """
     batch = scheduler.batch
     budget = batch.num_rows * batch.row_length
     ent = entitlements(groups, weights, deficits, budget)
-    remaining = {t: list(reqs) for t, reqs in groups.items()}
+    # One fill per tenant, opened when the tenant first wins a row.
+    fills: dict[str, RowFill] = {}
+    # Requests not yet handed out; 0 also parks a tenant (see below).
+    left = {t: len(reqs) for t, reqs in groups.items()}
     used: dict[str, int] = {t: 0 for t in groups}
     alloc: dict[str, int] = {t: 0 for t in groups}
-    one_row = BatchConfig(num_rows=1, row_length=batch.row_length)
 
     rows: list[list[Request]] = []
-    discarded: list[Request] = []
+    discarded: dict[int, Request] = {}
     runtime = 0.0
     slot_sizes: set[int] = set()
     for _ in range(batch.num_rows):
-        active = [t for t in remaining if remaining[t]]
+        active = [t for t in left if left[t]]
         if not active:
             break
         best_ent = max(ent[t] - used[t] for t in active)
@@ -122,38 +127,37 @@ def fair_select(
             t for t in active if ent[t] - used[t] >= best_ent - 1e-12
         )
         winner = tied[0] if len(tied) == 1 else tied[rng.integers(len(tied))]
-        saved = scheduler.batch
-        scheduler.batch = one_row
-        try:
-            sub = scheduler.select(remaining[winner], now)
-        finally:
-            scheduler.batch = saved
+        fill = fills.get(winner)
+        if fill is None:
+            fill = fills[winner] = scheduler.open(groups[winner], now)
+        sub = fill.next_row()
         runtime += sub.runtime
-        discarded.extend(sub.discarded)
+        for r in sub.discarded:
+            discarded.setdefault(r.request_id, r)
         row = sub.rows[0] if sub.rows else []
         if not row:
             # Nothing from this tenant fits a fresh row (e.g. every
             # request longer than L): park it for this decision so the
             # row loop always makes progress.
-            remaining[winner] = []
+            left[winner] = 0
             continue
         if sub.slot_size is not None:
             slot_sizes.add(sub.slot_size)
-        selected_ids = {r.request_id for r in row}
-        remaining[winner] = [
-            r for r in remaining[winner] if r.request_id not in selected_ids
-        ]
+        left[winner] -= len(row)
         used[winner] += sum(r.length for r in row)
         alloc[winner] += 1
         rows.append(row)
 
+    for row in rows:
+        for r in row:
+            discarded.pop(r.request_id, None)
     settle_deficits(deficits, ent, used, budget)
     return SchedulingDecision(
         rows=rows,
-        # Slotted sub-selects only compose when they agree on one size.
+        # Slotted fills only compose when they agree on one size.
         slot_size=slot_sizes.pop() if len(slot_sizes) == 1 else None,
         runtime=runtime,
-        discarded=discarded,
+        discarded=list(discarded.values()),
         info={
             "scheduler": f"fair-share/{scheduler.name}",
             "tenants": sorted(groups),

@@ -303,14 +303,9 @@ class TenancyPlane:
         request passes :meth:`arrive` before it can wait, so the
         ledger book's keyset bounds the tenants a decision can see).
         """
-        if len(self.book.ledgers) <= 1:
+        groups = self._groups(waiting)
+        if groups is None:
             return scheduler.select(waiting, now)
-        tenants = {r.tenant for r in waiting}
-        if len(tenants) <= 1:
-            return scheduler.select(waiting, now)
-        groups: dict[str, list[Request]] = {}
-        for r in waiting:
-            groups.setdefault(self.key(r), []).append(r)
         weights = {t: self.registry.effective_weight(t) for t in groups}
         rng = ensure_rng(
             np.random.SeedSequence(
@@ -343,15 +338,19 @@ class TenancyPlane:
         ``None`` when at most one tenant is waiting — the loop then
         runs its baseline admission untouched.
         """
-        if len(self.book.ledgers) <= 1:
-            return None
-        tenants = {r.tenant for r in waiting}
-        if len(tenants) <= 1:
+        groups = self._groups(waiting)
+        return None if groups is None else IterationShare(self, groups, budget)
+
+    def _groups(
+        self, waiting: Sequence[Request]
+    ) -> Optional[dict[str, list[Request]]]:
+        """*waiting* by tenant key; None when at most one tenant waits."""
+        if len(self.book.ledgers) <= 1 or len({r.tenant for r in waiting}) <= 1:
             return None
         groups: dict[str, list[Request]] = {}
         for r in waiting:
             groups.setdefault(self.key(r), []).append(r)
-        return IterationShare(self, groups, budget)
+        return groups
 
     # ------------------------------------------------------------------
     # durability (Snapshot / journal round trip)

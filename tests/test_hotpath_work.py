@@ -6,21 +6,36 @@ pack do on a fixed deep-queue instance (1 000 waiting requests, 64 rows
 counts are exact and repeat on any machine, so a return to sorting per
 row, to walking every candidate per row, or to re-summing a row's
 segments per probe fails here whatever the box is doing.
+
+The second half does the same for what the planes add per decision on
+the shallow-queue, every-plane-on shape (3 tenants, 16 rows × 100
+tokens, ~45 waiting): lowerings per fair-share decision, layout widths
+per batch annotation, and what one tracer emission stores.
 """
 
+import gc
 import sys
+import weakref
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
+import repro.obs.recorder as recorder
 from repro.config import BatchConfig
 from repro.core.packing import pack_first_fit
 from repro.core.slotting import pack_into_slots
+from repro.durability import DurabilityConfig, DurabilityPlane
+from repro.engine.concat import ConcatEngine
+from repro.engine.memory import GPUMemorySimulator
+from repro.obs.recorder import Tracer
 from repro.rng import ensure_rng
-from repro.scheduling.das import DASScheduler
+from repro.scheduling.das import DASFill, DASScheduler
 from repro.scheduling.queue import RequestQueue
+from repro.serving.simulator import ServingSimulator
+from repro.tenancy.fairshare import fair_select
 from repro.types import Request
+from repro.watermark import Watermark
 
 BATCH = BatchConfig(num_rows=64, row_length=100)
 DEPTH = 1000
@@ -132,7 +147,28 @@ class TestSelectWork:
         examined = work.hottest_line("das", "take")
         assert len(selected) // 2 <= examined <= 2 * len(selected)
         # The saturating-prefix scan restarts at the first live entry.
-        assert work.hottest_line("das", "_fill_rows") <= 4 * len(selected)
+        assert 0 < work.hottest_line("das", "_fill") <= 4 * len(selected)
+
+    def test_a_decisions_columns_die_with_the_decision(self, waiting):
+        # A deep queue leaves the row generator suspended; if it held its
+        # fill there would be a cycle, and every decision's columns (the
+        # lowered queue, ~1 000 entries each) would sit on the heap until
+        # the cyclic collector happened to run — host time and memory
+        # that depend on when that is.
+        scheduler = DASScheduler(BATCH)
+        gc.collect()
+        gc.disable()
+        try:
+            fill = scheduler.open(waiting, 0.5)
+            assert len(fill.next_rows(BATCH.num_rows).rows) == BATCH.num_rows
+            gone = weakref.ref(fill)
+            del fill
+            assert gone() is None
+            for _ in range(5):
+                scheduler.select(waiting, 0.5)
+            assert not any(isinstance(o, DASFill) for o in gc.get_objects())
+        finally:
+            gc.enable()
 
 
 class TestPackWork:
@@ -176,3 +212,130 @@ class TestPackWork:
         assert work.frames[("layout", "length")] == 0
         assert work.frames[("packing", "first_fit")] <= len(selected)
         assert work.calls["__init__"] == packed + slots + BATCH.num_rows + 2
+
+
+# --------------------------------------------------------------------- #
+# What the planes add per decision
+# --------------------------------------------------------------------- #
+
+PLANES_BATCH = BatchConfig(num_rows=16, row_length=100)
+TENANTS = ("premium", "standard", "batch")
+
+
+def _shallow(n=45, seed=5):
+    rng = ensure_rng(seed)
+    return [
+        Request(
+            request_id=i,
+            length=int(min(100, max(3, round(rng.normal(20.0, 20.0))))),
+            arrival=0.0,
+            deadline=float(rng.uniform(1.0, 6.0)),
+            tenant=TENANTS[int(rng.integers(len(TENANTS)))],
+        )
+        for i in range(n)
+    ]
+
+
+class TestFairShareWork:
+    def test_one_lowering_per_tenant_per_decision(self):
+        groups: dict = {}
+        for r in _shallow():
+            groups.setdefault(r.tenant, []).append(r)
+        decision, work = measure(
+            lambda: fair_select(
+                DASScheduler(PLANES_BATCH), groups, 0.0,
+                weights={t: 1.0 for t in groups}, deficits={}, rng=ensure_rng(0),
+            )
+        )
+        # Every tenant is oversubscribed for a row, so every row comes
+        # off columns — lowered once per tenant, not once per row (the
+        # per-row re-select made 9 lowerings and 12 selects for these 12 rows).
+        assert len(decision.rows) >= 10
+        assert 1 <= work.frames[("queue", "utility_columns")] <= len(groups)
+        assert work.calls["lexsort"] <= 2 * len(groups)
+        # ... and the scheduler object is not reconfigured per row.
+        assert work.frames[("das", "select")] == 0
+
+
+class TestAnnotationWork:
+    def test_one_width_per_layout(self):
+        engine = ConcatEngine(PLANES_BATCH)
+        result = engine.serve(_shallow(60)[:40])
+        (layout,) = result.layouts
+        occupied = sum(1 for row in layout.rows if row.segments)
+        assert occupied >= 5
+        memory = GPUMemorySimulator(512)
+        _, work = measure(memory.watermark_bytes, layout)
+        # Once per layout; it was once per occupied row.
+        assert work.frames[("layout", "effective_width")] == 1
+        engine.trace_annotations(result)  # warm the cost model's memo
+        _, work = measure(engine.trace_annotations, result)
+        # The cost model's fingerprint reads it once, the watermark once.
+        assert work.frames[("layout", "effective_width")] <= 2 * len(result.layouts)
+        # A row's extent is a running figure, not a pass over segments.
+        assert work.frames[("layout", "extent")] > 0
+        assert work.frames[("layout", "end")] == 0
+
+
+class TestTracerWork:
+    @pytest.fixture()
+    def traced_run(self, monkeypatch):
+        """A traced, checkpointed simulator run with every
+        ``RequestEvent`` construction counted."""
+        built = []
+
+        class Counted(recorder.RequestEvent):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(recorder, "RequestEvent", Counted)
+        requests = sorted(
+            (
+                Request(
+                    request_id=r.request_id, length=r.length,
+                    arrival=0.01 * r.request_id, deadline=0.01 * r.request_id + 2.0,
+                )
+                for r in _shallow(300)
+            ),
+            key=lambda r: r.arrival,
+        )
+        tracer = Tracer()
+        plane = DurabilityPlane(DurabilityConfig(checkpoint_every=2))
+        sim = ServingSimulator(
+            DASScheduler(PLANES_BATCH), ConcatEngine(PLANES_BATCH),
+            trace=tracer, durability=plane,
+        )
+        _, work = measure(lambda: sim.run(requests, horizon=6.0))
+        return tracer, plane, work, built
+
+    def test_one_entry_per_emission_and_no_event_objects(self, traced_run):
+        tracer, plane, work, built = traced_run
+        emissions = sum(
+            work.frames[("recorder", name)]
+            for name in ("_emit", "_end", "batch", "decision", "durability")
+        )
+        assert emissions > 1000
+        assert len(tracer.log) == emissions
+        assert len(plane.journal.snapshots) > 3
+        # The write path never builds an event object ...
+        assert built == []
+        assert work.frames[("recorder", "_fold")] == 0
+        # ... reading does, one per lifecycle entry, once.
+        lifecycle = sum(1 for entry in tracer.log if len(entry) == 4)
+        assert sum(len(evs) for evs in tracer.events.values()) == lifecycle
+        assert len(built) == lifecycle
+        tracer.spans()
+        assert len(built) == lifecycle
+
+    def test_export_state_does_not_grow_with_the_log(self, traced_run):
+        tracer, _, _, _ = traced_run
+        small = Tracer()
+        small.arrive(Request(request_id=0, length=3, arrival=0.0, deadline=1.0), 0.0)
+        state, big_work = measure(tracer.export_state)
+        _, small_work = measure(small.export_state)
+        assert len(tracer.log) > 1000 * len(small.log)
+        assert big_work.calls == small_work.calls
+        (watermark,) = state.values()
+        assert isinstance(watermark, Watermark)
+        assert watermark.ref is tracer.log and watermark.n == len(tracer.log)

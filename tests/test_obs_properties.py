@@ -265,3 +265,106 @@ class TestTracerDiscipline:
         ts = [e.t for e in tracer.events[2]]
         assert ts == sorted(ts)
         assert ts[-1] == 3.0
+
+
+class TestOneLog:
+    """The log is the only store; every view is a fold of it."""
+
+    def _requests(self, n=6):
+        from repro.types import Request
+
+        return [
+            Request(request_id=i, length=4 + i, arrival=0.0, deadline=9.0)
+            for i in range(n)
+        ]
+
+    def _drive(self, tracer, requests, t0):
+        for r in requests:
+            tracer.arrive(r, t0)
+            tracer.enqueue(r, t0)
+        tracer.decision(t0, 0.0, {"scheduler": "das"})
+        tracer.scheduled(requests, t0 + 0.1, engine=1)
+        tracer.executed(requests, t0 + 0.1, 0.5, engine=1)
+        tracer.batch(t0 + 0.1, 0.5, engine=1, useful_tokens=9)
+        tracer.requeued(requests[:1], t0 + 0.6)
+        tracer.scheduled(requests[:1], t0 + 0.7, engine=0)
+        tracer.served(requests, t0 + 1.2)
+
+    def test_reading_mid_run_then_emitting_more(self):
+        """The fold is incremental and idempotent: a run read half way
+        (twice) ends up exactly like the same run never read."""
+        first, second = self._requests()[:3], self._requests()[3:]
+        read, unread = Tracer(), Tracer()
+        for tracer in (read, unread):
+            self._drive(tracer, first, 0.0)
+        events = read.events
+        spans_mid = read.spans()
+        assert read.spans() == spans_mid
+        assert read.events is events and len(events) == 3
+        assert read.attempts == {0: 2, 1: 1, 2: 1}
+        assert len(read.batches) == 1
+        for tracer in (read, unread):
+            self._drive(tracer, second, 2.0)
+            tracer.expired(second, 9.0)  # duplicates
+        assert read.events is events and len(events) == 6
+        assert read.spans()[: len(spans_mid)] == spans_mid
+        assert read.events == unread.events
+        assert read.spans() == unread.spans()
+        assert read.attempts == unread.attempts
+        assert read.batches == unread.batches and len(read.batches) == 2
+        assert read.decisions == unread.decisions
+        assert read.duplicate_terminals == unread.duplicate_terminals == 3
+        assert read.outcomes() == unread.outcomes()
+
+    def test_duplicate_terminal_after_restore(self):
+        """A restored tracer still knows who has ended, and when every
+        unfinished request was last seen."""
+        from repro.watermark import thaw
+
+        done, pending = self._requests()[:3], self._requests()[3:]
+        tracer = Tracer()
+        self._drive(tracer, done, 0.0)
+        for r in pending:
+            tracer.arrive(r, 3.0)
+        checkpoint = tracer.export_state()
+        tracer.served(pending, 4.0)  # after the checkpoint: not restored
+
+        restored = Tracer()
+        restored.apply_state(thaw(checkpoint))
+        assert restored.outcomes() == {r.request_id: "served" for r in done}
+        assert restored.duplicate_terminals == 0
+        restored.expired(done, 5.0)  # ended before the checkpoint
+        assert restored.duplicate_terminals == len(done)
+        assert restored.outcomes() == {r.request_id: "served" for r in done}
+        # The clamp survives too: last seen at 3.0, swept "at" 2.0.
+        restored.abandoned(pending, 2.0)
+        assert [restored.events[r.request_id][-1].t for r in pending] == [3.0] * 3
+        # The crashed tracer's log was not touched by any of it.
+        assert len(tracer.log) == checkpoint["events"].n + len(pending)
+        assert tracer.duplicate_terminals == 0
+
+    def test_disabled_tracer_holds_nothing(self):
+        tracer = Tracer(enabled=False)
+        requests = self._requests()
+        self._drive(tracer, requests, 0.0)
+        tracer.rejected(requests[0], 1.0)
+        tracer.abandoned(requests, 1.0)
+        tracer.overload(0.0, "shed", n=1)
+        tracer.durability(0.0, "snapshot", seq=0)
+        tracer.health(0.0, "probe", engine=0)
+        tracer.tenant(0.0, "quota", tenant="batch")
+        assert tracer.log == []
+        assert tracer.events == {} and tracer.attempts == {}
+        assert tracer.outcomes() == {} and tracer.spans() == []
+        assert tracer.duplicate_terminals == 0
+        assert tracer._outcome == {} and tracer._last_t == {}
+
+    def test_span_terminal_flag(self):
+        tracer = Tracer()
+        self._drive(tracer, self._requests(2), 0.0)
+        flags = [(s.phase, s.is_terminal) for s in tracer.spans()]
+        assert all(
+            terminal == (phase in {k.value for k in TERMINAL_KINDS})
+            for phase, terminal in flags
+        )
+        assert sum(terminal for _, terminal in flags) == 2
