@@ -17,12 +17,11 @@ The crash-boundary resolution rules (see ``docs/recovery.md``):
   client, so they are recovered into the restored queue with duplicate
   suppression — never served twice, never lost.
 
-Replay touches the queue only through its ledgered mutators
-(``drop``/``abandon``/``requeue``/``remove_served`` and the overload
-ledger's ``shed_requests``) so restored state obeys the same
-conservation discipline as live state; ``repro/durability/restore.py``
-carries the policy waiver for re-applying ledgered drops (tcblint
-TCB008).
+Every record replayed here was written by one
+:class:`~repro.serving.lifecycle.Lifecycle` transition, and replay
+applies the same queue mutator and ledger entry that transition did —
+which is why this is the one module besides ``serving/lifecycle.py``
+that may call them.
 """
 
 from __future__ import annotations
@@ -45,7 +44,6 @@ from repro.durability.snapshot import (
     REPLAYED,
     apply_engine_cursors,
 )
-from repro.overload.ledger import shed_requests
 from repro.scheduling.queue import RequestQueue
 from repro.watermark import thaw
 
@@ -177,9 +175,11 @@ def restore_state(
             if rec.readd:
                 queue.requeue(list(rec.retained))
         elif isinstance(rec, ShedRecord):
-            # shed_requests bumps metrics.shed incrementally; the next
-            # commit overwrites it with the absolute recorded value.
-            shed_requests(queue, metrics, list(rec.requests), now)
+            # metrics.shed is bumped incrementally; the next commit
+            # overwrites it with the absolute recorded value.
+            taken = queue.take(rec.requests)
+            metrics.rejected.extend(taken)
+            metrics.shed += len(taken)
         elif isinstance(rec, HedgeRecord):
             # Audit-only: the winner's dispatch/terminal records carry
             # every queue and ledger effect, and hedge counters are

@@ -27,12 +27,7 @@ from repro.faults.plan import (
     FaultKind,
     FaultPlan,
 )
-from repro.faults.recovery import (
-    RetryPolicy,
-    SlotOutcome,
-    requeue_failed,
-    serve_slot,
-)
+from repro.faults.recovery import RetryPolicy, SlotOutcome, serve_slot
 
 __all__ = [
     "FaultConfig",
@@ -47,5 +42,4 @@ __all__ = [
     "RetryPolicy",
     "SlotOutcome",
     "serve_slot",
-    "requeue_failed",
 ]

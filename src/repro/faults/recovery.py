@@ -13,9 +13,12 @@ Two layers:
 - :func:`serve_slot` — drives one engine slot, transparently applying
   split-batch retry on transient OOM (halve and re-serve; the dropped
   half simply stays in the wait queue), and normalising success,
-  terminal failure and crash into a :class:`SlotOutcome` value.
-- :func:`requeue_failed` — the post-failure queue policy shared by all
-  serving loops.
+  terminal failure and crash into a :class:`SlotOutcome` value.  It is
+  the only way a serving loop runs an engine, so a typed fault cannot
+  escape one.
+- :meth:`RetryPolicy.triage` — the pure post-failure policy;
+  :meth:`repro.serving.lifecycle.Lifecycle.failed` applies it to the
+  queue and the ledgers.
 """
 
 from __future__ import annotations
@@ -26,10 +29,9 @@ from typing import Mapping, Optional, Sequence
 from repro.engine.base import MIN_SLOT, BatchResult, InferenceEngine
 from repro.engine.cost_model import GPUCostModel
 from repro.faults.outcomes import BatchFailure, EngineDown
-from repro.scheduling.queue import RequestQueue
 from repro.types import Request
 
-__all__ = ["RetryPolicy", "SlotOutcome", "serve_slot", "requeue_failed"]
+__all__ = ["RetryPolicy", "SlotOutcome", "serve_slot"]
 
 
 @dataclass(frozen=True)
@@ -155,22 +157,3 @@ def serve_slot(
             split_retries=split_retries,
         )
 
-
-def requeue_failed(
-    queue: RequestQueue,
-    policy: RetryPolicy,
-    cost_model: GPUCostModel,
-    requests: Sequence[Request],
-    now: float,
-) -> tuple[list[Request], list[Request]]:
-    """Apply the requeue policy to a failed batch's requests.
-
-    Bumps each request's attempt count, keeps the still-feasible ones in
-    the wait queue, and records the rest as abandoned on the queue.
-    Returns ``(retained, abandoned)``.
-    """
-    queue.note_attempt(requests)
-    retained, lost = policy.triage(requests, now, cost_model, queue.attempts)
-    if lost:
-        queue.abandon(lost)
-    return retained, lost

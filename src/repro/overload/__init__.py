@@ -16,12 +16,14 @@ plane on top of the deadline-aware core, all on the simulated clock:
   failures,
 - :mod:`~repro.overload.controller` — the hysteresis degradation state
   machine (NORMAL → SHED → BROWNOUT) that ties the pieces together and
-  is what the serving loops accept via their ``overload=`` keyword,
-- :mod:`~repro.overload.ledger` — the *only* sanctioned path for
-  removing live requests from a wait queue outside the
-  served/expired/abandoned flows (tcblint rule TCB008), keeping the
-  conservation invariant ``served + expired + rejected + abandoned ==
-  arrived`` exact under shedding.
+  is what the serving loops accept via their ``overload=`` keyword.
+
+The plane only *decides*: which requests to shed, whether an arrival or
+an engine may proceed.  Removing the victims from the wait queue and
+booking them as ``rejected`` is done by
+:meth:`repro.serving.lifecycle.Lifecycle.expire_and_shed`, like every
+other queue removal, which keeps the conservation invariant ``served +
+expired + rejected + abandoned == arrived`` exact under shedding.
 
 Everything is deterministic from ``(config, seed)`` and disabled by
 default: a loop run with ``overload=None`` (or an all-default
@@ -46,7 +48,6 @@ from repro.overload.controller import (
     OverloadController,
     ServiceLevel,
 )
-from repro.overload.ledger import drop_unservable, shed_requests
 from repro.overload.shedding import (
     LatestDeadlineFirst,
     LowestUtilityFirst,
@@ -74,6 +75,4 @@ __all__ = [
     "RandomShed",
     "TenantWeightedShed",
     "make_shedder",
-    "drop_unservable",
-    "shed_requests",
 ]

@@ -6,9 +6,9 @@ keyword):
 
 - **bounded queue** — on every scheduling opportunity the controller
   reads the queue's :class:`~repro.overload.backpressure.QueuePressure`
-  and sheds victims (chosen by the configured
-  :class:`~repro.overload.shedding.SheddingPolicy`) through the
-  conservation-preserving ledger helper,
+  and chooses victims (by the configured
+  :class:`~repro.overload.shedding.SheddingPolicy`); the run's
+  :class:`~repro.serving.lifecycle.Lifecycle` removes and ledgers them,
 - **degradation** — a hysteresis state machine NORMAL → SHED → BROWNOUT
   keyed on queue delay and the rolling deadline-miss rate.  SHED and
   BROWNOUT tighten admission (a minimum-slack floor on arrivals);
@@ -33,14 +33,12 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from repro.obs.recorder import NO_TRACE
 from repro.overload.backpressure import QueueLimits
 from repro.overload.breaker import BreakerConfig, CircuitBreaker
-from repro.overload.ledger import shed_requests
 from repro.overload.shedding import LowestUtilityFirst, SheddingPolicy
 from repro.types import Request
 from repro.watermark import mark
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scheduling.queue import RequestQueue
-    from repro.serving.metrics import ServingMetrics
 
 __all__ = [
     "DegradationConfig",
@@ -332,33 +330,26 @@ class OverloadController:
     # Bounded queue + shedding
     # ------------------------------------------------------------------ #
 
-    def maybe_shed(
-        self,
-        queue: "RequestQueue",
-        metrics: "ServingMetrics",
-        now: float,
-        tracer=NO_TRACE,
-    ) -> list[Request]:
-        """Shed back under the queue limits; returns the victims."""
+    def shed_victims(self, queue: "RequestQueue", now: float) -> Sequence[Request]:
+        """Whom to shed to get back under the queue limits (often no one).
+
+        Only the choice is made here; :class:`~repro.serving.lifecycle.
+        Lifecycle` takes the victims off the queue, books them and
+        reports the count back through :meth:`note_shed`.
+        """
         if self.config.limits.unbounded:
-            return []
+            return ()
         pressure = queue.pressure(self.config.limits)
         if not pressure.overloaded:
-            return []
-        victims = self._shedder.select_victims(
-            queue.waiting(now), pressure, now
-        )
-        taken = shed_requests(
-            queue,
-            metrics,
-            victims,
-            now,
-            tracer,
-            policy=self._shedder.name,
-            reason="queue-pressure",
-        )
-        self.shed_total += len(taken)
-        return taken
+            return ()
+        return self._shedder.select_victims(queue.waiting(now), pressure, now)
+
+    @property
+    def shed_policy(self) -> str:
+        return self._shedder.name
+
+    def note_shed(self, count: int) -> None:
+        self.shed_total += count
 
     # ------------------------------------------------------------------ #
     # Circuit breakers

@@ -253,12 +253,11 @@ class RequestQueue:
     def take(self, requests: Sequence[Request]) -> list[Request]:
         """Remove requests from the wait queue *without* a ledger entry.
 
-        The caller owns terminal accounting — which is exactly why bare
-        call sites are banned (tcblint TCB008): only the overload
-        ledger's :func:`~repro.overload.ledger.shed_requests` may call
-        this, and it immediately records every taken request as a
-        ``rejected``-class terminal.  Requests no longer waiting are
-        skipped; returns the requests actually removed.
+        The caller owns terminal accounting: the one live caller,
+        :meth:`repro.serving.lifecycle.Lifecycle.expire_and_shed`,
+        records every taken request as a ``rejected``-class terminal
+        at once.  Requests no longer waiting are skipped; returns the
+        requests actually removed.
         """
         taken: list[Request] = []
         for r in requests:

@@ -73,14 +73,18 @@ class AdmissionController:
             return AdmissionDecision(False, "queue pressure")
         return AdmissionDecision(True)
 
-    def admit(self, request: Request, now: float) -> bool:
+    def decide(self, request: Request, now: float) -> AdmissionDecision:
         """Check and record; rejected requests land in ``self.rejected``."""
         decision = self.check(request, now)
         if decision.admitted:
             self._queued_tokens += request.length
         else:
             self.rejected.append(request)
-        return decision.admitted
+        return decision
+
+    def admit(self, request: Request, now: float) -> bool:
+        """:meth:`decide`, for callers that do not need the reason."""
+        return self.decide(request, now).admitted
 
     def release(self, requests: Sequence[Request]) -> None:
         """Notify the controller that requests left the queue."""

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from repro.engine.base import InferenceEngine
+from repro.faults.recovery import serve_slot
 from repro.scheduling.base import Scheduler
 from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
 from repro.serving.lifecycle import Lifecycle
@@ -82,7 +83,6 @@ class AutoscalingSimulator:
 
         life = Lifecycle(self.scheduler)
         life.begin(requests, horizon)
-        queue = life.queue
         self.events = []
 
         engines: dict[int, InferenceEngine] = {
@@ -97,7 +97,7 @@ class AutoscalingSimulator:
         heapq.heapify(idle)
 
         def waiting_tokens(now: float) -> int:
-            return sum(r.length for r in queue.waiting(now))
+            return sum(r.length for r in life.waiting(now))
 
         while idle:
             now, _, engine_id = heapq.heappop(idle)
@@ -126,7 +126,7 @@ class AutoscalingSimulator:
                 self.events.append(ScalingEvent(now, "down", active - 1))
                 continue  # this engine retires instead of serving
 
-            waiting = queue.waiting(now)
+            waiting = life.waiting(now)
             wake = life.next_arrival_at()
             if not waiting:
                 if wake is not None:
@@ -144,9 +144,30 @@ class AutoscalingSimulator:
                     heapq.heappush(idle, (wake, engine_id, engine_id))
                 continue
 
-            result = engine.serve(selected)
+            selected = life.dispatch(selected, now, engine=engine_id)
+            outcome = serve_slot(engine, selected, now)
+            dispatch = now + outcome.wasted
+            life.attempted(outcome, len(selected), now, engine=engine_id)
+            if outcome.result is None:
+                # Failed or crashed, as in ClusterSimulator: triaged at
+                # `now` (another engine may retry at once); a crashed
+                # engine sits out its downtime before it polls again.
+                rejoin = dispatch
+                if outcome.down_until is not None:
+                    life.crashed(outcome.downtime, dispatch, engine=engine_id)
+                    rejoin = outcome.down_until
+                life.failed(outcome.failed, engine.cost_model, now)
+                heapq.heappush(idle, (rejoin, engine_id, engine_id))
+                continue
+
+            result = outcome.result
             finish = life.serve_batch(
-                result, selected, now, max(result.latency, MIN_SLOT), engine
+                result,
+                selected,
+                dispatch,
+                max(result.latency, MIN_SLOT),
+                engine,
+                engine=engine_id,
             )
             heapq.heappush(idle, (finish, engine_id, engine_id))
 

@@ -323,7 +323,6 @@ class ClusterSimulator:
         life.begin(
             requests, horizon, lambda: {"now": now, "idle": list(idle)}, resume
         )
-        queue = life.queue
 
         def rearm(at: float, engine_idx: int, late: bool = False) -> None:
             # `late` puts a re-armed engine after engines that genuinely
@@ -368,7 +367,7 @@ class ClusterSimulator:
                 now, tiebreak, engine_idx = chosen
             life.admit_arrivals(now)
             life.expire_and_shed(now)
-            waiting = queue.waiting(now)
+            waiting = life.waiting(now)
             if not waiting:
                 wait_for_work(engine_idx)
                 continue

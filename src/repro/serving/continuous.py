@@ -166,7 +166,7 @@ class ContinuousBatchingSimulator:
             },
             resume,
         )
-        queue, metrics = life.queue, life.metrics
+        metrics = life.metrics
         budget = self.batch.capacity_tokens
         key = self._admission_key()
 
@@ -193,7 +193,7 @@ class ContinuousBatchingSimulator:
             # The admission orders are total (request-id tie-break), so
             # the view's column sort (one np.lexsort, no key tuples) is
             # bit-identical to an explicit keyed sort of the requests.
-            view = queue.waiting(now)
+            view = life.waiting(now)
             attr = "by_arrival" if self.admission == "fcfs" else "by_utility"
             waiting = getattr(view, attr, None)
             if waiting is None:
@@ -232,11 +232,10 @@ class ContinuousBatchingSimulator:
             prefill_tokens = 0
             prefill_entries = 0
             if admitted:
-                life.dispatch(admitted, now, resident=True)
-                # Iteration-level dequeue: residents leave the wait queue
+                # Iteration-level dispatch: residents leave the wait queue
                 # for `running` here and get their terminal from
                 # life.serve / life.failed / life.finish later.
-                queue.remove_served(admitted)
+                life.dispatch(admitted, now, resident=True)
                 prefill_tokens = sum(r.length for r in admitted)
                 prefill_entries = sum(r.length**2 for r in admitted)
                 for req in admitted:

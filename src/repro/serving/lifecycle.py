@@ -5,12 +5,17 @@ dispatch``, then ``serve | requeue | abandon``.  :class:`Lifecycle` owns
 the run's :class:`~repro.scheduling.queue.RequestQueue` and
 :class:`~repro.serving.metrics.ServingMetrics`, holds whichever planes
 the caller was given (admission controller, tracer, overload,
-durability, tenancy, cluster health), and is the only code in
-``repro/serving/`` that performs one of those transitions: each method
-below moves the requests, books the ledger and tells every attached
-plane once, in one order (``docs/lifecycle.md`` has the transition ×
-plane table).  The callers keep only what differs between them — the
-clock, batch selection, engine dispatch, hedging, autoscaling.
+durability, tenancy, cluster health), and is the only code that
+performs one of those transitions: each method below moves the
+requests, books the ledger and tells every attached plane once, in one
+order (``docs/lifecycle.md`` has the transition × plane table).  No
+other module calls a queue mutator — journal replay in
+``repro/durability/restore.py`` re-applies this module's own records —
+so a request cannot leave the queue without its ledger entry
+(``tests/test_lifecycle_properties.py`` walks the package to check).
+The callers keep only what differs between them — the clock, batch
+selection, engine dispatch (through
+:func:`~repro.faults.recovery.serve_slot`), hedging, autoscaling.
 
 Every plane is optional and absent by default; a method then touches
 only the queue and the metrics, which is the paper's Fig. 3 loop.
@@ -25,12 +30,11 @@ from repro.durability.restore import RestoredState
 from repro.durability.snapshot import LiveState
 from repro.engine.base import BatchResult, InferenceEngine
 from repro.engine.cost_model import GPUCostModel
-from repro.faults.recovery import RetryPolicy, SlotOutcome, requeue_failed
+from repro.faults.recovery import RetryPolicy, SlotOutcome
 from repro.obs.recorder import NO_TRACE, Tracer
 from repro.overload.controller import OverloadController
-from repro.overload.ledger import drop_unservable
 from repro.scheduling.base import Scheduler, SchedulingDecision
-from repro.scheduling.queue import RequestQueue
+from repro.scheduling.queue import RequestQueue, WaitingView
 from repro.serving.admission import AdmissionController
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
@@ -200,10 +204,12 @@ class Lifecycle:
         """Enqueue one arrived request, or reject it.
 
         Returns ``None`` when enqueued, else ``(cause, detail)`` with
-        cause ``"admission"``, ``"degraded"`` or ``"quota"``.
+        cause ``"admission"`` (detail: the controller's reason),
+        ``"degraded"`` or ``"quota"`` (detail: the quota that refused).
         """
         adm, ov, tn, tr = self.admission, self.ov, self.tn, self.tr
-        if adm is not None and not adm.admit(r, now):
+        verdict = adm.decide(r, now) if adm is not None else None
+        if verdict is not None and not verdict.admitted:
             if self.online:
                 self.reject(r, now)
             else:
@@ -214,7 +220,7 @@ class Lifecycle:
                 if tr.enabled:
                     tr.arrive(r, now)
                     tr.rejected(r, now)
-            return ("admission", "")
+            return ("admission", verdict.reason)
         if ov is not None and not ov.admit(r, now):
             self.reject(r, now, held=True)
             return ("degraded", "")
@@ -256,8 +262,17 @@ class Lifecycle:
     # Waiting: expire, shed, select, drop
     # ------------------------------------------------------------------ #
 
-    def expire_and_shed(self, now: float) -> None:
-        """Expire past-deadline requests, then shed back under the limits."""
+    def waiting(self, now: float) -> WaitingView:
+        """``N_t``: the requests a scheduler may pick from at *now*."""
+        return self.queue.waiting(now)
+
+    def expire_and_shed(self, now: float) -> list[Request]:
+        """Expire past-deadline requests, then shed back under the limits.
+
+        Returns the requests shed.  A shed is a ``rejected``-class
+        terminal: the victims the overload controller chose leave the
+        queue and are booked here, once, on every ledger.
+        """
         queue, tr, tn, dur, ov = self.queue, self.tr, self.tn, self.dur, self.ov
         dead = queue.expire(now)
         if self.online:
@@ -269,15 +284,34 @@ class Lifecycle:
             tn.expired(dead)
         if dur is not None:
             dur.terminal("expired", dead)
-        if ov is not None:
-            ov.observe_outcomes(missed=len(dead))
-            ov.update(now, queue, tr)
-            shed = ov.maybe_shed(queue, self.metrics, now, tr)
-            self._release(shed)
-            if tn is not None:
-                tn.shed(shed)
-            if dur is not None:
-                dur.shed(shed)
+        if ov is None:
+            return []
+        ov.observe_outcomes(missed=len(dead))
+        ov.update(now, queue, tr)
+        shed = queue.take(ov.shed_victims(queue, now))
+        if not shed:
+            return shed
+        m = self.metrics
+        m.rejected.extend(shed)
+        m.shed += len(shed)
+        if tr.enabled:
+            for r in shed:
+                tr.rejected(r, now)
+            tr.overload(
+                now,
+                "shed",
+                count=len(shed),
+                tokens=sum(r.length for r in shed),
+                policy=ov.shed_policy,
+                reason="queue-pressure",
+            )
+        ov.note_shed(len(shed))
+        self._release(shed)
+        if tn is not None:
+            tn.shed(shed)
+        if dur is not None:
+            dur.shed(shed)
+        return shed
 
     def breaker_blocks(self, engine: int, now: float) -> Optional[float]:
         """When *engine*'s open breaker may be retried; None if it may run."""
@@ -317,13 +351,17 @@ class Lifecycle:
         """Drop waiting requests longer than a row; False if there are none.
 
         The scheduler picked nothing; requests that exceed ``L`` would
-        otherwise livelock the loop until their deadlines.
+        otherwise livelock the loop until their deadlines.  They count
+        as ``expired`` — the ledger of deadline expiry — because no
+        amount of waiting could have served them (Eq. 11's row capacity).
         """
         row_length = self.scheduler.batch.row_length
         unservable = [r for r in waiting if r.length > row_length]
         if not unservable:
             return False
-        drop_unservable(self.queue, unservable, now, self.tr)
+        self.queue.drop(unservable)
+        if self.tr.enabled:
+            self.tr.expired(unservable, now)
         self._release(unservable)
         if self.tn is not None:
             self.tn.expired(unservable)
@@ -346,9 +384,12 @@ class Lifecycle:
         """Write-ahead a batch about to run; returns it as it will run.
 
         A batch-level dispatch is capped under brownout and its requests
-        stay queued until served; ``resident`` marks an iteration-level
-        admission (the continuous loop dequeues those itself, and scales
-        its token budget instead of capping).
+        stay queued until served.  ``resident`` marks an iteration-level
+        admission: the requests leave the wait queue here, once the
+        dispatch is journaled, and get their terminal from :meth:`serve`
+        (``dequeue=False``), :meth:`failed` (``readd=True``) or
+        :meth:`finish`; the caller scales its token budget instead of
+        capping.
         """
         if self.ov is not None and not resident:
             selected = self.ov.cap_batch(selected)
@@ -356,6 +397,8 @@ class Lifecycle:
             self.tr.scheduled(selected, now)
         if self.dur is not None:
             self.dur.dispatch(selected, engine=engine, resident=resident)
+        if resident:
+            self.queue.remove_served(selected)
         return selected
 
     def engine_result(
@@ -408,26 +451,30 @@ class Lifecycle:
         *,
         retry_from: Optional[float] = None,
         readd: bool = False,
-    ) -> None:
+    ) -> tuple[list[Request], list[Request]]:
         """Triage a failed batch: bounded requeue, or abandon.
 
-        Feasibility is judged at ``retry_from`` (default *now*; a lone
-        crashed engine cannot retry before it rejoins).  ``readd``: the
-        requests were iteration-level residents, so the retained ones go
-        back into the queue.
+        Each request's attempt count is bumped, the still-feasible ones
+        stay (or, with ``readd``, go back) in the wait queue and the
+        rest get the ``abandoned`` terminal; returns ``(retained,
+        abandoned)``.  Feasibility is judged at ``retry_from`` (default
+        *now*; a lone crashed engine cannot retry before it rejoins).
+        ``readd``: the requests were iteration-level residents.
         """
         queue, tr = self.queue, self.tr
         if not readd:
             # A batch-level dispatch leaves its requests queued; one that
             # expired or was shed while the attempt ran has its terminal.
             requests = [r for r in requests if r.request_id in queue]
-        retained, lost = requeue_failed(
-            queue,
-            self.retry,
-            cost_model,
+        queue.note_attempt(requests)
+        retained, lost = self.retry.triage(
             requests,
             now if retry_from is None else retry_from,
+            cost_model,
+            queue.attempts,
         )
+        if lost:
+            queue.abandon(lost)
         if readd:
             queue.requeue(retained)
         self.metrics.retries += len(retained)
@@ -441,6 +488,7 @@ class Lifecycle:
             self.dur.requeued(queue, requests, retained, lost, readd=readd)
         if self.ov is not None:
             self.ov.observe_outcomes(missed=len(lost))
+        return retained, lost
 
     def serve(
         self, served: Sequence[Request], finish: float, *, dequeue: bool = True

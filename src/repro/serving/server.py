@@ -263,8 +263,7 @@ class TCBServer:
         if refusal is not None:
             cause, detail = refusal
             if cause == "admission":
-                reason = self.admission.check(req, now).reason
-                raise BackpressureError(f"admission: {reason}")
+                raise BackpressureError(f"admission: {detail}")
             if cause == "degraded":
                 raise BackpressureError(f"degraded ({ov.level.label})")
             raise QuotaExceeded(tn.key(req), detail)
@@ -280,7 +279,7 @@ class TCBServer:
         life.expire_and_shed(now)
         if life.breaker_blocks(0, now) is not None:
             return []
-        waiting = self._queue.waiting(now)
+        waiting = life.waiting(now)
         if not waiting:
             return []
         selected = life.select(waiting, now).selected()

@@ -114,14 +114,13 @@ class ServingSimulator:
         )
         now = resume.now if resume is not None else 0.0
         life.begin(requests, horizon, lambda: {"now": now}, resume)
-        queue = life.queue
 
         while now < horizon:
             life.tick()
             life.admit_arrivals(now)
             life.expire_and_shed(now)
 
-            waiting = queue.waiting(now)
+            waiting = life.waiting(now)
             if not waiting:
                 wake = life.next_arrival_at()
                 if wake is None:

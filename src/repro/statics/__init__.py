@@ -10,20 +10,19 @@ Syntactic rules (per-node AST visitors):
 - hot paths keep the canonical float64 convention (TCB004),
 - no mutable default arguments (TCB005),
 - no stray quadratic ``(…, L, L)`` score-matrix allocations (TCB006),
-- serving/engine code never swallows exceptions silently (TCB007),
-- queue removals go through the overload ledger (TCB008).
+- serving/engine code never swallows exceptions silently (TCB007).
 
-Flow-sensitive rules (CFG + dataflow fixpoint, ``repro.statics.cfg`` /
-``repro.statics.dataflow``) and interprocedural rules (package call
-graph, ``repro.statics.callgraph``):
+One flow-sensitive rule (CFG + dataflow fixpoint, ``repro.statics.cfg``
+/ ``repro.statics.dataflow``) and one project-wide rule:
 
-- every path that takes requests off a queue reaches a ledger terminal
-  or re-enqueue before function exit (TCB009),
 - sim-clock values never flow into wall-clock APIs or vice versa
   (TCB010),
-- no two call sites consume the same named RNG child stream (TCB011),
-- raised typed faults always reach a ledgered handler somewhere on the
-  call graph (TCB012).
+- no two call sites consume the same named RNG child stream (TCB011).
+
+Ledger conservation is not a lint rule: every queue removal and every
+engine dispatch goes through ``repro.serving.lifecycle.Lifecycle`` and
+``repro.faults.recovery.serve_slot`` (TCB008, TCB009, TCB012 and TCB013
+were retired once that held; see "Retired rules" in ``docs/statics.md``).
 
 Run it as ``python -m repro lint`` (or ``make lint``); the tier-1 test
 ``tests/test_statics_clean.py`` asserts the tree is clean, making every

@@ -10,8 +10,7 @@ findings to a statement's own ``lineno`` directly.
 Modelled control flow:
 
 - ``if``/``elif``/``else`` — the test is a ``test`` node with ``true``
-  and ``false`` out-edges (the rules' branch-condition refinement hooks
-  key on these edge kinds),
+  and ``false`` out-edges,
 - ``while``/``for`` with ``else`` — back edges, ``break`` jumps past the
   ``else`` clause, ``continue`` returns to the test,
 - ``try``/``except``/``else``/``finally`` — every statement in a
@@ -43,10 +42,6 @@ from typing import Iterator, Optional, Union
 __all__ = ["CFG", "CFGNode", "Edge", "FunctionNode", "build_cfg", "module_cfgs"]
 
 FunctionNode = Union[ast.FunctionDef, ast.AsyncFunctionDef]
-
-# Edge kinds that do not represent normal (fall-through) control flow
-# into the exit node.
-ABNORMAL_EXIT_KINDS = frozenset({"raise"})
 
 
 @dataclass(frozen=True)

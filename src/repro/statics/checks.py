@@ -1,10 +1,11 @@
-"""The syntactic tcblint rules (TCB001–TCB008).
+"""The syntactic tcblint rules (TCB001–TCB007).
 
 Each rule protects one cross-cutting invariant of the reproduction;
 ``docs/statics.md`` ties every rule to the paper equation or
-reproducibility requirement behind it.  The flow-sensitive rules
-(TCB009–TCB012) live in :mod:`repro.statics.flowchecks` and are merged
-into :data:`ALL_RULES` here.
+reproducibility requirement behind it.  The flow-sensitive and
+project-wide rules (TCB010, TCB011) live in
+:mod:`repro.statics.flowchecks` and are merged into :data:`ALL_RULES`
+here.
 """
 
 from __future__ import annotations
@@ -393,71 +394,6 @@ class SwallowedExceptions(Rule):
                 )
 
 
-class LedgeredDrops(Rule):
-    """TCB008 — queue removals route through the conservation ledger."""
-
-    rule_id = "TCB008"
-    title = "unledgered queue drop/shed"
-    severity = Severity.ERROR
-
-    # The conservation invariant (served + expired + rejected +
-    # abandoned == arrived) only survives load shedding if every queue
-    # removal lands in exactly one metrics ledger and one trace
-    # terminal.  repro.overload.ledger is the single sanctioned caller
-    # (policy-exempted); everywhere in these trees, bare ``.drop()`` /
-    # ``.take()`` call sites and splices of another object's
-    # ``_waiting`` dict are banned.
-    _SCOPE = (
-        "repro/serving/",
-        "repro/scheduling/queue.py",
-        "repro/overload/",
-        "repro/durability/",
-        "repro/cluster_health/",
-        "repro/tenancy/",
-    )
-    _LEDGER_METHODS = frozenset({"drop", "take"})
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.path.startswith(self._SCOPE):
-            return
-        for node in ast.walk(ctx.tree):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr in self._LEDGER_METHODS
-                # The queue's own methods may do their internal
-                # bookkeeping; only *callers* must go through the ledger.
-                and not (
-                    isinstance(node.func.value, ast.Name)
-                    and node.func.value.id == "self"
-                )
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    f"bare queue .{node.func.attr}() call site; route the "
-                    "removal through repro.overload.ledger "
-                    "(shed_requests / drop_unservable) so the shed lands in "
-                    "a metrics ledger and a trace terminal — otherwise the "
-                    "conservation invariant silently loses requests",
-                )
-            elif (
-                isinstance(node, ast.Attribute)
-                and node.attr == "_waiting"
-                and not (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id == "self"
-                )
-            ):
-                yield self.finding(
-                    ctx,
-                    node,
-                    "reaching into another object's _waiting dict bypasses "
-                    "the queue's ledger accounting; use RequestQueue's API "
-                    "(and repro.overload.ledger for removals) instead",
-                )
-
-
 ALL_RULES: tuple[Rule, ...] = (
     MaskDiscipline(),
     GlobalRngBan(),
@@ -466,7 +402,6 @@ ALL_RULES: tuple[Rule, ...] = (
     MutableDefaults(),
     QuadraticAllocation(),
     SwallowedExceptions(),
-    LedgeredDrops(),
     *FLOW_RULES,
 )
 

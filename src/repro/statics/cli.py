@@ -9,10 +9,10 @@ Incremental modes:
 
 - ``--changed-only`` restricts *reported* files to those changed since
   ``merge-base(HEAD, origin/main)`` (plus worktree edits and untracked
-  files).  The whole package is still parsed so the interprocedural
-  rules keep a complete call graph.  Outside a git checkout the flag
-  degrades to linting everything — it can hide findings only when git
-  can actually say what changed.
+  files).  The whole package is still parsed so the project-wide rule
+  (TCB011) compares a changed file against every other.  Outside a git
+  checkout the flag degrades to linting everything — it can hide
+  findings only when git can actually say what changed.
 - ``--baseline FILE`` drops findings recorded in a snapshot written by
   ``--write-baseline FILE``; only *new* findings fail the run.
 - ``--report-unused-suppressions`` additionally fails the run when an

@@ -1,16 +1,11 @@
 """Generic forward-dataflow fixpoint engine over :mod:`repro.statics.cfg`.
 
-A rule supplies three callables and gets per-node input/output states:
+A rule supplies two callables and gets per-node input/output states:
 
 - ``transfer(node, state) -> state`` — the effect of executing one CFG
   node,
 - ``join(a, b) -> state`` — merge states at control-flow joins (must be
-  monotone: the analysis iterates to a fixpoint),
-- ``edge_refine(state, src_node, edge) -> state`` *(optional)* — refine
-  the state flowing along one edge.  This is how branch conditions feed
-  the analysis: e.g. TCB009 kills a taint on the ``false`` edge of
-  ``if victims:`` (on that path the victim list is empty, so there is
-  nothing to ledger).
+  monotone: the analysis iterates to a fixpoint).
 
 States must be immutable values with ``==`` (frozensets of taint tuples
 in the shipped rules).  The engine iterates in reverse postorder with a
@@ -21,9 +16,9 @@ silently).
 
 from __future__ import annotations
 
-from typing import Callable, Optional, TypeVar
+from typing import Callable, TypeVar
 
-from repro.statics.cfg import CFG, CFGNode, Edge
+from repro.statics.cfg import CFG, CFGNode
 
 __all__ = ["FixpointError", "run_forward"]
 
@@ -31,7 +26,6 @@ S = TypeVar("S")
 
 Transfer = Callable[[CFGNode, S], S]
 Join = Callable[[S, S], S]
-EdgeRefine = Callable[[S, CFGNode, Edge], S]
 
 
 class FixpointError(RuntimeError):
@@ -45,7 +39,6 @@ def run_forward(
     bottom: S,
     transfer: Transfer,
     join: Join,
-    edge_refine: Optional[EdgeRefine] = None,
     max_passes: int = 100,
 ) -> tuple[dict[int, S], dict[int, S]]:
     """Run a forward analysis to fixpoint; returns ``(in, out)`` maps.
@@ -78,11 +71,7 @@ def run_forward(
         if idx != CFG.ENTRY:
             acc = bottom
             for e in node.preds:
-                src = cfg.nodes[e.src]
-                flowing = out_state[e.src]
-                if edge_refine is not None:
-                    flowing = edge_refine(flowing, src, e)
-                acc = join(acc, flowing)
+                acc = join(acc, out_state[e.src])
             in_state[idx] = acc
 
         new_out = transfer(node, in_state[idx])

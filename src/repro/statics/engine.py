@@ -4,13 +4,14 @@ The run is two-phase:
 
 1. **Per-file rules** check each module in isolation as it is parsed.
 2. **Project rules** (:class:`~repro.statics.rules.ProjectRule` — the
-   interprocedural TCB011/TCB012) run once over every parsed module.
+   cross-module TCB011) run once over every parsed module.
 
 Findings from both phases pass through the same per-path policy and
 inline-suppression filters.  A lint may analyze more files than it
 reports on (``report_only``, used by ``--changed-only``): project rules
-still see the whole package so call graphs stay complete, but findings
-and file counts cover only the requested files.
+still see the whole package, so an RNG stream key in a changed file is
+checked against every unchanged one, but findings and file counts
+cover only the requested files.
 """
 
 from __future__ import annotations
@@ -149,7 +150,7 @@ def lint_source(
     """Lint one source string; *path* drives path-scoped rules/policy.
 
     The single module doubles as the whole "project" for the project
-    rules, so fixtures exercise TCB011/TCB012 in one file.
+    rules, so fixtures exercise TCB011 in one file.
     """
     report = report if report is not None else LintReport()
     selected = _select_rules(rules)

@@ -102,21 +102,6 @@ DEFAULT_POLICY = PathPolicy(
             Exemption("repro/scheduling/baselines.py", "fig16 baseline overhead"),
             Exemption("repro/scheduling/oracle.py", "oracle LP runtime measurement"),
         ),
-        # The overload ledger is the single sanctioned queue.drop /
-        # queue.take caller: it pairs every removal with its metrics
-        # ledger entry and trace terminal in one place.  Within
-        # repro/serving/ its helpers are reached only through
-        # serving/lifecycle.py, the one place requests leave the queue.
-        "TCB008": (
-            Exemption(
-                "repro/overload/ledger.py",
-                "the conservation-preserving shed/drop helpers themselves",
-            ),
-            Exemption(
-                "repro/durability/restore.py",
-                "journal replay re-applies already-ledgered drops verbatim",
-            ),
-        ),
         # Attention/mask modules legitimately build (W, W) score-shaped
         # arrays; slotting exists to eliminate them everywhere else.
         "TCB006": (

@@ -115,12 +115,12 @@ class Rule:
 class ProjectRule(Rule):
     """A rule that needs the whole module set at once.
 
-    Interprocedural rules (call graphs, cross-module stream registries)
-    cannot verify a single file in isolation; the engine runs them once
-    per lint invocation over every parsed module, after the per-file
-    rules.  Findings still land on individual files and pass through
-    that file's policy/suppression filters, so ``# tcblint: disable``
-    works unchanged.
+    Cross-module rules (the RNG stream registry) cannot verify a single
+    file in isolation; the engine runs them once per lint invocation
+    over every parsed module, after the per-file rules.  Findings still
+    land on individual files and pass through that file's
+    policy/suppression filters, so ``# tcblint: disable`` works
+    unchanged.
     """
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

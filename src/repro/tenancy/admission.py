@@ -1,7 +1,7 @@
 """Deterministic per-tenant token-bucket admission on the sim clock.
 
 Refill is driven purely by the simulated ``now`` handed in by the
-serving loop — no wall-clock reads (TCB003) and no hidden RNG (TCB010):
+serving loop — no wall-clock reads (TCB003) and no hidden RNG (TCB002, TCB011):
 two runs over the same workload see bit-identical bucket levels.
 
 A rejection surfaces as :class:`QuotaExceeded`, a typed subclass of the

@@ -4,6 +4,7 @@ import pytest
 
 from repro.config import BatchConfig, SchedulerConfig
 from repro.engine.concat import ConcatEngine
+from repro.faults import FaultConfig, FaultPlan, FaultyEngine
 from repro.scheduling.das import DASScheduler
 from repro.serving.autoscale import AutoscalingSimulator
 from repro.serving.cluster import ClusterSimulator
@@ -89,6 +90,36 @@ class TestAutoscaling:
         n = len(wl.generate())
         m = _sim().run(wl)
         assert m.num_served + m.num_expired == n
+
+    def test_faulty_engines_keep_the_ledger(self):
+        """Engine faults reach the ledger, not the caller: the loop
+        dispatches through serve_slot like the other loops (a bare
+        engine.serve used to let the first BatchFailure escape run())."""
+        cfg = FaultConfig(
+            failure_rate=0.2, oom_rate=0.2, oom_threshold=0.5,
+            crash_rate=0.02, downtime=0.3,
+        )
+        seeds = iter(range(100))
+
+        def factory():
+            return FaultyEngine(ConcatEngine(BATCH), FaultPlan(cfg, seed=next(seeds)))
+
+        sim = AutoscalingSimulator(
+            DASScheduler(BATCH, SchedulerConfig()),
+            factory,
+            min_engines=1,
+            max_engines=4,
+            high_watermark=800.0,
+            low_watermark=100.0,
+            startup_delay=0.2,
+        )
+        wl = _workload(rate=600.0)
+        m = sim.run(wl)
+        m.assert_conservation()
+        assert m.arrived == len(wl.generate())
+        assert m.failed_batches > 0 and m.retries > 0
+        assert m.downtime > 0  # at least one engine crashed and rejoined
+        assert m.num_served > 0 and sim.peak_engines > 1
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

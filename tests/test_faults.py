@@ -18,14 +18,13 @@ from repro.faults import (
     FaultPlan,
     FaultyEngine,
     RetryPolicy,
-    requeue_failed,
     serve_slot,
 )
 from repro.scheduling.baselines import FCFSScheduler
 from repro.scheduling.das import DASScheduler
-from repro.scheduling.queue import RequestQueue
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.continuous import ContinuousBatchingSimulator
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.simulator import ServingSimulator
 from repro.types import Request, make_requests
 from repro.workload.deadlines import DeadlineModel
@@ -248,12 +247,11 @@ class TestRetryPolicy:
         assert lost == [tight]
 
     def test_requeue_failed_updates_queue_ledgers(self):
-        queue = RequestQueue()
+        life = Lifecycle(retry=RetryPolicy())
+        queue = life.queue
         reqs = make_requests([5, 5], deadlines=[100.0, 1e-9])
         queue.extend(reqs)
-        retained, lost = requeue_failed(
-            queue, RetryPolicy(), GPUCostModel.calibrated(), reqs, now=0.0
-        )
+        retained, lost = life.failed(reqs, GPUCostModel.calibrated(), now=0.0)
         assert retained == [reqs[0]]
         assert queue.abandoned == [reqs[1]]
         assert queue.attempts == {reqs[0].request_id: 1, reqs[1].request_id: 1}
@@ -616,12 +614,11 @@ class TestTriageBoundaries:
         assert lost == []
 
     def test_requeue_failed_with_stale_attempts_map(self):
-        queue = RequestQueue()
+        life = Lifecycle(retry=RetryPolicy())
+        queue = life.queue
         reqs = make_requests([5], deadlines=[100.0])
         queue.extend(reqs)
         queue.attempts[12345] = 99  # debris from a request served long ago
-        retained, lost = requeue_failed(
-            queue, RetryPolicy(), GPUCostModel.calibrated(), reqs, now=0.0
-        )
+        retained, lost = life.failed(reqs, GPUCostModel.calibrated(), now=0.0)
         assert retained == list(reqs)
         assert queue.attempts[12345] == 99  # untouched

@@ -1,4 +1,4 @@
-"""Stateful property test of :class:`repro.serving.lifecycle.Lifecycle`.
+"""Property tests of :class:`repro.serving.lifecycle.Lifecycle`.
 
 The serving loops call the lifecycle's transitions in a handful of fixed
 orders.  This machine drives the same public transitions directly, all
@@ -16,9 +16,20 @@ and at the end (``finish``) the conservation assert, the tenant
 finalize and ``Tracer.reconcile``.  The durability plane runs with
 ``verify_replay`` on, so at every snapshot the journal written by these
 transition orders must replay to the live state.
+
+Below the machine, the one-door tests: an AST walk checking that
+``Lifecycle`` really is the only caller of the queue's mutators (and
+``serve_slot`` the only way ``serving/`` runs an engine), and the
+runtime checks of what the retired lint rules TCB008/009/012 used to
+prove about the shed and resident-dequeue paths.
 """
 
 from __future__ import annotations
+
+import ast
+import itertools
+from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import settings, strategies as st
@@ -32,7 +43,10 @@ from hypothesis.stateful import (
 
 from repro.config import BatchConfig
 from repro.durability import DurabilityConfig, DurabilityPlane
+from repro.durability.digest import state_digest
+from repro.durability.records import ShedRecord
 from repro.engine.cost_model import GPUCostModel
+from repro.faults.plan import SchedulerCrash, SchedulerCrashed
 from repro.faults.recovery import RetryPolicy
 from repro.obs.recorder import Tracer
 from repro.overload import (
@@ -135,7 +149,7 @@ class LifecycleMachine(RuleBasedStateMachine):
     @rule()
     def dispatch_batch(self):
         life = self.life
-        waiting = life.queue.waiting(self.now)
+        waiting = life.waiting(self.now)
         if not waiting or life.breaker_blocks(0, self.now) is not None:
             return
         selected = life.select(waiting, self.now).selected()
@@ -149,12 +163,11 @@ class LifecycleMachine(RuleBasedStateMachine):
         in_flight = {r.request_id for b in self.batches for r in b}
         admitted = [
             r
-            for r in self.life.queue.waiting(self.now)
+            for r in self.life.waiting(self.now)
             if r.length <= BATCH.row_length and r.request_id not in in_flight
         ][:k]
         if admitted:
             self.life.dispatch(admitted, self.now, resident=True)
-            self.life.queue.remove_served(admitted)
             self.residents.extend(admitted)
 
     @precondition(lambda self: self.batches)
@@ -260,3 +273,146 @@ def test_second_terminal_is_caught():
     machine.life.failed(batch, COST, machine.now, readd=True)
     with pytest.raises(AssertionError):
         check_books(machine)
+
+
+# ---------------------------------------------------------------------- #
+# One door: the structure that replaced TCB008 / TCB009 / TCB012
+# ---------------------------------------------------------------------- #
+
+PACKAGE = Path(__file__).parent.parent / "src" / "repro"
+# `add` is left out: sets and tenancy buckets have one too, and an
+# enqueue without its ledger entry shows up as arrived != accounted.
+QUEUE_MUTATORS = frozenset(
+    {"take", "drop", "remove_served", "abandon", "requeue", "note_attempt", "expire"}
+)
+# The queue itself, the lifecycle, and the replay of the lifecycle's
+# own journal records.
+QUEUE_CALLERS = frozenset(
+    {"scheduling/queue.py", "serving/lifecycle.py", "durability/restore.py"}
+)
+
+
+def _receiver(node: ast.AST) -> str:
+    """Last name of an attribute chain's receiver (``a.b.c()`` -> ``b``)."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return node.id if isinstance(node, ast.Name) else ""
+
+
+def side_doors(source: str, rel: str) -> list[str]:
+    """Every way *source* (at package path *rel*) goes round the door."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Attribute):
+            continue
+        own = isinstance(node.value, ast.Name) and node.value.id == "self"
+        where = f"{rel}:{node.lineno}"
+        if rel not in QUEUE_CALLERS:
+            if node.attr in QUEUE_MUTATORS and not own:
+                found.append(f"{where} calls .{node.attr}()")
+            if node.attr == "_waiting" and not own:
+                found.append(f"{where} touches ._waiting")
+        # Lifecycle.serve is the transition; any other .serve under
+        # serving/ is an engine being run without serve_slot.
+        if (
+            rel.startswith("serving/")
+            and node.attr == "serve"
+            and not own
+            and _receiver(node.value) not in ("life", "_life")
+        ):
+            found.append(f"{where} runs an engine without serve_slot")
+    return found
+
+
+def test_lifecycle_is_the_only_door():
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        rel = path.relative_to(PACKAGE).as_posix()
+        found += side_doors(path.read_text(), rel)
+    assert found == []
+
+
+def test_a_reopened_side_door_is_caught():
+    """Put each closed door back and the walk above must see it."""
+    rel = "serving/continuous.py"
+    src = (PACKAGE / rel).read_text()
+    anchor = "life.dispatch(admitted, now, resident=True)\n"
+    assert src.count(anchor) == 1
+    pad = " " * 16
+    reopened = src.replace(anchor, anchor + pad + "life.queue.remove_served(admitted)\n")
+    assert len(side_doors(reopened, rel)) == 1
+    rel = "serving/autoscale.py"
+    src = (PACKAGE / rel).read_text()
+    anchor = "serve_slot(engine, selected, now)"
+    assert src.count(anchor) == 1
+    reopened = src.replace(anchor, "engine.serve(selected)")
+    assert len(side_doors(reopened, rel)) == 1
+    assert side_doors("def f(q):\n    return q._waiting\n", "overload/x.py")
+
+
+@pytest.mark.parametrize(
+    "traced,tenanted,durable", list(itertools.product([False, True], repeat=3))
+)
+def test_one_shed_books_every_victim_once(traced, tenanted, durable):
+    """What TCB009's seeded mutations checked, at run time: with any
+    mix of planes, a shed victim is on every book exactly once."""
+    tracer = Tracer() if traced else None
+    tenancy = TenancyPlane(REGISTRY, seed=0) if tenanted else None
+    dur = DurabilityPlane() if durable else None
+    ov = OverloadController(OverloadConfig(limits=QueueLimits(max_tokens=100)))
+    life = Lifecycle(trace=tracer, overload=ov, tenancy=tenancy, durability=dur)
+    now = 2.0
+    life.begin(_requests(), HORIZON, lambda: {"now": now})
+    life.tick()
+    life.admit_arrivals(now)
+    shed = life.expire_and_shed(now)
+    ids = [r.request_id for r in shed]
+    assert ids and len(ids) == len(set(ids))
+    assert not any(rid in life.queue for rid in ids)
+    assert life.queue.queued_tokens <= 100
+    m = life.metrics
+    booked = Counter(r.request_id for r in m.rejected)
+    assert all(booked[rid] == 1 for rid in ids)
+    assert m.shed == ov.shed_total == len(ids)
+    if tenanted:
+        by_tenant = Counter(tenancy.key(r) for r in shed)
+        assert {
+            t: led.shed for t, led in tenancy.book.ledgers.items() if led.shed
+        } == dict(by_tenant)
+    if traced:
+        outcomes = tracer.outcomes()
+        assert all(outcomes[rid] == "rejected" for rid in ids)
+        assert tracer.duplicate_terminals == 0
+        spans = [e for e in tracer.overload_events if e.kind == "shed"]
+        assert [e.attrs["count"] for e in spans] == [len(ids)]
+    if durable:
+        records = [r for r in dur.journal.records if isinstance(r, ShedRecord)]
+        assert [r.requests for r in records] == [tuple(shed)]
+    # Nothing left to shed: a second decision books nothing.
+    assert life.expire_and_shed(now) == []
+    assert m.shed == len(ids)
+
+
+def test_resident_dispatch_survives_a_planned_crash():
+    """The iteration-level dequeue happens inside Lifecycle.dispatch,
+    after the write-ahead record: a crash at the next step boundary
+    restores a queue the residents have left."""
+    dur = DurabilityPlane(DurabilityConfig(crash=SchedulerCrash(1)))
+    life = Lifecycle(durability=dur)
+    now = 0.5
+    life.begin(_requests(), HORIZON, lambda: {"now": now})
+    life.tick()
+    life.admit_arrivals(now)
+    admitted = [r for r in life.waiting(now) if r.length <= BATCH.row_length][:3]
+    assert len(admitted) == 3
+    life.dispatch(admitted, now, resident=True)
+    assert not any(r.request_id in life.queue for r in admitted)
+    with pytest.raises(SchedulerCrashed):
+        life.tick()
+    got = dur.restore()
+    assert not any(r.request_id in got.queue for r in admitted)
+    assert state_digest(
+        got.queue, got.metrics, now=got.now, next_arrival=got.next_arrival
+    ) == state_digest(
+        life.queue, life.metrics, now=now, next_arrival=life.next_arrival
+    )

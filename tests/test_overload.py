@@ -42,6 +42,7 @@ from repro.scheduling.das import DASScheduler
 from repro.scheduling.queue import RequestQueue
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.continuous import ContinuousBatchingSimulator
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.serving.simulator import ServingSimulator
 from repro.types import Request
@@ -422,24 +423,26 @@ class TestOverloadControllerShedding:
                 shedding=LowestUtilityFirst(),
             )
         )
-        q, metrics = RequestQueue(), ServingMetrics()
+        life = Lifecycle(overload=ov)
+        q, metrics = life.queue, life.metrics
         reqs = [_req(i, length=2 * (i + 1)) for i in range(4)]
         q.extend(reqs)
         metrics.arrived = 4
-        shed = ov.maybe_shed(q, metrics, 0.0)
+        shed = life.expire_and_shed(0.0)
         # Longest two (lowest utility) go: ids 3 then 2.
         assert [r.request_id for r in shed] == [3, 2]
         assert len(q) == 2
         assert metrics.shed == 2 and metrics.num_rejected == 2
         assert ov.shed_total == 2
         # Back under limits: a second call is a no-op.
-        assert ov.maybe_shed(q, metrics, 0.1) == []
+        assert life.expire_and_shed(0.1) == []
 
     def test_unbounded_never_sheds(self):
         ov = OverloadController(OverloadConfig())
-        q, metrics = RequestQueue(), ServingMetrics()
+        life = Lifecycle(overload=ov)
+        q = life.queue
         q.extend([_req(i) for i in range(100)])
-        assert ov.maybe_shed(q, metrics, 0.0) == []
+        assert life.expire_and_shed(0.0) == []
         assert len(q) == 100
 
     def test_inert_flag(self):

@@ -33,3 +33,15 @@ def test_inline_suppressions_are_exercised():
     wall clock); if those lines disappear, so should the directives."""
     report = lint_package()
     assert report.suppressed > 0
+
+
+def test_docs_describe_exactly_the_registered_rules():
+    """docs/statics.md has one ``### TCBnnn`` section per live rule."""
+    import re
+    from pathlib import Path
+
+    from repro.statics.checks import RULES_BY_ID
+
+    doc = Path(__file__).parent.parent / "docs" / "statics.md"
+    headings = re.findall(r"^### (TCB\d{3})\b", doc.read_text(), flags=re.M)
+    assert sorted(headings) == sorted(RULES_BY_ID)

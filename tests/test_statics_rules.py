@@ -141,49 +141,6 @@ class TestRuleTCB007:
         assert lint_source(src, "repro/serving/ok.py") == []
 
 
-class TestRuleTCB008:
-    def test_fires_on_unledgered_removals(self):
-        found = _lint_fixture("bad_tcb008.py", "repro/serving/somewhere.py")
-        assert _lines(found, "TCB008") == [9, 13, 17, 21]
-        assert all(f.severity is Severity.ERROR for f in found)
-
-    def test_scope_covers_queue_and_overload(self):
-        for path in (
-            "repro/scheduling/queue.py",
-            "repro/overload/somewhere.py",
-        ):
-            found = _lint_fixture("bad_tcb008.py", path)
-            assert _lines(found, "TCB008") == [9, 13, 17, 21]
-        # Outside the scoped trees the rule stays silent.
-        found = _lint_fixture("bad_tcb008.py", "repro/analysis/somewhere.py")
-        assert _lines(found, "TCB008") == []
-
-    def test_ledger_module_is_policy_exempt(self):
-        found = _lint_fixture("bad_tcb008.py", "repro/overload/ledger.py")
-        assert _lines(found, "TCB008") == []
-
-    def test_durability_in_scope_but_restore_exempt(self):
-        # Journal replay re-applies drops that were ledgered live, so
-        # restore.py is policy-waived; the rest of the plane is not.
-        found = _lint_fixture("bad_tcb008.py", "repro/durability/plane.py")
-        assert _lines(found, "TCB008") == [9, 13, 17, 21]
-        found = _lint_fixture("bad_tcb008.py", "repro/durability/restore.py")
-        assert _lines(found, "TCB008") == []
-
-    def test_self_methods_are_clean(self):
-        src = (
-            "class RequestQueue:\n"
-            "    def __init__(self):\n"
-            "        self._waiting = {}\n"
-            "    def drop(self, requests):\n"
-            "        for r in requests:\n"
-            "            self._waiting.pop(r, None)\n"
-            "    def clear(self):\n"
-            "        self.drop(list(self._waiting))\n"
-        )
-        assert lint_source(src, "repro/scheduling/queue.py") == []
-
-
 class TestRuleTCB003OverloadScope:
     def test_wall_clock_banned_in_overload(self):
         src = "import time\n\ndef t():\n    return time.perf_counter()\n"
