@@ -15,12 +15,14 @@ a run that loses requests fails loudly instead of skewing a curve.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.config import BatchConfig
 from repro.engine.concat import ConcatEngine
 from repro.engine.cost_model import GPUCostModel
 from repro.experiments.serving_sweeps import make_scheduler, make_workload
+from repro.experiments.tables import seed_means
 from repro.faults import FaultConfig, FaultPlan, FaultyEngine
 from repro.serving.metrics import ServingMetrics
 from repro.serving.simulator import ServingSimulator
@@ -69,30 +71,23 @@ def run_fault_tolerance(
     stay comparable when the seed set changes.
     """
     out: dict[str, list[float]] = {"fault_rate": list(fault_rates)}
+    columns = {
+        "utility": attrgetter("total_utility"),
+        "served": attrgetter("num_served"),
+        "abandoned": attrgetter("num_abandoned"),
+        "retries": attrgetter("retries"),
+        "failed": attrgetter("failed_batches"),
+        "downtime": attrgetter("downtime"),
+    }
     for policy in ("das", "fcfs"):
-        key = policy.upper()
-        cols: dict[str, list[float]] = {
-            "utility": [],
-            "served": [],
-            "abandoned": [],
-            "retries": [],
-            "failed": [],
-            "downtime": [],
-        }
-        for fr in fault_rates:
-            acc = {k: 0.0 for k in cols}
-            for seed in seeds:
-                m = fault_point(
-                    policy, fr, rate=rate, horizon=horizon, seed=seed
-                )
-                acc["utility"] += m.total_utility
-                acc["served"] += m.num_served
-                acc["abandoned"] += m.num_abandoned
-                acc["retries"] += m.retries
-                acc["failed"] += m.failed_batches
-                acc["downtime"] += m.downtime
-            for k in cols:
-                cols[k].append(acc[k] / len(seeds))
+        cols = seed_means(
+            fault_rates,
+            seeds,
+            lambda fr, seed: fault_point(
+                policy, fr, rate=rate, horizon=horizon, seed=seed
+            ),
+            columns,
+        )
         for k, series in cols.items():
-            out[f"{key}_{k}"] = series
+            out[f"{policy.upper()}_{k}"] = series
     return out

@@ -21,12 +21,14 @@ asserted inside every run.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Optional, Sequence
 
 from repro.config import BatchConfig
 from repro.engine.concat import ConcatEngine
 from repro.engine.cost_model import GPUCostModel
 from repro.experiments.serving_sweeps import make_scheduler, make_workload
+from repro.experiments.tables import seed_means
 from repro.faults import FaultConfig, FaultPlan, FaultyEngine
 from repro.overload import (
     BreakerConfig,
@@ -125,32 +127,27 @@ def run_overload(
 ) -> dict[str, list[float]]:
     """Goodput sweep over offered load, shedding off vs on (seed means)."""
     out: dict[str, list[float]] = {"rate": list(rates)}
+    columns = {
+        "goodput": attrgetter("goodput_utility"),
+        "on_time": attrgetter("num_on_time"),
+        "served": attrgetter("num_served"),
+        "shed": attrgetter("shed"),
+        "expired": attrgetter("num_expired"),
+    }
     for label, shedding in (("OFF", False), ("ON", True)):
-        cols: dict[str, list[float]] = {
-            "goodput": [],
-            "on_time": [],
-            "served": [],
-            "shed": [],
-            "expired": [],
-        }
-        for rate in rates:
-            acc = {k: 0.0 for k in cols}
-            for seed in seeds:
-                m = overload_point(
-                    rate,
-                    shedding=shedding,
-                    shed_policy=shed_policy,
-                    horizon=horizon,
-                    seed=seed,
-                    chaos=chaos,
-                )
-                acc["goodput"] += m.goodput_utility
-                acc["on_time"] += m.num_on_time
-                acc["served"] += m.num_served
-                acc["shed"] += m.shed
-                acc["expired"] += m.num_expired
-            for k in cols:
-                cols[k].append(acc[k] / len(seeds))
+        cols = seed_means(
+            rates,
+            seeds,
+            lambda rate, seed: overload_point(
+                rate,
+                shedding=shedding,
+                shed_policy=shed_policy,
+                horizon=horizon,
+                seed=seed,
+                chaos=chaos,
+            ),
+            columns,
+        )
         for k, series in cols.items():
             out[f"{label}_{k}"] = series
     return out

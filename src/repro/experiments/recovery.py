@@ -18,6 +18,7 @@ failure so the broken replay can be inspected offline.
 from __future__ import annotations
 
 import json
+from operator import itemgetter
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -31,6 +32,7 @@ from repro.durability import (
 )
 from repro.engine.concat import ConcatEngine
 from repro.experiments.serving_sweeps import make_scheduler, make_workload
+from repro.experiments.tables import seed_means
 from repro.faults import FaultConfig, FaultPlan, FaultyEngine
 from repro.faults.plan import SchedulerCrash, SchedulerCrashed
 from repro.obs.recorder import Tracer
@@ -211,22 +213,20 @@ def run_recovery(
     """
     out: dict[str, list[float]] = {"checkpoint_every": [float(k) for k in intervals]}
     cols = ("journal_records", "snapshots", "replayed", "voided", "match")
-    acc: dict[str, list[float]] = {k: [] for k in cols}
-    for k in intervals:
-        sums = {c: 0.0 for c in cols}
-        for seed in seeds:
-            cell = recovery_point(
+    out.update(
+        seed_means(
+            intervals,
+            seeds,
+            lambda k, seed: recovery_point(
                 "simulator",
                 seed,
                 checkpoint_every=k,
                 rate=rate,
                 horizon=horizon,
-            )
-            for c in cols:
-                sums[c] += float(cell[c])
-        for c in cols:
-            acc[c].append(sums[c] / len(seeds))
-    out.update(acc)
+            ),
+            {c: itemgetter(c) for c in cols},
+        )
+    )
     return out
 
 

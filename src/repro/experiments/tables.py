@@ -1,15 +1,41 @@
-"""Plain-text table formatting for experiment series.
+"""Experiment series: building the columns and printing them.
 
-Every ``run_fig*`` harness returns ``{column_name: [values...]}``;
-:func:`format_series_table` renders that as the aligned text table the
-benchmark suite prints (and EXPERIMENTS.md embeds).
+Every ``run_*`` harness returns ``{column_name: [values...]}``.
+:func:`seed_means` fills such columns from a sweep — one value per
+sweep point, averaged over seeds — and :func:`format_series_table`
+renders a series as the aligned text table the benchmark suite prints
+(and EXPERIMENTS.md embeds).
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
-__all__ = ["format_series_table"]
+__all__ = ["format_series_table", "seed_means"]
+
+
+def seed_means(
+    xs: Sequence[Any],
+    seeds: Sequence[int],
+    point: Callable[[Any, int], Any],
+    columns: Mapping[str, Callable[[Any], float]],
+) -> dict[str, list[float]]:
+    """Per sweep value in *xs*, each column's mean over *seeds*.
+
+    ``point(x, seed)`` runs one cell and each of *columns* reads its
+    figure off the result.  A column is summed from ``0.0`` in seed
+    order, so a series does not depend on how the sweep is written.
+    """
+    series: dict[str, list[float]] = {c: [] for c in columns}
+    for x in xs:
+        sums = dict.fromkeys(columns, 0.0)
+        for seed in seeds:
+            cell = point(x, seed)
+            for c, read in columns.items():
+                sums[c] += read(cell)
+        for c in columns:
+            series[c].append(sums[c] / len(seeds))
+    return series
 
 
 def _fmt(v: object) -> str:

@@ -29,6 +29,7 @@ from repro.cluster_health import (
 from repro.config import BatchConfig
 from repro.engine.concat import ConcatEngine
 from repro.experiments.serving_sweeps import make_scheduler, make_workload
+from repro.experiments.tables import seed_means
 from repro.faults import FaultConfig, FaultPlan, FaultyEngine
 from repro.obs.recorder import Tracer
 from repro.serving.cluster import ClusterSimulator
@@ -150,22 +151,22 @@ def run_tail(
     out: dict[str, list[float]] = {
         "straggler_multiplier_lo": [m[0] for m in multipliers]
     }
-    cols = ("p99_baseline", "p99_hedged", "improvement", "hedges", "hedge_wins")
-    acc: dict[str, list[float]] = {c: [] for c in cols}
-    for mult in multipliers:
-        sums = {c: 0.0 for c in cols}
-        for seed in seeds:
-            cell = tail_point(
+    out.update(
+        seed_means(
+            multipliers,
+            seeds,
+            lambda mult, seed: tail_point(
                 seed, rate=rate, horizon=horizon, multiplier=mult
-            )
-            sums["p99_baseline"] += cell["baseline"]["p99"]
-            sums["p99_hedged"] += cell["hedged"]["p99"]
-            sums["improvement"] += cell["improvement"]
-            sums["hedges"] += cell["hedged"]["hedges"]
-            sums["hedge_wins"] += cell["hedged"]["hedge_wins"]
-        for c in cols:
-            acc[c].append(sums[c] / len(seeds))
-    out.update(acc)
+            ),
+            {
+                "p99_baseline": lambda cell: cell["baseline"]["p99"],
+                "p99_hedged": lambda cell: cell["hedged"]["p99"],
+                "improvement": lambda cell: cell["improvement"],
+                "hedges": lambda cell: cell["hedged"]["hedges"],
+                "hedge_wins": lambda cell: cell["hedged"]["hedge_wins"],
+            },
+        )
+    )
     return out
 
 

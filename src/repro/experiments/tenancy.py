@@ -24,6 +24,7 @@ from typing import Optional, Sequence
 from repro.config import BatchConfig
 from repro.engine.concat import ConcatEngine
 from repro.experiments.serving_sweeps import make_scheduler, make_workload
+from repro.experiments.tables import seed_means
 from repro.serving.simulator import ServingSimulator
 from repro.tenancy import TenancyPlane, TenantClass, TenantRegistry
 from repro.types import Request
@@ -208,36 +209,28 @@ def run_tenancy(
     batch tenant's quota rejections.
     """
     out: dict[str, list[float]] = {"batch_ramp": list(ramps)}
-    cols = (
-        "premium_on_time",
-        "premium_solo_on_time",
-        "premium_retention",
-        "served_tokens_plane",
-        "served_tokens_blind",
-        "throughput_retention",
-        "batch_quota_rejected",
-    )
-    acc: dict[str, list[float]] = {c: [] for c in cols}
-    for ramp in ramps:
-        sums = {c: 0.0 for c in cols}
-        for seed in seeds:
-            cell = tenancy_point(
+    out.update(
+        seed_means(
+            ramps,
+            seeds,
+            lambda ramp, seed: tenancy_point(
                 seed,
                 ramp=ramp,
                 premium_rate=premium_rate,
                 quota=quota,
                 horizon=horizon,
-            )
-            sums["premium_on_time"] += cell["plane"]["premium_on_time_rate"]
-            sums["premium_solo_on_time"] += cell["premium_solo"]["on_time_rate"]
-            sums["premium_retention"] += cell["premium_retention"]
-            sums["served_tokens_plane"] += cell["plane"]["served_tokens"]
-            sums["served_tokens_blind"] += cell["blind"]["served_tokens"]
-            sums["throughput_retention"] += cell["throughput_retention"]
-            sums["batch_quota_rejected"] += cell["plane"]["batch_quota_rejected"]
-        for c in cols:
-            acc[c].append(sums[c] / len(seeds))
-    out.update(acc)
+            ),
+            {
+                "premium_on_time": lambda c: c["plane"]["premium_on_time_rate"],
+                "premium_solo_on_time": lambda c: c["premium_solo"]["on_time_rate"],
+                "premium_retention": lambda c: c["premium_retention"],
+                "served_tokens_plane": lambda c: c["plane"]["served_tokens"],
+                "served_tokens_blind": lambda c: c["blind"]["served_tokens"],
+                "throughput_retention": lambda c: c["throughput_retention"],
+                "batch_quota_rejected": lambda c: c["plane"]["batch_quota_rejected"],
+            },
+        )
+    )
     return out
 
 

@@ -15,13 +15,23 @@ returns a :class:`RowFill` over one waiting set and each
 :meth:`RowFill.next_row` is the first row of a fresh one-row ``select``
 over the requests no earlier row took.  Tenant fair share
 (:mod:`repro.tenancy.fairshare`) interleaves one fill per tenant.
+
+This module also owns the scheduling package's one stopwatch.
+:meth:`Scheduler.select` and :meth:`RowFill.next_row` are the timed
+entry points: each runs the untimed hook a concrete class implements
+(``_select`` / ``_next_row``) through :func:`_timed`, which stamps
+``SchedulingDecision.runtime`` — the wall-clock figure Fig. 16 reports
+— on what the hook returns.  A policy implements the hook and never
+reads a clock itself: its ``now`` is *simulated* time, and a body that
+holds no wall value cannot mix the two.  tcblint's TCB003 bans the wall
+clock in every other file of the package.
 """
 
 from __future__ import annotations
 
-import abc
+import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from repro.config import BatchConfig
 from repro.types import Request
@@ -77,6 +87,14 @@ class SchedulingDecision:
                 seen.add(r.request_id)
 
 
+def _timed(hook: Callable[..., SchedulingDecision], *args) -> SchedulingDecision:
+    """Run one decision hook and stamp the wall-clock seconds it took."""
+    start = time.perf_counter()
+    decision = hook(*args)
+    decision.runtime = time.perf_counter() - start
+    return decision
+
+
 class RowFill:
     """The rows of one decision over *waiting*, handed out on request.
 
@@ -96,6 +114,9 @@ class RowFill:
     def next_row(self) -> SchedulingDecision:
         """A decision of at most one row; ``rows == []`` when nothing
         that is left fits a row (asking again will not change that)."""
+        return _timed(self._next_row)
+
+    def _next_row(self) -> SchedulingDecision:
         scheduler = self._scheduler
         saved = scheduler.batch
         scheduler.batch = self._one_row
@@ -112,7 +133,7 @@ class RowFill:
         return sub
 
 
-class Scheduler(abc.ABC):
+class Scheduler:
     """Base class for scheduling policies."""
 
     name: str = "base"
@@ -120,7 +141,6 @@ class Scheduler(abc.ABC):
     def __init__(self, batch: BatchConfig):
         self.batch = batch
 
-    @abc.abstractmethod
     def select(
         self, waiting: Sequence[Request], now: float = 0.0
     ) -> SchedulingDecision:
@@ -130,6 +150,13 @@ class Scheduler(abc.ABC):
         (arrived, not expired, not yet served) — the serving loop
         guarantees this precondition.
         """
+        return _timed(self._select, waiting, now)
+
+    def _select(
+        self, waiting: Sequence[Request], now: float
+    ) -> SchedulingDecision:
+        """The policy itself, untimed: what a scheduler implements."""
+        raise NotImplementedError
 
     def open(self, waiting: Sequence[Request], now: float = 0.0) -> RowFill:
         """Start a row-at-a-time decision over *waiting*."""

@@ -19,7 +19,6 @@ classes just plug in their sort keys.
 
 from __future__ import annotations
 
-import time
 from typing import Callable, Sequence
 
 from repro.config import BatchConfig
@@ -50,10 +49,9 @@ class GreedyOrderScheduler(Scheduler):
         self._key = key
         self.concat_aware = concat_aware
 
-    def select(
-        self, waiting: Sequence[Request], now: float = 0.0
+    def _select(
+        self, waiting: Sequence[Request], now: float
     ) -> SchedulingDecision:
-        start = time.perf_counter()
         L = self.batch.row_length
         ordered = sorted(
             (r for r in waiting if r.length <= L), key=self._key
@@ -70,9 +68,7 @@ class GreedyOrderScheduler(Scheduler):
         else:
             # Classic one-request-per-row batching.
             rows = [[r] for r in ordered[: self.batch.num_rows]]
-        decision = SchedulingDecision(rows=[row for row in rows if row])
-        decision.runtime = time.perf_counter() - start
-        return decision
+        return SchedulingDecision(rows=[row for row in rows if row])
 
 
 class FCFSScheduler(GreedyOrderScheduler):

@@ -39,7 +39,6 @@ harness compare against it bit for bit.
 from __future__ import annotations
 
 import math
-import time
 from bisect import bisect_right
 from itertools import accumulate, islice
 from typing import Iterator, Optional, Sequence
@@ -127,13 +126,12 @@ class DASFill(RowFill):
 
     def next_rows(self, max_rows: int) -> SchedulingDecision:
         """What one ``select`` of ``max_rows`` rows decides over the
-        requests not yet handed out (rows and runtime only).
+        requests not yet handed out (rows only).
 
         Lines 4–5 differ by position, and both forms are pinned by the
         goldens: a select whose *first* row takes everything that is
         left takes it in waiting order, a later row in utility order.
         """
-        start = time.perf_counter()
         rows = []
         opening = self._opening
         opening[0] = True
@@ -141,9 +139,9 @@ class DASFill(RowFill):
             rows.append(row)
             self.parts.append(part)
             opening[0] = False
-        return SchedulingDecision(rows=rows, runtime=time.perf_counter() - start)
+        return SchedulingDecision(rows=rows)
 
-    def next_row(self) -> SchedulingDecision:
+    def _next_row(self) -> SchedulingDecision:
         return self.next_rows(1)
 
     @staticmethod
@@ -284,8 +282,8 @@ class DASScheduler(Scheduler):
     def open(self, waiting: Sequence[Request], now: float = 0.0) -> DASFill:
         return DASFill(waiting, self.batch.row_length, self.config.eta, self.config.q)
 
-    def select(
-        self, waiting: Sequence[Request], now: float = 0.0
+    def _select(
+        self, waiting: Sequence[Request], now: float
     ) -> SchedulingDecision:
         fill = self.open(waiting, now)
         decision = fill.next_rows(self.batch.num_rows)

@@ -13,7 +13,6 @@ clairvoyant plan on real traces — reported in the ablation bench.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 import numpy as np
@@ -109,10 +108,9 @@ class OracleScheduler(Scheduler):
         self.plan = plan_with_lp(requests, slot_times, batch)
         self._next_slot = 0
 
-    def select(
-        self, waiting: Sequence[Request], now: float = 0.0
+    def _select(
+        self, waiting: Sequence[Request], now: float
     ) -> SchedulingDecision:
-        start = time.perf_counter()
         # Map `now` to the nearest planned slot not yet replayed.
         t_idx: Optional[int] = None
         for i in range(self._next_slot, len(self.slot_times)):
@@ -137,6 +135,4 @@ class OracleScheduler(Scheduler):
                     rows[k].append(r)
                     free[k] -= r.length
                     break
-        decision = SchedulingDecision(rows=[row for row in rows if row])
-        decision.runtime = time.perf_counter() - start
-        return decision
+        return SchedulingDecision(rows=[row for row in rows if row])

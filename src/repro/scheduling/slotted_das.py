@@ -10,7 +10,6 @@ flexibility/redundancy trade-off §5.3 discusses.
 
 from __future__ import annotations
 
-import time
 from typing import Optional, Sequence
 
 from repro.config import BatchConfig, SchedulerConfig
@@ -38,10 +37,9 @@ class SlottedDASScheduler(Scheduler):
         self.config = config or SchedulerConfig()
         self._das = DASScheduler(batch, self.config, record_parts=True)
 
-    def select(
-        self, waiting: Sequence[Request], now: float = 0.0
+    def _select(
+        self, waiting: Sequence[Request], now: float
     ) -> SchedulingDecision:
-        start = time.perf_counter()
         # Line 2: invoke DAS.
         base = self._das.select(waiting, now)
         # Line 3: utility-dominant union H^U.
@@ -73,7 +71,7 @@ class SlottedDASScheduler(Scheduler):
                     packed.append(req)
             rows.append(packed)
 
-        decision = SchedulingDecision(
+        return SchedulingDecision(
             rows=rows,
             slot_size=z,
             discarded=discarded,
@@ -84,5 +82,3 @@ class SlottedDASScheduler(Scheduler):
                 "num_discarded": len(discarded),
             },
         )
-        decision.runtime = time.perf_counter() - start
-        return decision

@@ -1,22 +1,20 @@
-"""The syntactic tcblint rules (TCB001–TCB007).
+"""The tcblint rules: seven per-file (TCB001–TCB007), one project-wide
+(TCB011).
 
 Each rule protects one cross-cutting invariant of the reproduction;
 ``docs/statics.md`` ties every rule to the paper equation or
-reproducibility requirement behind it.  The flow-sensitive and
-project-wide rules (TCB010, TCB011) live in
-:mod:`repro.statics.flowchecks` and are merged into :data:`ALL_RULES`
-here.
+reproducibility requirement behind it.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, Optional
+from dataclasses import dataclass
+from typing import Iterator, Optional, Sequence
 
 from repro.statics.findings import Finding, Severity
-from repro.statics.flowchecks import FLOW_RULES
 from repro.statics.policy import RNG_ENTRY_POINTS, path_matches
-from repro.statics.rules import ModuleContext, Rule, resolve
+from repro.statics.rules import ModuleContext, ProjectRule, Rule, resolve
 
 __all__ = ["ALL_RULES", "RULES_BY_ID"]
 
@@ -156,10 +154,10 @@ class GlobalRngBan(Rule):
 
 
 class SimTimePurity(Rule):
-    """TCB003 — no wall-clock reads in the discrete-event world."""
+    """TCB003 — no wall clock in the discrete-event world."""
 
     rule_id = "TCB003"
-    title = "wall-clock read in simulator code"
+    title = "wall clock in simulator code"
     severity = Severity.ERROR
 
     _SCOPE = (
@@ -170,9 +168,13 @@ class SimTimePurity(Rule):
         "repro/durability/",
         "repro/cluster_health/",
         "repro/tenancy/",
+        "repro/faults/",
     )
     _BANNED = frozenset(
         {
+            # Not a read, but the one way a simulated ``now`` can reach
+            # the wall clock without one.
+            "time.sleep",
             "time.time",
             "time.time_ns",
             "time.perf_counter",
@@ -202,10 +204,10 @@ class SimTimePurity(Rule):
                 yield self.finding(
                     ctx,
                     node,
-                    f"{chain} reads wall-clock time inside the discrete-event "
+                    f"{chain} uses the wall clock inside the discrete-event "
                     "simulator; advance simulated time explicitly (the only "
-                    "sanctioned wall-clock paths are the fig16 overhead "
-                    "measurements listed in repro.statics.policy)",
+                    "sanctioned wall-clock paths are the fig16 stopwatch in "
+                    "repro/scheduling/base.py and TCBServer's real clock)",
                 )
 
 
@@ -394,6 +396,102 @@ class SwallowedExceptions(Rule):
                 )
 
 
+@dataclass(frozen=True)
+class _StreamSite:
+    path: str
+    line: int
+    col: int
+    fingerprint: tuple[str, ...]
+
+
+class RngStreamAliasing(ProjectRule):
+    """TCB011 — no two call sites key the same SeedSequence stream.
+
+    Two call sites keying ``np.random.SeedSequence`` tuples with the
+    same structural fingerprint consume the same child stream and
+    produce correlated draws; every stream key must carry a distinct
+    domain constant.
+    """
+
+    rule_id = "TCB011"
+    title = "aliased RNG stream key"
+    severity = Severity.ERROR
+
+    _SCOPE = ("repro/",)
+
+    @staticmethod
+    def _module_int_consts(tree: ast.AST) -> dict[str, int]:
+        out: dict[str, int] = {}
+        for stmt in getattr(tree, "body", []):
+            target: Optional[ast.expr] = None
+            value: Optional[ast.expr] = None
+            if isinstance(stmt, ast.Assign) and len(stmt.targets) == 1:
+                target, value = stmt.targets[0], stmt.value
+            elif isinstance(stmt, ast.AnnAssign):
+                target, value = stmt.target, stmt.value
+            if (
+                isinstance(target, ast.Name)
+                and isinstance(value, ast.Constant)
+                and isinstance(value.value, int)
+                and not isinstance(value.value, bool)
+            ):
+                out[target.id] = value.value
+        return out
+
+    def _element_fp(self, e: ast.AST, consts: dict[str, int]) -> str:
+        if isinstance(e, ast.Constant) and isinstance(e.value, (int, str)):
+            return repr(e.value)
+        if isinstance(e, ast.Name) and e.id in consts:
+            return repr(consts[e.id])
+        return "*"
+
+    def check_project(
+        self, contexts: Sequence[ModuleContext]
+    ) -> Iterator[Finding]:
+        sites: list[_StreamSite] = []
+        for ctx in contexts:
+            if not ctx.path.startswith(self._SCOPE):
+                continue
+            consts = self._module_int_consts(ctx.tree)
+            for n in ast.walk(ctx.tree):
+                if not isinstance(n, ast.Call):
+                    continue
+                if resolve(ctx, n.func) != "numpy.random.SeedSequence":
+                    continue
+                if not n.args or not isinstance(n.args[0], ast.Tuple):
+                    continue
+                fp = tuple(
+                    self._element_fp(e, consts) for e in n.args[0].elts
+                )
+                sites.append(
+                    _StreamSite(ctx.path, n.lineno, n.col_offset, fp)
+                )
+        groups: dict[tuple[str, ...], list[_StreamSite]] = {}
+        for s in sites:
+            groups.setdefault(s.fingerprint, []).append(s)
+        for fp, members in sorted(groups.items()):
+            if len(members) < 2:
+                continue
+            for site in members:
+                others = ", ".join(
+                    f"{m.path}:{m.line}" for m in members if m is not site
+                )
+                fp_str = "(" + ", ".join(fp) + ")"
+                yield Finding(
+                    rule=self.rule_id,
+                    path=site.path,
+                    line=site.line,
+                    col=site.col,
+                    severity=self.severity,
+                    message=(
+                        f"SeedSequence stream key {fp_str} aliases the "
+                        f"stream consumed at {others}; correlated draws "
+                        "break replay independence — add a distinct integer "
+                        "stream-domain constant to the key tuple"
+                    ),
+                )
+
+
 ALL_RULES: tuple[Rule, ...] = (
     MaskDiscipline(),
     GlobalRngBan(),
@@ -402,7 +500,7 @@ ALL_RULES: tuple[Rule, ...] = (
     MutableDefaults(),
     QuadraticAllocation(),
     SwallowedExceptions(),
-    *FLOW_RULES,
+    RngStreamAliasing(),
 )
 
 RULES_BY_ID: dict[str, Rule] = {r.rule_id: r for r in ALL_RULES}

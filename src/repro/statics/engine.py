@@ -1,17 +1,15 @@
 """tcblint driver: walk files, run rules, apply policy + suppressions.
 
-The run is two-phase:
+Every entry point parses its modules and hands them to one loop
+(:func:`_check`), which runs in two phases:
 
-1. **Per-file rules** check each module in isolation as it is parsed.
+1. **Per-file rules** check each module in isolation.
 2. **Project rules** (:class:`~repro.statics.rules.ProjectRule` — the
    cross-module TCB011) run once over every parsed module.
 
 Findings from both phases pass through the same per-path policy and
-inline-suppression filters.  A lint may analyze more files than it
-reports on (``report_only``, used by ``--changed-only``): project rules
-still see the whole package, so an RNG stream key in a changed file is
-checked against every unchanged one, but findings and file counts
-cover only the requested files.
+inline-suppression filters, and a directive that silenced nothing is
+reported as stale.
 """
 
 from __future__ import annotations
@@ -38,16 +36,21 @@ class LintReport:
     suppressed: int = 0  # findings silenced by inline directives
     exempted: int = 0  # findings waived by the path policy
     parse_errors: list[str] = field(default_factory=list)
-    # Stale inline directives: {"path", "line", "rule"} dicts
-    # (populated after every run; gated on exit codes only by the
-    # --report-unused-suppressions CLI flag).
+    # Stale inline directives: {"path", "line", "rule"} dicts.  A
+    # directive that outlived the code it excused fails the run.
     unused_suppressions: list[dict] = field(default_factory=list)
-    # Findings filtered out by a --baseline file.
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
-        return not self.findings and not self.parse_errors
+        return not (self.findings or self.parse_errors or self.unused_suppressions)
+
+    def stale_lines(self) -> list[str]:
+        """One human-readable line per stale directive."""
+        return [
+            f"{d['path']}:{d['line']}: unused suppression "
+            f"[{d['rule']}] (directive never fired)"
+            for d in self.unused_suppressions
+        ]
 
     def to_dict(self) -> dict:
         return {
@@ -55,7 +58,6 @@ class LintReport:
             "files_scanned": self.files_scanned,
             "suppressed": self.suppressed,
             "exempted": self.exempted,
-            "baselined": self.baselined,
             "parse_errors": list(self.parse_errors),
             "unused_suppressions": list(self.unused_suppressions),
             "findings": [f.to_dict() for f in self.findings],
@@ -77,65 +79,62 @@ def _select_rules(rules: Optional[Sequence[str]]) -> list[Rule]:
 
 
 @dataclass
-class _FileState:
-    """Per-file artifacts threaded between the two phases."""
+class _Module:
+    """One parsed file: what the rules see and what may silence them."""
 
     ctx: ModuleContext
     smap: SuppressionMap
-    reported: bool  # findings on this file are kept (vs. analysis-only)
 
 
-def _filter(
-    finding: Finding,
-    policy: Optional[PathPolicy],
-    smap: SuppressionMap,
-    report: LintReport,
-) -> Optional[Finding]:
-    """Route one finding through the policy and suppression filters."""
-    if policy is not None and policy.is_exempt(finding.rule, finding.path):
-        report.exempted += 1
+def _parse(source: str, cpath: str) -> _Module:
+    return _Module(make_context(source, cpath), collect_suppressions(source))
+
+
+def _load(p: Path, report: LintReport) -> Optional[_Module]:
+    """Read and parse one file; a file that cannot be is a parse error."""
+    cpath = canonical_path(str(p))
+    try:
+        return _parse(p.read_text(encoding="utf-8"), cpath)
+    except (OSError, SyntaxError, ValueError) as exc:
+        report.parse_errors.append(f"{cpath}: {exc}")
         return None
-    if smap.is_suppressed(finding.rule, finding.line):
-        report.suppressed += 1
-        return None
-    return finding
 
 
-def _collect_unused(
-    states: Iterable[_FileState],
-    selected: Sequence[Rule],
-    report: LintReport,
-) -> None:
-    ran = {r.rule_id for r in selected}
-    for st in states:
-        if not st.reported:
-            continue
-        for d in st.smap.unused(ran):
-            report.unused_suppressions.append(
-                {"path": st.ctx.path, "line": d.line, "rule": d.rule}
-            )
-
-
-def _run_project_rules(
-    states: list[_FileState],
-    selected: Sequence[Rule],
+def _check(
+    modules: Sequence[_Module],
+    rules: Optional[Sequence[str]],
     policy: Optional[PathPolicy],
     report: LintReport,
 ) -> list[Finding]:
-    project_rules = [r for r in selected if isinstance(r, ProjectRule)]
-    if not project_rules or not states:
-        return []
-    contexts = [st.ctx for st in states]
-    by_path = {st.ctx.path: st for st in states}
+    """Run the selected rules over *modules*, book the outcome in *report*.
+
+    Returns the findings that survived the policy and the inline
+    directives, sorted; the same list is appended to ``report.findings``.
+    """
+    selected = _select_rules(rules)
+    raw = [(m, f) for m in modules for rule in selected for f in rule.check(m.ctx)]
+    by_path = {m.ctx.path: m for m in modules}
+    contexts = [m.ctx for m in modules]
+    for rule in selected:
+        if isinstance(rule, ProjectRule):
+            raw.extend((by_path[f.path], f) for f in rule.check_project(contexts))
     kept: list[Finding] = []
-    for rule in project_rules:
-        for finding in rule.check_project(contexts):
-            st = by_path.get(finding.path)
-            if st is None or not st.reported:
-                continue  # analysis-only file (outside --changed-only set)
-            f = _filter(finding, policy, st.smap, report)
-            if f is not None:
-                kept.append(f)
+    for module, finding in raw:
+        if policy is not None and policy.is_exempt(finding.rule, finding.path):
+            report.exempted += 1
+        elif module.smap.is_suppressed(finding.rule, finding.line):
+            report.suppressed += 1
+        else:
+            kept.append(finding)
+    kept.sort(key=Finding.sort_key)
+    report.findings.extend(kept)
+    report.files_scanned += len(modules)
+    ran = {r.rule_id for r in selected}
+    for m in modules:
+        report.unused_suppressions.extend(
+            {"path": m.ctx.path, "line": d.line, "rule": d.rule}
+            for d in m.smap.unused(ran)
+        )
     return kept
 
 
@@ -153,23 +152,7 @@ def lint_source(
     rules, so fixtures exercise TCB011 in one file.
     """
     report = report if report is not None else LintReport()
-    selected = _select_rules(rules)
-    cpath = canonical_path(path)
-    ctx = make_context(source, cpath)
-    smap = collect_suppressions(source)
-    st = _FileState(ctx=ctx, smap=smap, reported=True)
-    kept: list[Finding] = []
-    for rule in selected:
-        for finding in rule.check(ctx):
-            f = _filter(finding, policy, smap, report)
-            if f is not None:
-                kept.append(f)
-    kept.extend(_run_project_rules([st], selected, policy, report))
-    kept.sort(key=Finding.sort_key)
-    report.findings.extend(kept)
-    report.files_scanned += 1
-    _collect_unused([st], selected, report)
-    return kept
+    return _check([_parse(source, canonical_path(path))], rules, policy, report)
 
 
 def lint_file(
@@ -180,17 +163,8 @@ def lint_file(
     report: Optional[LintReport] = None,
 ) -> list[Finding]:
     report = report if report is not None else LintReport()
-    p = Path(path)
-    try:
-        source = p.read_text(encoding="utf-8")
-        return lint_source(
-            source, str(p), rules=rules, policy=policy, report=report
-        )
-    except (OSError, SyntaxError, ValueError) as exc:
-        if isinstance(exc, ValueError) and "unknown rule" in str(exc):
-            raise
-        report.parse_errors.append(f"{canonical_path(str(p))}: {exc}")
-        return []
+    module = _load(Path(path), report)
+    return _check([module] if module else [], rules, policy, report)
 
 
 def _iter_python_files(root: Path) -> Iterable[Path]:
@@ -208,17 +182,12 @@ def lint_paths(
     *,
     rules: Optional[Sequence[str]] = None,
     policy: Optional[PathPolicy] = DEFAULT_POLICY,
-    report_only: Optional[set[str]] = None,
 ) -> LintReport:
-    """Lint every ``*.py`` under the given files/directories.
-
-    With ``report_only`` (a set of canonical paths), every file is still
-    *parsed* — project rules need the full module set — but per-file
-    rules, findings and ``files_scanned`` cover only the listed files.
-    """
+    """Lint every ``*.py`` under the given files/directories, each file
+    once however many of the arguments reach it."""
     report = LintReport()
-    selected = _select_rules(rules)
-    states: list[_FileState] = []
+    modules: list[_Module] = []
+    seen: set[Path] = set()
     for root in paths:
         rp = Path(root)
         if not rp.exists():
@@ -226,31 +195,14 @@ def lint_paths(
             report.parse_errors.append(f"{root}: path does not exist")
             continue
         for p in _iter_python_files(rp):
-            cpath = canonical_path(str(p))
-            reported = report_only is None or cpath in report_only
-            try:
-                source = p.read_text(encoding="utf-8")
-                ctx = make_context(source, cpath)
-            except (OSError, SyntaxError, ValueError) as exc:
-                if reported:
-                    report.parse_errors.append(f"{cpath}: {exc}")
+            resolved = p.resolve()
+            if resolved in seen:
                 continue
-            smap = collect_suppressions(source)
-            st = _FileState(ctx=ctx, smap=smap, reported=reported)
-            states.append(st)
-            if not reported:
-                continue
-            report.files_scanned += 1
-            for rule in selected:
-                for finding in rule.check(ctx):
-                    f = _filter(finding, policy, smap, report)
-                    if f is not None:
-                        report.findings.append(f)
-    report.findings.extend(
-        _run_project_rules(states, selected, policy, report)
-    )
-    report.findings.sort(key=Finding.sort_key)
-    _collect_unused(states, selected, report)
+            seen.add(resolved)
+            module = _load(p, report)
+            if module is not None:
+                modules.append(module)
+    _check(modules, rules, policy, report)
     return report
 
 
@@ -258,7 +210,6 @@ def lint_package(
     *,
     rules: Optional[Sequence[str]] = None,
     policy: Optional[PathPolicy] = DEFAULT_POLICY,
-    report_only: Optional[set[str]] = None,
 ) -> LintReport:
     """Lint the installed ``repro`` package source itself.
 
@@ -266,6 +217,4 @@ def lint_package(
     ``tests/test_statics_clean.py`` run, so it works from any cwd.
     """
     package_root = Path(__file__).resolve().parent.parent  # .../repro
-    return lint_paths(
-        [package_root], rules=rules, policy=policy, report_only=report_only
-    )
+    return lint_paths([package_root], rules=rules, policy=policy)

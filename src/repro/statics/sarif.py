@@ -3,8 +3,9 @@
 SARIF (Static Analysis Results Interchange Format) is what code-scanning
 UIs ingest — GitHub's security tab, VS Code's SARIF viewer, etc.  This
 module emits the minimal valid subset: one run, a ``tool.driver`` with
-the rule catalog, and one ``result`` per finding (plus one per parse
-error, so a syntactically broken file cannot read as a green run).
+the rule catalog, one ``result`` per finding, and one tool notification
+per parse error and per stale inline directive (so neither a broken
+file nor an outlived suppression can read as a green run).
 
 The export is intentionally lossless with respect to exit codes: a
 report is SARIF-clean iff ``LintReport.clean``, so ``--format sarif``
@@ -69,6 +70,9 @@ def to_sarif(report: LintReport, rules: Sequence[Rule]) -> dict[str, Any]:
     notifications = [
         {"level": "error", "message": {"text": err}}
         for err in report.parse_errors
+    ] + [
+        {"level": "warning", "message": {"text": line}}
+        for line in report.stale_lines()
     ]
     return {
         "$schema": SARIF_SCHEMA,

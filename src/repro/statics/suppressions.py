@@ -15,8 +15,8 @@ with code.
 
 Each ``(rule, line)`` directive records whether it ever actually
 suppressed a finding; :meth:`SuppressionMap.unused` reports the stale
-ones so ``python -m repro lint --report-unused-suppressions`` can flag
-directives that outlived the code they excused.
+ones, and ``python -m repro lint`` fails on a directive that outlived
+the code it excused.
 """
 
 from __future__ import annotations

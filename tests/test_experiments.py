@@ -143,3 +143,21 @@ class TestTableFormatting:
 
     def test_empty(self):
         assert format_series_table({}, "title") == "title"
+
+    def test_seed_means_sums_each_column_in_seed_order(self):
+        from repro.experiments.tables import seed_means
+
+        ran = []
+
+        def point(x, seed):
+            ran.append((x, seed))
+            return {"v": x * 0.1 + seed}
+
+        out = seed_means(
+            [1, 2], (0, 1, 2), point, {"v": lambda c: c["v"], "n": lambda c: 1}
+        )
+        assert ran == [(x, s) for x in (1, 2) for s in (0, 1, 2)]
+        assert out == {
+            "v": [(0.0 + 0.1 + 1.1 + 2.1) / 3, (0.0 + 0.2 + 1.2 + 2.2) / 3],
+            "n": [1.0, 1.0],
+        }

@@ -45,3 +45,24 @@ def test_docs_describe_exactly_the_registered_rules():
     doc = Path(__file__).parent.parent / "docs" / "statics.md"
     headings = re.findall(r"^### (TCB\d{3})\b", doc.read_text(), flags=re.M)
     assert sorted(headings) == sorted(RULES_BY_ID)
+
+
+def test_docs_usage_block_shows_exactly_the_cli_options():
+    """The ``--flags`` in docs/statics.md's usage block are the options
+    ``add_lint_parser`` registers — no retired flag, none undocumented."""
+    import argparse
+    import re
+    from pathlib import Path
+
+    from repro.statics.cli import add_lint_parser
+
+    parser = add_lint_parser(argparse.ArgumentParser().add_subparsers())
+    registered = {
+        opt
+        for action in parser._actions
+        for opt in action.option_strings
+        if opt.startswith("--") and opt != "--help"
+    }
+    doc = Path(__file__).parent.parent / "docs" / "statics.md"
+    usage = doc.read_text().split("```")[1]
+    assert set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", usage)) == registered

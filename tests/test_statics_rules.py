@@ -2,10 +2,12 @@
 suppressions and the path policy are honored, and the CLI works."""
 
 import json
+import re
 from pathlib import Path
 
 import pytest
 
+import repro
 from repro.statics import (
     ALL_RULES,
     DEFAULT_POLICY,
@@ -77,7 +79,7 @@ class TestRuleTCB003:
         assert _lines(found, "TCB003") == [13, 17, 21]
 
     def test_fig16_paths_waived_by_policy(self):
-        found = _lint_fixture("bad_tcb003.py", "repro/scheduling/das.py")
+        found = _lint_fixture("bad_tcb003.py", "repro/scheduling/base.py")
         assert _lines(found, "TCB003") == []
 
     def test_fires_in_durability_paths(self):
@@ -148,6 +150,49 @@ class TestRuleTCB003OverloadScope:
         assert _lines(found, "TCB003") == [4]
 
 
+class TestOneStopwatch:
+    """What TCB010's suite checked, now that no scheduler holds a wall
+    value: the clock is banned outright wherever simulated time lives,
+    and the one waiver is the stopwatch in ``scheduling/base.py``."""
+
+    def test_a_clock_put_back_into_a_scheduler_is_a_finding(self):
+        # Seeded mutation of the real file, under the default policy.
+        path = Path(repro.__file__).parent / "scheduling" / "das.py"
+        source = path.read_text()
+        assert lint_source(source, str(path)) == []
+        mutated = source.replace(
+            "        rows = []\n",
+            "        import time\n        start = time.perf_counter()\n        rows = []\n",
+            1,
+        )
+        assert mutated != source
+        found = lint_source(mutated, str(path))
+        assert [f.rule for f in found] == ["TCB003"]
+
+    def test_sleeping_on_simulated_time_is_a_finding(self):
+        # The one flow TCB010 caught that TCB003 did not.
+        src = "import time\n\ndef wait(now):\n    time.sleep(now)\n"
+        found = lint_source(src, "repro/serving/x.py")
+        assert _lines(found, "TCB003") == [4]
+
+    def test_fault_plane_is_in_scope(self):
+        found = _lint_fixture("bad_tcb003.py", "repro/faults/x.py")
+        assert _lines(found, "TCB003") == [13, 17, 21]
+
+    def test_only_the_stopwatch_is_waived(self):
+        waived = [ex.pattern for ex in DEFAULT_POLICY.exemptions["TCB003"]]
+        assert waived == ["repro/scheduling/base.py"]
+
+    def test_only_the_stopwatch_file_imports_time(self):
+        scheduling = Path(repro.__file__).parent / "scheduling"
+        importers = [
+            p.name
+            for p in sorted(scheduling.glob("*.py"))
+            if re.search(r"^\s*(import time\b|from time import)", p.read_text(), re.M)
+        ]
+        assert importers == ["base.py"]
+
+
 class TestSuppressions:
     def test_inline_disable_silences_the_named_rule(self):
         report = LintReport()
@@ -213,6 +258,16 @@ class TestEngineAndCli:
         assert any(f.rule == "TCB001" for f in report.findings)
         assert any(f.rule == "TCB005" for f in report.findings)
         assert not report.clean
+
+    def test_overlapping_paths_lint_each_file_once(self):
+        # A file reached through two arguments used to be parsed twice:
+        # TCB011 then saw every stream key aliasing itself.
+        pkg = Path(repro.__file__).parent
+        once = lint_paths([pkg])
+        twice = lint_paths([pkg, pkg / "faults", pkg / "faults" / "plan.py"])
+        assert twice.findings == once.findings == []
+        assert twice.files_scanned == once.files_scanned
+        assert twice.suppressed == once.suppressed
 
     def test_json_report_shape(self):
         report = lint_paths([FIXTURES / "bad_tcb005.py"])
