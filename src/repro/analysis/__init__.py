@@ -2,7 +2,9 @@
 
 Helpers used by the benchmark suite and EXPERIMENTS.md generation:
 saturation detection (where a throughput curve flattens), gap/crossover
-computation between systems, and CSV/JSON export of series tables.
+computation between systems, fairness indices and terminal charts.
+CSV/JSON export of series lives beside the table renderer in
+:mod:`repro.experiments.tables`.
 """
 
 from repro.analysis.curves import (
@@ -11,7 +13,6 @@ from repro.analysis.curves import (
     saturation_point,
     saturated_value,
 )
-from repro.analysis.export import series_to_csv, series_to_json
 from repro.analysis.fairness import (
     jain_index,
     service_rate_by_length,
@@ -25,8 +26,6 @@ __all__ = [
     "saturated_value",
     "max_gap",
     "crossover_rate",
-    "series_to_csv",
-    "series_to_json",
     "jain_index",
     "service_rate_by_length",
     "service_rate_by_tenant",

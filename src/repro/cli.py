@@ -20,8 +20,7 @@ import argparse
 import sys
 from typing import Callable, Optional
 
-from repro.analysis.export import series_to_csv, series_to_json
-from repro.experiments.tables import format_series_table
+from repro.experiments.tables import format_series_table, series_to_csv, series_to_json
 
 __all__ = ["main", "available_figures", "available_ablations"]
 

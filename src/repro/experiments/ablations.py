@@ -26,6 +26,7 @@ quantifies one of them:
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Optional, Sequence
 
 import numpy as np
@@ -54,10 +55,12 @@ from repro.model.seq2seq import Seq2SeqModel
 from repro.scheduling.baselines import SJFScheduler
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.slotted_das import SlottedDASScheduler
+from repro.serving.metrics import ServingMetrics
 from repro.serving.simulator import ServingSimulator
 from repro.types import Request
 from repro.workload.generator import LengthDistribution
 from repro.experiments.serving_sweeps import make_workload
+from repro.experiments.tables import seed_means
 
 __all__ = [
     "packing_policy_ablation",
@@ -109,6 +112,10 @@ def packing_policy_ablation(
     return out
 
 
+def _serve(scheduler, engine, workload) -> ServingMetrics:
+    return ServingSimulator(scheduler, engine).run(workload).metrics
+
+
 def slot_policy_ablation(
     *,
     rate: float = 1000.0,
@@ -118,30 +125,27 @@ def slot_policy_ablation(
 ) -> dict[str, list]:
     """Serving utility: Algorithm 2's adaptive slot size vs fixed counts."""
     batch = BatchConfig(num_rows=16, row_length=100)
-    labels: list[str] = []
-    utilities: list[float] = []
-
-    def run(scheduler, engine) -> float:
-        total = 0.0
-        for seed in seeds:
-            sim = ServingSimulator(scheduler, engine)
-            m = sim.run(make_workload(rate, horizon=horizon, seed=seed)).metrics
-            total += m.total_utility
-        return total / len(seeds)
-
-    labels.append("adaptive (Alg. 2)")
-    utilities.append(
-        run(
+    # Each policy's scheduler and engine serve every seed in turn.
+    policies = {
+        "adaptive (Alg. 2)": (
             SlottedDASScheduler(batch, SchedulerConfig()),
             SlottedConcatEngine(batch),
-        )
-    )
+        ),
+    }
     for n in fixed_counts:
-        labels.append(f"fixed n={n}")
-        utilities.append(
-            run(DASScheduler(batch, SchedulerConfig()), SlottedConcatEngine(batch, num_slots=n))
+        policies[f"fixed n={n}"] = (
+            DASScheduler(batch, SchedulerConfig()),
+            SlottedConcatEngine(batch, num_slots=n),
         )
-    return {"policy": labels, "utility": utilities}
+    return {
+        "policy": list(policies),
+        **seed_means(
+            list(policies.values()),
+            seeds,
+            lambda pair, seed: _serve(*pair, make_workload(rate, horizon=horizon, seed=seed)),
+            {"utility": attrgetter("total_utility")},
+        ),
+    }
 
 
 def eta_q_ablation(
@@ -153,17 +157,21 @@ def eta_q_ablation(
 ) -> dict[str, list[float]]:
     """Utility and theoretical bound across η (with q = 1 − η)."""
     batch = BatchConfig(num_rows=16, row_length=100)
-    out: dict[str, list[float]] = {"eta": list(etas), "utility": [], "bound": []}
-    for eta in etas:
-        cfg = SchedulerConfig(eta=eta, q=round(1.0 - eta, 6))
-        total = 0.0
-        for seed in seeds:
-            sim = ServingSimulator(DASScheduler(batch, cfg), ConcatEngine(batch))
-            m = sim.run(make_workload(rate, horizon=horizon, seed=seed)).metrics
-            total += m.total_utility
-        out["utility"].append(total / len(seeds))
-        out["bound"].append(cfg.competitive_ratio)
-    return out
+    cfgs = [SchedulerConfig(eta=eta, q=round(1.0 - eta, 6)) for eta in etas]
+    return {
+        "eta": list(etas),
+        **seed_means(
+            cfgs,
+            seeds,
+            lambda cfg, seed: _serve(
+                DASScheduler(batch, cfg),
+                ConcatEngine(batch),
+                make_workload(rate, horizon=horizon, seed=seed),
+            ),
+            {"utility": attrgetter("total_utility")},
+        ),
+        "bound": [cfg.competitive_ratio for cfg in cfgs],
+    }
 
 
 def early_cleaning_ablation(
@@ -217,15 +225,17 @@ def concat_aware_ablation(
         "SJF concat-aware": SJFScheduler(batch, concat_aware=True),
         "SJF classic": SJFScheduler(batch, concat_aware=False),
     }
-    out: dict[str, list] = {"scheduler": list(settings), "utility": []}
-    for sched in settings.values():
-        total = 0.0
-        for seed in seeds:
-            sim = ServingSimulator(sched, ConcatEngine(batch))
-            m = sim.run(make_workload(rate, horizon=horizon, seed=seed)).metrics
-            total += m.total_utility
-        out["utility"].append(total / len(seeds))
-    return out
+    return {
+        "scheduler": list(settings),
+        **seed_means(
+            list(settings.values()),
+            seeds,
+            lambda sched, seed: _serve(
+                sched, ConcatEngine(batch), make_workload(rate, horizon=horizon, seed=seed)
+            ),
+            {"utility": attrgetter("total_utility")},
+        ),
+    }
 
 
 def das_components_ablation(
@@ -272,17 +282,18 @@ def das_components_ablation(
         "deadline-only": lambda: DEFScheduler(batch, concat_aware=True),
         "DAS": lambda: DASScheduler(batch, SchedulerConfig()),
     }
-    out: dict[str, list] = {"policy": list(policies), "utility": [], "miss_pct": []}
-    for mk in policies.values():
-        util, miss = 0.0, 0.0
-        for seed in seeds:
-            sim = ServingSimulator(mk(), ConcatEngine(batch))
-            m = sim.run(wl(seed)).metrics
-            util += m.total_utility
-            miss += 100 * m.miss_rate
-        out["utility"].append(util / len(seeds))
-        out["miss_pct"].append(miss / len(seeds))
-    return out
+    return {
+        "policy": list(policies),
+        **seed_means(
+            list(policies.values()),
+            seeds,
+            lambda mk, seed: _serve(mk(), ConcatEngine(batch), wl(seed)),
+            {
+                "utility": attrgetter("total_utility"),
+                "miss_pct": lambda m: 100 * m.miss_rate,
+            },
+        ),
+    }
 
 
 def recompute_decode(

@@ -4,14 +4,19 @@ Every ``run_*`` harness returns ``{column_name: [values...]}``.
 :func:`seed_means` fills such columns from a sweep — one value per
 sweep point, averaged over seeds — and :func:`format_series_table`
 renders a series as the aligned text table the benchmark suite prints
-(and EXPERIMENTS.md embeds).
+(and EXPERIMENTS.md embeds); :func:`series_to_csv` and
+:func:`series_to_json` are the CLI's machine-readable forms of the same
+columns.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import json
 from typing import Any, Callable, Mapping, Sequence
 
-__all__ = ["format_series_table", "seed_means"]
+__all__ = ["format_series_table", "seed_means", "series_to_csv", "series_to_json"]
 
 
 def seed_means(
@@ -38,6 +43,19 @@ def seed_means(
     return series
 
 
+def _columns(series: Mapping[str, Sequence[object]]) -> list[str]:
+    """The column names; raises unless every column has the same length."""
+    cols = list(series)
+    if cols:
+        n = len(series[cols[0]])
+        for c in cols:
+            if len(series[c]) != n:
+                raise ValueError(
+                    f"column {c!r} has {len(series[c])} rows, expected {n}"
+                )
+    return cols
+
+
 def _fmt(v: object) -> str:
     if isinstance(v, float):
         return f"{v:.2f}"
@@ -47,13 +65,10 @@ def _fmt(v: object) -> str:
 def format_series_table(
     series: Mapping[str, Sequence[object]], title: str = ""
 ) -> str:
-    cols = list(series.keys())
+    cols = _columns(series)
     if not cols:
         return title
     n = len(series[cols[0]])
-    for c in cols:
-        if len(series[c]) != n:
-            raise ValueError(f"column {c!r} has {len(series[c])} rows, expected {n}")
     rows = [[_fmt(series[c][i]) for c in cols] for i in range(n)]
     widths = [
         max(len(c), max((len(r[j]) for r in rows), default=0))
@@ -67,3 +82,22 @@ def format_series_table(
     for r in rows:
         lines.append("  ".join(v.rjust(w) for v, w in zip(r, widths)))
     return "\n".join(lines)
+
+
+def series_to_csv(series: Mapping[str, Sequence[object]]) -> str:
+    """Render a series dict as CSV text (header + rows)."""
+    cols = _columns(series)
+    if not cols:
+        return ""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(cols)
+    for i in range(len(series[cols[0]])):
+        writer.writerow([series[c][i] for c in cols])
+    return buf.getvalue()
+
+
+def series_to_json(series: Mapping[str, Sequence[object]], indent: int = 2) -> str:
+    """Render a series dict as a JSON object of column arrays."""
+    _columns(series)
+    return json.dumps({k: list(v) for k, v in series.items()}, indent=indent)

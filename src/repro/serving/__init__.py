@@ -5,7 +5,8 @@ scheduler and an engine into the loop of Fig. 3: when the (simulated)
 GPU goes idle, the scheduler packs a batch from the wait queue and the
 engine runs it; requests missing their deadlines expire with zero
 utility.  All of the paper's serving figures (9–12, 15, 16) are sweeps
-over this loop.
+over this loop, which is :class:`~repro.serving.cluster.ClusterSimulator`
+over one engine (the autoscaler runs it over a scaling fleet).
 
 :class:`~repro.serving.server.TCBServer` is the online facade a real
 deployment would use (submit / poll), running the real NumPy model.

@@ -1,16 +1,17 @@
 """Reactive autoscaling for TCB engine clusters.
 
 Cloud deployments do not run a fixed number of engines; they scale on
-queue pressure.  :class:`AutoscalingSimulator` extends the shared-queue
-cluster loop with a watermark policy evaluated whenever an engine goes
-idle:
+queue pressure.  :class:`AutoscalingSimulator` is the shared-queue
+cluster loop over a fleet that changes size: its watermark policy is
+the loop's :meth:`~repro.serving.cluster.ClusterSimulator._scale` hook,
+evaluated whenever an engine goes idle:
 
 - **scale up** — if waiting tokens per active engine exceed
   ``high_watermark`` and the fleet is below ``max_engines``, provision a
   new engine; it becomes usable after ``startup_delay`` seconds (cold
   start),
 - **scale down** — if waiting tokens per active engine fall below
-  ``low_watermark`` and the fleet is above ``min_engines``, retire one
+  ``low_watermark`` and the fleet is above ``min_engines``, retire the
   idle engine.
 
 The policy is deliberately simple (reactive, hysteresis via the two
@@ -22,13 +23,13 @@ arrivals.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from repro.engine.base import InferenceEngine
-from repro.faults.recovery import serve_slot
+from repro.faults.recovery import RetryPolicy
 from repro.scheduling.base import Scheduler
-from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
+from repro.serving.cluster import ClusterSimulator
 from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.types import Request
@@ -44,7 +45,7 @@ class ScalingEvent:
     engines: int  # fleet size after the action
 
 
-class AutoscalingSimulator:
+class AutoscalingSimulator(ClusterSimulator):
     """Shared-queue serving with watermark-based engine autoscaling."""
 
     def __init__(
@@ -64,7 +65,13 @@ class AutoscalingSimulator:
             raise ValueError("low_watermark must be < high_watermark")
         if startup_delay < 0:
             raise ValueError("startup_delay must be >= 0")
+        # Not ClusterSimulator.__init__: the fleet is built afresh by
+        # every run(), and no plane is attached.
         self.scheduler = scheduler
+        self.engines: list[InferenceEngine] = []
+        self.admission = self.trace = self.overload = None
+        self.durability = self.health = self.tenancy = None
+        self.retry = RetryPolicy()
         self.engine_factory = engine_factory
         self.min_engines = min_engines
         self.max_engines = max_engines
@@ -79,99 +86,23 @@ class AutoscalingSimulator:
         *,
         horizon: Optional[float] = None,
     ) -> ServingMetrics:
-        requests, horizon = resolve_workload(workload, horizon)
-
-        life = Lifecycle(self.scheduler)
-        life.begin(requests, horizon)
+        self.engines = [self.engine_factory() for _ in range(self.min_engines)]
         self.events = []
+        return super().run(workload, horizon=horizon).metrics
 
-        engines: dict[int, InferenceEngine] = {
-            i: self.engine_factory() for i in range(self.min_engines)
-        }
-        retired: set[int] = set()
-        next_engine_id = self.min_engines
-        # (idle_at, tiebreak, engine_id)
-        idle: list[tuple[float, int, int]] = [
-            (0.0, i, i) for i in engines
-        ]
-        heapq.heapify(idle)
-
-        def waiting_tokens(now: float) -> int:
-            return sum(r.length for r in life.waiting(now))
-
-        while idle:
-            now, _, engine_id = heapq.heappop(idle)
-            if engine_id in retired:
-                continue
-            if now >= horizon:
-                break
-            life.admit_arrivals(now)
-            life.expire_and_shed(now)
-
-            # --- scaling decision ------------------------------------- #
-            active = len(engines) - len(retired)
-            pressure = waiting_tokens(now) / max(active, 1)
-            if pressure > self.high_watermark and active < self.max_engines:
-                eid = next_engine_id
-                next_engine_id += 1
-                engines[eid] = self.engine_factory()
-                heapq.heappush(idle, (now + self.startup_delay, eid, eid))
-                self.events.append(ScalingEvent(now, "up", active + 1))
-            elif (
-                pressure < self.low_watermark
-                and active > self.min_engines
-                and engine_id in engines
-            ):
-                retired.add(engine_id)
-                self.events.append(ScalingEvent(now, "down", active - 1))
-                continue  # this engine retires instead of serving
-
-            waiting = life.waiting(now)
-            wake = life.next_arrival_at()
-            if not waiting:
-                if wake is not None:
-                    heapq.heappush(idle, (wake, engine_id, engine_id))
-                continue
-
-            decision = life.select(waiting, now)
-            engine = engines[engine_id]
-            apply_slot_size(engine, decision)
-            selected = decision.selected()
-            if not selected:
-                if life.drop_unservable(waiting, now):
-                    heapq.heappush(idle, (now, engine_id, engine_id))
-                elif wake is not None:
-                    heapq.heappush(idle, (wake, engine_id, engine_id))
-                continue
-
-            selected = life.dispatch(selected, now, engine=engine_id)
-            outcome = serve_slot(engine, selected, now)
-            dispatch = now + outcome.wasted
-            life.attempted(outcome, len(selected), now, engine=engine_id)
-            if outcome.result is None:
-                # Failed or crashed, as in ClusterSimulator: triaged at
-                # `now` (another engine may retry at once); a crashed
-                # engine sits out its downtime before it polls again.
-                rejoin = dispatch
-                if outcome.down_until is not None:
-                    life.crashed(outcome.downtime, dispatch, engine=engine_id)
-                    rejoin = outcome.down_until
-                life.failed(outcome.failed, engine.cost_model, now)
-                heapq.heappush(idle, (rejoin, engine_id, engine_id))
-                continue
-
-            result = outcome.result
-            finish = life.serve_batch(
-                result,
-                selected,
-                dispatch,
-                max(result.latency, MIN_SLOT),
-                engine,
-                engine=engine_id,
-            )
-            heapq.heappush(idle, (finish, engine_id, engine_id))
-
-        return life.finish()
+    def _scale(
+        self, life: Lifecycle, idle: list, active: int, now: float
+    ) -> bool:
+        pressure = sum(r.length for r in life.waiting(now)) / active
+        if pressure > self.high_watermark and active < self.max_engines:
+            eid = len(self.engines)
+            self.engines.append(self.engine_factory())
+            heapq.heappush(idle, (now + self.startup_delay, eid, eid))
+            self.events.append(ScalingEvent(now, "up", active + 1))
+        elif pressure < self.low_watermark and active > self.min_engines:
+            self.events.append(ScalingEvent(now, "down", active - 1))
+            return True
+        return False
 
     @property
     def peak_engines(self) -> int:

@@ -1,29 +1,25 @@
-"""Multi-engine (multi-GPU) serving simulation.
+"""The batch-level serving loop: ``G`` engines sharing one wait queue.
 
-A natural extension of the paper's single-GPU system: ``G`` inference
-engines share one wait queue, and whenever *any* engine goes idle the
-scheduler packs a batch for it.  Engines run concurrently, so the
-simulation tracks a per-engine busy-until clock and always dispatches to
-the earliest-idle engine.
-
-Deadline semantics, queue expiry and metrics are identical to the
-single-engine :class:`~repro.serving.simulator.ServingSimulator`, and a
-cluster of size 1 must reproduce it exactly (tested — including when
-the engine is wrapped in a zero-fault
-:class:`~repro.faults.engine.FaultyEngine`).
+Whenever *any* engine goes idle the scheduler packs a batch for it;
+engines run concurrently, so the loop keeps a heap of per-engine
+busy-until clocks and serves the earliest-idle engine.  It is the only
+batch-level loop: :class:`~repro.serving.simulator.ServingSimulator`
+runs it over one engine, :class:`~repro.serving.autoscale.AutoscalingSimulator`
+over a fleet that :meth:`ClusterSimulator._scale` grows and shrinks.
 
 Failover semantics (``docs/faults.md``): a crashed engine leaves the
 idle heap until its recovery time, its in-flight requests go through
 the bounded deadline-aware requeue policy, queued work drains to the
-surviving engines, and the engine rejoins the heap when its downtime
-ends.  Failure detection is optimistic — the loop learns of a failed
-batch when it is dispatched, so survivors may retry its requests within
-the failed attempt's latency window.
+surviving engines, and the engine rejoins when its downtime ends.  Only
+a *lone* engine differs: its failed requests are triaged when the
+failed attempt ends (at the rejoin time after a crash) rather than at
+its start, and its decision spans carry no ``engine`` attribute.
 """
 
 from __future__ import annotations
 
 import heapq
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from repro.cluster_health.hedge import HedgeResolution
@@ -38,12 +34,17 @@ from repro.scheduling.base import Scheduler
 from repro.serving.admission import AdmissionController
 from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
 from repro.serving.lifecycle import Lifecycle
-from repro.serving.simulator import SimulationResult
+from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
 from repro.workload.generator import WorkloadGenerator
 
-__all__ = ["ClusterSimulator"]
+__all__ = ["ClusterSimulator", "SimulationResult"]
+
+
+@dataclass
+class SimulationResult:
+    metrics: ServingMetrics
 
 
 class ClusterSimulator:
@@ -86,6 +87,14 @@ class ClusterSimulator:
         # Tenancy plane (off by default; docs/tenancy.md): quota
         # admission, fair share across tenants, per-tenant ledgers.
         self.tenancy = tenancy
+
+    def _scale(
+        self, life: Lifecycle, idle: list, active: int, now: float
+    ) -> bool:
+        """Fleet policy, asked before each selection; True retires the
+        polling engine.  *active* counts the engines not retired; a
+        scale-up appends to ``self.engines`` and pushes onto *idle*."""
+        return False
 
     @staticmethod
     def _next_event_after(
@@ -294,6 +303,9 @@ class ClusterSimulator:
         horizon: Optional[float] = None,
         resume: Optional[RestoredState] = None,
     ) -> SimulationResult:
+        """Simulate serving the workload.  ``resume=`` restarts from a
+        :class:`~repro.durability.restore.RestoredState`; the workload
+        must be the request sequence the crashed run was given."""
         requests, horizon = resolve_workload(workload, horizon)
         engines = self.engines
         hp = (
@@ -342,6 +354,7 @@ class ClusterSimulator:
             if wake is not None:
                 rearm(wake, engine_idx, late=True)
 
+        retired = 0
         while idle:
             # Step boundary before the pop: the snapshot's idle heap
             # still holds the engine this step is about to claim.
@@ -367,6 +380,10 @@ class ClusterSimulator:
                 now, tiebreak, engine_idx = chosen
             life.admit_arrivals(now)
             life.expire_and_shed(now)
+            if self._scale(life, idle, len(engines) - retired, now):
+                retired += 1
+                continue  # this engine retires instead of serving
+            lone = len(engines) - retired == 1
             waiting = life.waiting(now)
             if not waiting:
                 wait_for_work(engine_idx)
@@ -381,7 +398,10 @@ class ClusterSimulator:
                     rearm(retry_at, engine_idx)
                 continue
 
-            decision = life.select(waiting, now, engine=engine_idx)
+            if lone:
+                decision = life.select(waiting, now)
+            else:
+                decision = life.select(waiting, now, engine=engine_idx)
             engine = engines[engine_idx]
             apply_slot_size(engine, decision)
             selected = decision.selected()
@@ -409,13 +429,21 @@ class ClusterSimulator:
                 self._observe(hp, life, engine_idx, outcome, dispatch)
 
             if outcome.result is None:
-                # Failed or crashed: the requests are triaged at `now`
-                # because survivors can pick them up immediately.  A
-                # crashed engine (failover) leaves the heap for its
-                # downtime and rejoins at recovery.
+                # Failed or crashed.  A crashed engine (failover) leaves
+                # the heap for its downtime and rejoins at recovery.
                 if outcome.down_until is not None:
                     life.crashed(outcome.downtime, dispatch, engine=engine_idx)
-                life.failed(outcome.failed, engine.cost_model, now)
+                if lone:
+                    # Nothing can retry them before this engine rejoins.
+                    life.failed(
+                        outcome.failed,
+                        engine.cost_model,
+                        dispatch,
+                        retry_from=outcome.down_until,
+                    )
+                else:
+                    # Survivors can pick the requests up at once.
+                    life.failed(outcome.failed, engine.cost_model, now)
                 rearm(
                     dispatch
                     if outcome.down_until is None
@@ -472,5 +500,4 @@ class ClusterSimulator:
             # without a hedge it is exactly `finish`.
             rearm(max(finish, now + outcome.wasted), engine_idx)
 
-        life.finish()
-        return SimulationResult(metrics=life.metrics)
+        return SimulationResult(metrics=life.finish())

@@ -9,9 +9,8 @@ from repro.analysis import (
     max_gap,
     saturated_value,
     saturation_point,
-    series_to_csv,
-    series_to_json,
 )
+from repro.experiments.tables import series_to_csv, series_to_json
 
 
 class TestSaturation:

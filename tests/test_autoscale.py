@@ -5,12 +5,14 @@ import pytest
 from repro.config import BatchConfig, SchedulerConfig
 from repro.engine.concat import ConcatEngine
 from repro.faults import FaultConfig, FaultPlan, FaultyEngine
+from repro.scheduling.baselines import FCFSScheduler
 from repro.scheduling.das import DASScheduler
 from repro.serving.autoscale import AutoscalingSimulator
 from repro.serving.cluster import ClusterSimulator
 from repro.workload.burst import BurstyWorkload
 from repro.workload.deadlines import DeadlineModel
 from repro.workload.generator import LengthDistribution, WorkloadGenerator
+from tests import test_cluster_admission
 
 
 BATCH = BatchConfig(num_rows=8, row_length=50)
@@ -120,6 +122,24 @@ class TestAutoscaling:
         assert m.failed_batches > 0 and m.retries > 0
         assert m.downtime > 0  # at least one engine crashed and rejoined
         assert m.num_served > 0 and sim.peak_engines > 1
+
+    def test_engine_rearms_after_empty_selection(self):
+        """The cluster's empty-selection scenario on a fixed 2-engine fleet
+        (watermarks that never fire): the engine that selected nothing
+        must wait for the other's finish, not leave the fleet for good."""
+        cluster_tests = test_cluster_admission.TestClusterEngineRearming()
+        batch, reqs = cluster_tests._scenario()
+        sim = AutoscalingSimulator(
+            test_cluster_admission._FlakySelect(FCFSScheduler(batch), empty_on={1}),
+            lambda: ConcatEngine(batch),
+            min_engines=2,
+            max_engines=2,
+            high_watermark=1e9,
+            low_watermark=1e-9,
+        )
+        m = sim.run(reqs, horizon=100.0)
+        assert m.num_served == 3
+        assert not sim.events
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

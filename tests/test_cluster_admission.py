@@ -3,16 +3,19 @@
 import pytest
 
 from repro.config import BatchConfig
+from repro.durability import ledger_digest
 from repro.engine.concat import ConcatEngine
 from repro.engine.cost_model import GPUCostModel
 from repro.scheduling.base import Scheduler, SchedulingDecision
 from repro.scheduling.baselines import FCFSScheduler
+from repro.scheduling.das import DASScheduler
 from repro.serving.admission import AdmissionController
 from repro.serving.cluster import ClusterSimulator
 from repro.serving.simulator import ServingSimulator
 from repro.types import Request, make_requests
 from repro.workload.deadlines import DeadlineModel
 from repro.workload.generator import LengthDistribution, WorkloadGenerator
+from tests import test_lifecycle_golden as golden
 
 
 def _batch(rows=4, L=20):
@@ -38,6 +41,20 @@ class TestClusterSimulator:
         m2 = cluster.run(wl).metrics
         assert m1.num_served == m2.num_served
         assert m1.total_utility == pytest.approx(m2.total_utility)
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_single_engine_books_the_simulator_ledger_under_crashes(self, seed):
+        """One engine means one ledger: a lone crashing engine's casualties
+        are triaged the same way whichever simulator drives it."""
+        requests = golden._workload(seed)
+        single = ServingSimulator(
+            DASScheduler(golden.BATCH), golden._engine("crashes", seed)
+        ).run(requests, horizon=golden.HORIZON).metrics
+        cluster = ClusterSimulator(
+            DASScheduler(golden.BATCH), [golden._engine("crashes", seed)]
+        ).run(requests, horizon=golden.HORIZON).metrics
+        assert single.num_abandoned > 0 and single.downtime > 0
+        assert ledger_digest(cluster) == ledger_digest(single)
 
     def test_more_engines_serve_more_under_overload(self):
         wl = _workload(rate=600.0, horizon=4.0)

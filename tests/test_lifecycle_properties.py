@@ -341,7 +341,7 @@ def test_a_reopened_side_door_is_caught():
     pad = " " * 16
     reopened = src.replace(anchor, anchor + pad + "life.queue.remove_served(admitted)\n")
     assert len(side_doors(reopened, rel)) == 1
-    rel = "serving/autoscale.py"
+    rel = "serving/cluster.py"
     src = (PACKAGE / rel).read_text()
     anchor = "serve_slot(engine, selected, now)"
     assert src.count(anchor) == 1
