@@ -17,15 +17,16 @@ index pays for itself.  A deadline min-heap with lazy deletion makes
 :meth:`expire` ``O(k log n)`` for ``k`` casualties instead of a full
 ``O(n)`` scan per step, and an arrival min-heap makes
 :meth:`queue_delay` ``O(1)`` amortised.  The *sorted* orders schedulers
-need (by utility for DAS, by arrival for iteration-level admission) are
-not maintained: :class:`WaitingView` lowers ``N_t`` to flat columns and
-takes one ``np.lexsort`` per decision, which costs less than keeping an
-insertion-sorted index current through every add (a saturated run makes
-~300 adds per decision).  All of it sits *behind* the public API, and
-every observable output — contents, ordering, ledgers, token counts —
-is bit-identical to the dict-and-scan queue kept as the differential
-oracle in ``tests/oracles/`` (``tests/test_fastpath_equivalence.py``,
-``tests/test_queue_fuzz.py``).
+need (by utility for DAS, by arrival or utility for iteration-level
+admission) are not maintained: :meth:`waiting` returns ``N_t`` as a
+plain list and each reader lowers it to flat columns with one
+``np.lexsort`` per decision (:func:`utility_columns` for DAS), which
+costs less than keeping an insertion-sorted index current through every
+add (a saturated run makes ~300 adds per decision).  All of it sits
+*behind* the public API, and every observable output — contents,
+ordering, ledgers, token counts — is bit-identical to the dict-and-scan
+queue kept as the differential oracle in ``tests/oracles/``
+(``tests/test_fastpath_equivalence.py``, ``tests/test_queue_fuzz.py``).
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from repro.watermark import mark
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.overload.backpressure import QueueLimits, QueuePressure
 
-__all__ = ["RequestQueue", "UtilityColumns", "WaitingView", "utility_columns"]
+__all__ = ["RequestQueue", "UtilityColumns", "utility_columns"]
 
 
 class UtilityColumns(NamedTuple):
@@ -78,32 +79,6 @@ def utility_columns(requests: Sequence[Request]) -> UtilityColumns:
         neg_utilities=neg_u[order].tolist(),
         edf_order=np.lexsort((ids, deadlines)),
     )
-
-
-class WaitingView(list):
-    """``N_t`` as a list (arrival/insertion order) plus its sort orders.
-
-    Plain ``list`` everywhere a list is expected; additionally exposes
-    ``by_utility`` (DAS's line-7 order — :func:`utility_columns` is the
-    same order with the columns DAS walks) and ``by_arrival`` (sorted by
-    ``(arrival, request_id)``, iteration-level FCFS admission order).
-    Each is computed from the view's own contents when asked for, so a
-    view held across queue mutations stays a consistent snapshot.
-    """
-
-    __slots__ = ()
-
-    @property
-    def by_utility(self) -> list[Request]:
-        """Contents sorted by ``(-utility, request_id)`` (unique order)."""
-        return utility_columns(self).requests
-
-    @property
-    def by_arrival(self) -> list[Request]:
-        """Contents sorted by ``(arrival, request_id)`` (unique order)."""
-        ids = np.array([r.request_id for r in self], dtype=np.int64)
-        arrivals = np.array([r.arrival for r in self], dtype=np.float64)
-        return [self[i] for i in np.lexsort((ids, arrivals)).tolist()]
 
 
 class RequestQueue:
@@ -232,16 +207,10 @@ class RequestQueue:
         self._maybe_compact_heaps()
         return casualties
 
-    def waiting(self, now: float) -> "WaitingView":
-        """``N_t``: available requests at time ``now`` (arrival order).
-
-        The result is a plain list (insertion order) that additionally
-        lowers itself to sorted columns for schedulers (see
-        :class:`WaitingView`).
-        """
-        return WaitingView(
-            [r for r in self._waiting.values() if r.arrival <= now <= r.deadline]
-        )
+    def waiting(self, now: float) -> list[Request]:
+        """``N_t``: available requests at time ``now`` (insertion order),
+        as a fresh list that each reader lowers to the columns it walks."""
+        return [r for r in self._waiting.values() if r.arrival <= now <= r.deadline]
 
     def drop(self, requests: Sequence[Request]) -> None:
         """Remove requests as *failures* (recorded in ``expired``)."""

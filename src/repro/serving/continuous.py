@@ -18,8 +18,8 @@ Simplifications (documented, deliberate):
 - output lengths are sampled per request (decode-until-EOS stand-in)
   from a geometric-like distribution with a configurable mean, seeded —
   the cost model has no content to condition on,
-- admission order is a pluggable key (FCFS or utility), mirroring the
-  slot-level schedulers.
+- admission order is FCFS or utility (:func:`admit`, on columns:
+  ``docs/performance.md`` §8), mirroring the slot-level schedulers.
 
 Fault tolerance (``docs/faults.md``): an optional
 :class:`~repro.faults.plan.FaultPlan` injects per-iteration faults — a
@@ -33,8 +33,9 @@ the batch-level loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import compress
+from operator import attrgetter
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -54,15 +55,76 @@ from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
 from repro.workload.generator import WorkloadGenerator
 
-__all__ = ["ContinuousBatchingSimulator"]
+__all__ = ["ContinuousBatchingSimulator", "admit"]
 
 _HEALTHY = FaultEvent()
+_LENGTH = attrgetter("length")
 
 
-@dataclass
-class _Running:
-    request: Request
-    remaining_steps: int
+def admit(
+    waiting: Sequence[Request],
+    free: int,
+    row_length: int,
+    *,
+    fcfs: bool,
+    tenancy: Optional[TenancyPlane] = None,
+) -> list[Request]:
+    """The requests one iteration admits into *free* tokens, in order.
+
+    *waiting* is taken by ``(arrival, request_id)`` under FCFS, else by
+    ``(-utility, request_id)``; a request longer than *row_length* never
+    fits.  The head-of-line prefix that fits (``cumsum`` +
+    ``searchsorted``) is FCFS's whole answer; utility admission
+    skip-fits the rest until *free* is below the shortest request left.
+    With fair share, a request must also fit its tenant's allowance.
+    """
+    n = len(waiting)
+    lengths = np.fromiter(map(_LENGTH, waiting), np.int64, n)
+    ids = np.fromiter(map(attrgetter("request_id"), waiting), np.int64, n)
+    if fcfs:
+        key = np.fromiter(map(attrgetter("arrival"), waiting), np.float64, n)
+    else:  # the same IEEE division as Request.utility: bit-equal to it
+        key = -(np.fromiter(map(attrgetter("weight"), waiting), np.float64, n) / lengths)
+    order = np.lexsort((ids, key))
+    order = order[lengths[order] <= row_length]
+    ordered = lengths[order]
+    share = None if tenancy is None else tenancy.iteration_share(waiting, max(0, free))
+    picked, start = [], 0
+    if share is None:
+        cut = int(np.searchsorted(np.cumsum(ordered), free, side="right"))
+        picked = order[:cut].tolist()
+        if fcfs or cut == len(order):
+            return [waiting[i] for i in picked]
+        free -= int(ordered[:cut].sum())
+        start = cut + 1  # position `cut` is the one the budget cannot hold
+    rest = ordered[start:]
+    positions = order[start:].tolist()
+    # floor[j]: the shortest request from j on; below it nothing fits.
+    floor = np.minimum.accumulate(rest[::-1])[::-1].tolist()
+    blocked: set[str] = set()
+    for j, length in enumerate(rest.tolist()):
+        if free < floor[j]:
+            break
+        if share is not None:
+            req = waiting[positions[j]]
+            tenant = tenancy.key(req)
+            if tenant in blocked:
+                continue
+            if not share.fits(req):
+                if fcfs:
+                    blocked.add(tenant)  # per-tenant head-of-line
+                continue
+        if length > free:
+            if fcfs:
+                break  # head-of-line blocking, true to FCFS
+            continue
+        free -= length
+        if share is not None:
+            share.charge(req)
+        picked.append(positions[j])
+    if share is not None:
+        share.settle()
+    return [waiting[i] for i in picked]
 
 
 class ContinuousBatchingSimulator:
@@ -119,11 +181,6 @@ class ContinuousBatchingSimulator:
 
     # ------------------------------------------------------------------ #
 
-    def _admission_key(self) -> Callable[[Request], tuple]:
-        if self.admission == "fcfs":
-            return lambda r: (r.arrival, r.request_id)
-        return lambda r: (-r.utility, r.request_id)
-
     def run(
         self,
         workload: WorkloadGenerator | Sequence[Request],
@@ -142,25 +199,24 @@ class ContinuousBatchingSimulator:
             durability=self.durability,
             tenancy=self.tenancy,
         )
-        tr, ov, tn = life.tr, life.ov, life.tn
+        tr, ov = life.tr, life.ov
+        now, iteration, pairs = 0.0, 0, ()
         if resume is not None:
-            now = resume.now
-            iteration = resume.iteration or 0
-            running = [
-                _Running(req, steps) for req, steps in (resume.running or ())
-            ]
+            now, iteration = resume.now, resume.iteration or 0
+            pairs = resume.running or ()
             if resume.rng_state is not None:
                 rng.bit_generator.state = resume.rng_state
-        else:
-            running = []
-            now = 0.0
-            iteration = 0
+        # Residents in admission order, beside their remaining decode
+        # steps; resident_tokens is the sum of their prompt lengths.
+        running = [req for req, _ in pairs]
+        steps = np.array([s for _, s in pairs], dtype=np.int64)
+        resident_tokens = sum(map(_LENGTH, running))
         life.begin(
             requests,
             horizon,
             lambda: {
                 "now": now,
-                "running": [(r.request, r.remaining_steps) for r in running],
+                "running": list(zip(running, steps.tolist())),
                 "iteration": iteration,
                 "rng": rng,
             },
@@ -168,7 +224,7 @@ class ContinuousBatchingSimulator:
         )
         metrics = life.metrics
         budget = self.batch.capacity_tokens
-        key = self._admission_key()
+        fcfs = self.admission == "fcfs"
 
         def evict(victims: list[Request], kind: str) -> None:
             """Residents lost to a fault re-enter through the bounded
@@ -189,46 +245,13 @@ class ContinuousBatchingSimulator:
 
             # Admit while there is token budget (shrunk under brownout).
             iter_budget = budget if ov is None else ov.scale_budget(budget)
-            used = sum(r.request.length for r in running)
-            # The admission orders are total (request-id tie-break), so
-            # the view's column sort (one np.lexsort, no key tuples) is
-            # bit-identical to an explicit keyed sort of the requests.
-            view = life.waiting(now)
-            attr = "by_arrival" if self.admission == "fcfs" else "by_utility"
-            waiting = getattr(view, attr, None)
-            if waiting is None:
-                waiting = sorted(view, key=key)
-            # Fair share (tenancy): partition the *free* budget across
-            # active tenants by weight×deficit; a tenant that spends its
-            # allowance blocks (FCFS) or skips (utility) only itself.
-            share = (
-                tn.iteration_share(view, max(0, iter_budget - used))
-                if tn is not None
-                else None
+            admitted = admit(
+                life.waiting(now),
+                iter_budget - resident_tokens,
+                self.batch.row_length,
+                fcfs=fcfs,
+                tenancy=life.tn,
             )
-            blocked: set[str] = set()
-            admitted: list[Request] = []
-            for req in waiting:
-                if req.length > self.batch.row_length:
-                    continue
-                if share is not None:
-                    tenant = tn.key(req)
-                    if tenant in blocked:
-                        continue
-                    if not share.fits(req):
-                        if self.admission == "fcfs":
-                            blocked.add(tenant)  # per-tenant head-of-line
-                        continue
-                if used + req.length > iter_budget:
-                    if self.admission == "fcfs":
-                        break  # head-of-line blocking, true to FCFS
-                    continue
-                used += req.length
-                if share is not None:
-                    share.charge(req)
-                admitted.append(req)
-            if share is not None:
-                share.settle()
             prefill_tokens = 0
             prefill_entries = 0
             if admitted:
@@ -236,11 +259,14 @@ class ContinuousBatchingSimulator:
                 # for `running` here and get their terminal from
                 # life.serve / life.failed / life.finish later.
                 life.dispatch(admitted, now, resident=True)
-                prefill_tokens = sum(r.length for r in admitted)
-                prefill_entries = sum(r.length**2 for r in admitted)
-                for req in admitted:
-                    steps = 1 + int(rng.geometric(1.0 / self.mean_output_tokens))
-                    running.append(_Running(req, steps))
+                lengths = np.fromiter(map(_LENGTH, admitted), np.int64, len(admitted))
+                prefill_tokens = int(lengths.sum())
+                prefill_entries = int(lengths @ lengths)
+                resident_tokens += prefill_tokens
+                running += admitted
+                # Consumes the stream exactly as one scalar draw each.
+                draws = rng.geometric(1.0 / self.mean_output_tokens, len(admitted))
+                steps = np.concatenate((steps, 1 + draws))
 
             if not running:
                 wake = life.next_arrival_at()
@@ -257,8 +283,8 @@ class ContinuousBatchingSimulator:
                 metrics.failed_batches += 1
                 life.crashed(event.downtime, now, num_requests=len(running))
                 now += event.downtime
-                residents = [r.request for r in running]
-                running = []
+                residents = running
+                running, steps, resident_tokens = [], steps[:0], 0
                 evict(residents, "crash")
                 continue
             if event.kind is FaultKind.OOM:
@@ -275,8 +301,9 @@ class ContinuousBatchingSimulator:
                 now += wasted
                 metrics.total_engine_time += wasted
                 keep = len(running) // 2
-                victims = [r.request for r in running[keep:]]
-                running = running[:keep]
+                victims = running[keep:]
+                running, steps = running[:keep], steps[:keep]
+                resident_tokens -= sum(map(_LENGTH, victims))
                 evict(victims, "oom")
                 continue
 
@@ -284,7 +311,7 @@ class ContinuousBatchingSimulator:
             # step for every running request, with newly admitted prompts
             # prefilled *inside* the same iteration at marginal cost —
             # no extra per-batch launch/floor.
-            context = sum(r.request.length for r in running) + len(running)
+            context = resident_tokens + len(running)
             step = (
                 cost.decode_step_time(len(running), context)
                 + cost.per_token * prefill_tokens
@@ -313,17 +340,17 @@ class ContinuousBatchingSimulator:
                 continue
             metrics.num_batches += 1  # one iteration
 
-            still: list[_Running] = []
-            finished: list[Request] = []
-            for r in running:
-                r.remaining_steps -= 1
-                if r.remaining_steps <= 0:
-                    finished.append(r.request)
-                else:
-                    still.append(r)
-            running = still
-            if finished:
+            steps -= 1
+            done = steps <= 0
+            if done.any():
+                # Order-preserving compaction: served order feeds the
+                # ledger, and OOM evicts the newest residents.
+                stay = ~done
+                finished = list(compress(running, done.tolist()))
+                running = list(compress(running, stay.tolist()))
+                steps = steps[stay]
+                resident_tokens -= sum(map(_LENGTH, finished))
                 life.serve(finished, now, dequeue=False)
 
         # Unfinished residents at the horizon still produced no response.
-        return life.finish([r.request for r in running])
+        return life.finish(running)

@@ -34,7 +34,7 @@ from repro.faults.recovery import RetryPolicy, SlotOutcome
 from repro.obs.recorder import NO_TRACE, Tracer
 from repro.overload.controller import OverloadController
 from repro.scheduling.base import Scheduler, SchedulingDecision
-from repro.scheduling.queue import RequestQueue, WaitingView
+from repro.scheduling.queue import RequestQueue
 from repro.serving.admission import AdmissionController
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
@@ -262,7 +262,7 @@ class Lifecycle:
     # Waiting: expire, shed, select, drop
     # ------------------------------------------------------------------ #
 
-    def waiting(self, now: float) -> WaitingView:
+    def waiting(self, now: float) -> list[Request]:
         """``N_t``: the requests a scheduler may pick from at *now*."""
         return self.queue.waiting(now)
 

@@ -6,7 +6,7 @@ EDF ordering, an ``alive`` mask, a ``bisect`` threshold cut) is most
 likely to diverge from re-sorting request objects row by row: deep
 queues, utilities that are not monotone in length, deadline ties,
 utilities exactly on the ``q·v̄`` threshold, unservable requests in the
-waiting set, and inputs that are not a ``WaitingView``.  Rows, ``info``
+waiting set, and inputs that do not come from the queue.  Rows, ``info``
 and the recorded (N^U, N^D) parts must match exactly.
 """
 
@@ -15,7 +15,7 @@ import pytest
 from repro.config import BatchConfig, SchedulerConfig
 from repro.rng import ensure_rng
 from repro.scheduling.das import DASScheduler
-from repro.scheduling.queue import RequestQueue, WaitingView
+from repro.scheduling.queue import RequestQueue, utility_columns
 from repro.types import Request
 from tests.oracles.das import das_scheduler
 
@@ -72,12 +72,12 @@ class TestDeepQueues:
             )
 
     def test_through_the_queue(self):
-        # The production path: RequestQueue.waiting() → WaitingView.
+        # The production path: RequestQueue.waiting() → a plain list.
         rng = ensure_rng(3)
         queue = RequestQueue()
         queue.extend(_weighted(rng, 2200, 50))
         view = queue.waiting(0.25)
-        assert isinstance(view, WaitingView)
+        assert type(view) is list
         _assert_same_decision(BatchConfig(num_rows=64, row_length=100), view, now=0.25)
 
     def test_drains_to_the_all_fits_row(self):
@@ -142,8 +142,8 @@ class TestWaitingSetShapes:
         assert df.rows == []
 
     def test_plain_sequences(self):
-        # Not a WaitingView: a list, a tuple, and a view that outlived
-        # the queue state it was taken from.
+        # A list, a tuple, and a waiting list that outlived the queue
+        # state it was taken from.
         rng = ensure_rng(6)
         waiting = _weighted(rng, 500, 30)
         batch = BatchConfig(num_rows=10, row_length=50)
@@ -154,7 +154,7 @@ class TestWaitingSetShapes:
         view = queue.waiting(0.0)
         queue.remove_served(view[:100])
         # The held view is a snapshot: it still holds, and sorts, all 500.
-        assert len(view) == len(view.by_utility) == 500
+        assert len(view) == len(utility_columns(view).requests) == 500
         _assert_same_decision(batch, view)
 
     def test_row_zero_all_fits_keeps_arrival_order(self):

@@ -9,8 +9,8 @@ Three layers (ISSUE 8 satellites):
    raw function must still handle.
 2. ``DASScheduler.select`` with the incremental sort must equal a
    from-scratch re-sort select (``reference=True``) across 200 seeded
-   queue states, both on plain lists and through the queue's
-   ``WaitingView`` (the maintained-index path).
+   queue states, both on plain lists and through
+   ``RequestQueue.waiting``.
 3. A pinned multi-row regression: removing the redundant per-row sort
    must not shift a single request between rows.
 """
@@ -181,8 +181,8 @@ class TestIncrementalSelect:
 
     @pytest.mark.parametrize("seed", range(4))
     def test_seeded_states_waiting_view(self, seed):
-        """Same differential through ``RequestQueue.waiting`` — the
-        maintained ``by_utility`` index feeds the fast path here."""
+        """Same differential through ``RequestQueue.waiting``, the list
+        every serving loop hands the scheduler."""
         rng = ensure_rng(100 + seed)
         for _ in range(15):
             n = int(rng.integers(1, 60))

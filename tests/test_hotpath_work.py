@@ -19,6 +19,7 @@ import weakref
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro.obs.recorder as recorder
@@ -32,6 +33,7 @@ from repro.obs.recorder import Tracer
 from repro.rng import ensure_rng
 from repro.scheduling.das import DASFill, DASScheduler
 from repro.scheduling.queue import RequestQueue
+from repro.serving.continuous import ContinuousBatchingSimulator, admit
 from repro.serving.simulator import ServingSimulator
 from repro.tenancy.fairshare import fair_select
 from repro.types import Request
@@ -212,6 +214,74 @@ class TestPackWork:
         assert work.frames[("layout", "length")] == 0
         assert work.frames[("packing", "first_fit")] <= len(selected)
         assert work.calls["__init__"] == packed + slots + BATCH.num_rows + 2
+
+
+class TestContinuousWork:
+    """The iteration-level loop costs what it admits, not the queue depth."""
+
+    @pytest.mark.parametrize("fcfs", [True, False])
+    def test_admission_walks_what_it_admits(self, waiting, fcfs):
+        # A 64 × 100 budget with residents holding 4 000 of it.
+        free = BATCH.capacity_tokens - 4000
+        admitted, work = measure(
+            lambda: admit(waiting, free, BATCH.row_length, fcfs=fcfs)
+        )
+        assert 50 <= len(admitted) < DEPTH // 2
+        # The per-candidate walk visited every waiting request (1 000
+        # executions of its loop line) before admission went to columns.
+        hottest = max(n for (stem, _, _), n in work.lines.items() if stem == "continuous")
+        assert hottest <= len(admitted) + 1
+        # One ordering, no key function, no utility property read.
+        assert work.calls["lexsort"] == 1
+        assert sum(work.calls[name] for name in SORTS) == 1
+        assert work.frames[("types", "utility")] == 0
+
+    @pytest.fixture(scope="class")
+    def continuous_run(self):
+        """A saturated utility-admission run with its draw calls counted."""
+
+        class Counted(np.random.Generator):
+            def geometric(self, *args, **kwargs):  # a Python frame per call
+                return super().geometric(*args, **kwargs)
+
+        rng = ensure_rng(26)
+        requests = [
+            Request(
+                request_id=i,
+                length=int(min(100, max(3, round(rng.normal(20.0, 20.0))))),
+                arrival=0.005 * i,
+                deadline=0.005 * i + 4.0,
+            )
+            for i in range(DEPTH)
+        ]
+        sim = ContinuousBatchingSimulator(
+            BATCH, admission="utility", rng=Counted(np.random.PCG64(0))
+        )
+        return measure(lambda: sim.run(requests, horizon=10.0))
+
+    def test_one_output_length_draw_per_admitting_iteration(self, continuous_run):
+        metrics, work = continuous_run
+        admitting = work.frames[("lifecycle", "dispatch")]
+        assert admitting >= 5
+        assert metrics.num_served > 4 * admitting
+        assert work.calls["geometric"] == admitting
+
+    def test_decode_step_has_no_per_resident_line(self, continuous_run):
+        metrics, work = continuous_run
+        iterations = work.frames[("lifecycle", "tick")]
+        # A few line events per pass of the loop: a statement that spans
+        # lines reports its first line again after each nested call.
+        allowed = 4 * (iterations + 1)
+        assert work.hottest_line("continuous", "run") <= allowed
+        # Every served request decoded for at least two iterations, so a
+        # line run once per resident per iteration would run at least
+        # 2 × served times: several times what is allowed.
+        assert 2 * metrics.num_served > 5 * allowed
+        assert work.frames[("continuous", "<genexpr>")] == 0
+        # The comprehensions are admit's (over what it admitted) and the
+        # two that read a resumed resident set at the start of the run.
+        comprehensions = work.frames[("continuous", "<listcomp>")]
+        assert comprehensions <= work.frames[("continuous", "admit")] + 2
 
 
 # --------------------------------------------------------------------- #

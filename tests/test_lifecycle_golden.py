@@ -10,6 +10,11 @@ requires the sha256 of ``ledger_digest`` and ``trace_digest`` to be
 bit-identical, so a refactor of the lifecycle cannot move a single
 request between ledgers or reorder a single span.
 
+The continuous rows run ``admission="utility"``.  The 18
+``continuous-fcfs`` rows (the same matrix with FCFS admission) were
+added later, written at the commit before the iteration-level loop's
+admission moved onto columns, so both admission orders are pinned.
+
 The workload is sized so every transition runs: lengths reach 1.4·L
 (unservable drop), a quota-limited tenant (quota reject), a bounded
 queue under 150 req/s (shed, degradation reject), failing/crashing
@@ -151,9 +156,10 @@ def _run(loop: str, planes: str, faults: str, seed: int):
             max_engines=4, high_watermark=1500.0, low_watermark=100.0,
         )
         return sim.run(requests, horizon=HORIZON), None, None
-    if loop == "continuous":
+    if loop.startswith("continuous"):
+        admission = "fcfs" if loop == "continuous-fcfs" else "utility"
         sim = ContinuousBatchingSimulator(
-            BATCH, admission="utility", seed=seed,
+            BATCH, admission=admission, seed=seed,
             fault_plan=_plan(faults, seed), **kw,
         )
         metrics = sim.run(requests, horizon=HORIZON)
@@ -224,6 +230,12 @@ def _keys() -> list[tuple[str, str, str, int]]:
         for seed in SEEDS
     ]
     keys += [("autoscale", "off", "none", seed) for seed in SEEDS]
+    keys += [
+        ("continuous-fcfs", planes, faults, seed)
+        for planes in PLANES
+        for faults in FAULTS
+        for seed in SEEDS
+    ]
     return keys
 
 
@@ -241,7 +253,7 @@ def test_row_matches_parent_commit(key):
 
 def test_matrix_is_strong():
     """Every transition the lifecycle has must be exercised by some row."""
-    assert len(GOLDEN) == 56
+    assert len(GOLDEN) == len(_keys()) == 74
     for counter in ("abandoned", "shed", "quota_rejected", "retries", "hedges"):
         assert any(row[counter] > 0 for row in GOLDEN.values()), counter
 

@@ -4,7 +4,7 @@ Random interleavings of every queue operation are applied in lock-step
 to the fast queue and to ``_ReferenceRequestQueue`` (the pre-ISSUE-8
 dict+scan implementation, kept verbatim as the oracle).  After *every*
 op the two must agree on all observable state — waiting set and its
-sorted views, ledgers, ``queued_tokens``, ``queue_delay`` — and the
+sorted orders, ledgers, ``queued_tokens``, ``queue_delay`` — and the
 conservation invariant must hold: every request ever added is in
 exactly one of {waiting, expired, abandoned, served, taken-by-caller}.
 
@@ -15,7 +15,8 @@ alone, no global RNG).
 import pytest
 
 from repro.rng import ensure_rng
-from repro.scheduling.queue import RequestQueue
+from repro.scheduling.queue import RequestQueue, utility_columns
+from repro.serving.continuous import admit
 from repro.types import Request
 from tests.oracles.queue import _ReferenceRequestQueue
 
@@ -36,12 +37,15 @@ def _assert_same_state(fast: RequestQueue, ref: _ReferenceRequestQueue, now):
     fast_view = fast.waiting(now)
     ref_view = ref.waiting(now)
     assert _ids(fast_view) == _ids(ref_view)
-    # The maintained sorted views must equal explicit total-order sorts
-    # of the reference's plain list.
-    assert _ids(fast_view.by_utility) == _ids(
+    # The sorted orders readers lower the list to (DAS's columns, the
+    # iteration-level loop's FCFS admission given room for everything)
+    # must equal explicit total-order sorts of the reference's list.
+    assert _ids(utility_columns(fast_view).requests) == _ids(
         sorted(ref_view, key=lambda r: (-r.utility, r.request_id))
     )
-    assert _ids(fast_view.by_arrival) == _ids(
+    room = sum(r.length for r in fast_view)
+    longest = max((r.length for r in fast_view), default=0)
+    assert _ids(admit(fast_view, room, longest, fcfs=True)) == _ids(
         sorted(ref_view, key=lambda r: (r.arrival, r.request_id))
     )
 

@@ -517,7 +517,7 @@ class TestServerQuota:
         rid_bulk = server.submit([5, 6], tenant="bulk")
         waiting = {
             r.request_id: r
-            for r in server._queue.waiting(server._now()).by_arrival
+            for r in server._queue.waiting(server._now())
         }
         assert waiting[rid_gold].weight == 4.0
         assert waiting[rid_bulk].weight == 0.25
