@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.core.masks import NEG_INF, block_diagonal_mask
-from repro.numerics import softmax
+from repro.numerics import epilogue, softmax
 
 __all__ = ["att_cb_reference", "att_cb", "att_cb_s", "attention"]
 
@@ -46,7 +46,7 @@ def attention(
     """
     d = q.shape[-1]
     s = (1.0 / np.sqrt(d)) if scale is None else scale
-    scores = (q @ np.swapaxes(k, -1, -2)) * s
+    scores = epilogue(np.multiply, q @ np.swapaxes(k, -1, -2), s)
     if mask is not None:
         scores = scores + mask
     return softmax(scores, axis=-1) @ v

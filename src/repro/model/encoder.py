@@ -27,7 +27,7 @@ from repro.model.attention import (
     multi_head_attention_slotted,
 )
 from repro.model.feedforward import feed_forward
-from repro.model.functional import layer_norm, linear
+from repro.model.functional import add_norm, linear
 from repro.model.params import EncoderLayerParams
 
 __all__ = ["encoder_layer", "encoder_layer_slotted", "encode", "encode_packed"]
@@ -36,10 +36,12 @@ __all__ = ["encoder_layer", "encoder_layer_slotted", "encode", "encode_packed"]
 def _residual_ffn(
     params: EncoderLayerParams, x: np.ndarray, attn: np.ndarray
 ) -> np.ndarray:
-    """The layer after its self-attention: residual + norm, FFN, residual + norm."""
-    x = layer_norm(x + attn, params.norm1.gamma, params.norm1.beta)
-    ffn = feed_forward(params.ffn, x)
-    return layer_norm(x + ffn, params.norm2.gamma, params.norm2.beta)
+    """The layer after its self-attention: residual + norm, FFN, residual + norm.
+
+    ``attn`` is the fresh attention output; the residual sum overwrites it.
+    """
+    x = add_norm(x, attn, params.norm1.gamma, params.norm1.beta)
+    return add_norm(x, feed_forward(params.ffn, x), params.norm2.gamma, params.norm2.beta)
 
 
 def encoder_layer(
@@ -98,10 +100,12 @@ def encode_packed(
 
     ``x`` is ``(T, d)``: segment ``i`` owns the next ``lengths[i]`` rows.
     Linears, LayerNorm and FFN are position-wise and run on ``(T, d)``;
-    self-attention runs once per run of equal-length segments, as a
-    maskless ``(n, H, ℓ, ℓ)`` batched matmul over that contiguous slice.
-    Any segment order is correct; sorted by length, every distinct
-    length is one matmul.
+    a layer projects Q, K and V in one ``(T, 3d)`` linear through the
+    fused weight of :attr:`~repro.model.params.AttentionParams.qkv`.
+    Self-attention runs once per run of equal-length segments, as a
+    maskless ``(n, H, ℓ, ℓ)`` batched matmul over the run's contiguous
+    slice of that projection.  Any segment order is correct; sorted by
+    length, every distinct length is one matmul.
     """
     lengths = np.asarray(lengths)
     bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
@@ -115,14 +119,12 @@ def encode_packed(
     h = x
     for layer in layers:
         p = layer.self_attn
-        q = linear(h, p.w_q, p.b_q)
-        k = linear(h, p.w_k, p.b_k)
-        v = linear(h, p.w_v, p.b_v)
-        ctx = np.empty_like(q)
+        qkv = linear(h, *p.qkv)
+        ctx = np.empty((len(h), qkv.shape[1] // 3), dtype=qkv.dtype)
         for a, b, n, length in runs:
-            qh, kh, vh = (
-                t[a:b].reshape(n, length, num_heads, -1).transpose(0, 2, 1, 3)
-                for t in (q, k, v)
+            # (3, n, H, ℓ, d/H): Q, K and V of the run's segments.
+            qh, kh, vh = qkv[a:b].reshape(n, length, 3, num_heads, -1).transpose(
+                2, 0, 3, 1, 4
             )
             ctx[a:b] = attention(qh, kh, vh).transpose(0, 2, 1, 3).reshape(b - a, -1)
         h = _residual_ffn(layer, h, linear(ctx, p.w_o, p.b_o))

@@ -4,6 +4,14 @@ The implementations live in a dependency-free leaf module so that
 :mod:`repro.core` can use them without importing the model package.
 """
 
-from repro.numerics import gelu, layer_norm, linear, log_softmax, relu, softmax
+from repro.numerics import (
+    add_norm,
+    gelu,
+    layer_norm,
+    linear,
+    log_softmax,
+    relu,
+    softmax,
+)
 
-__all__ = ["softmax", "log_softmax", "relu", "gelu", "layer_norm", "linear"]
+__all__ = ["softmax", "log_softmax", "relu", "gelu", "layer_norm", "add_norm", "linear"]

@@ -108,7 +108,8 @@ class Seq2SeqModel:
             memory = np.zeros(
                 (layout.num_rows, layout.effective_width, self.config.d_model)
             )
-            memory[index.coords()] = self.encode_requests(layout, index)
+            order = np.argsort(index.lengths, kind="stable")
+            memory[index.coords(order)] = self.encode_requests(layout, index)
             return memory
 
         live = [k for k, row in enumerate(layout.rows) if row.segments]
@@ -155,32 +156,31 @@ class Seq2SeqModel:
     def encode_requests(self, layout: BatchLayout, index: SegmentIndex) -> np.ndarray:
         """Encoder states of the useful tokens only, packed to ``(T, d)``.
 
-        Request after request in row-major order — ``index`` is
-        ``layout.segment_index()`` — which is the form the decode loop
-        consumes.  Concatenated layouts never become a ``(B, W, d)``
-        tensor on the way: their tokens are gathered with equal-length
-        segments adjacent (stable sort by length) and positions
-        restarting at 0 per segment, run through
-        :func:`~repro.model.encoder.encode_packed`, and put back in
-        row-major order.  Padded schemes are encoded densely and packed.
+        Requests come shortest first, ties in row-major order — the
+        segments of ``index`` (``layout.segment_index()``) in the order
+        ``np.argsort(index.lengths, kind="stable")``, so
+        ``index.coords(order)`` places them in a ``(B, W, d)`` tensor.
+        This is the order the decode loop groups requests in, and the
+        order concatenated layouts are encoded in: their tokens are
+        gathered with equal-length segments adjacent and positions
+        restarting at 0 per segment, and run through
+        :func:`~repro.model.encoder.encode_packed` without ever becoming
+        a ``(B, W, d)`` tensor.  Padded schemes are encoded densely and
+        packed.
         """
-        if layout.scheme in PADDED_SCHEMES:
-            return self.encode_layout(layout)[index.coords()]
         order = np.argsort(index.lengths, kind="stable")
+        if layout.scheme in PADDED_SCHEMES:
+            return self.encode_layout(layout)[index.coords(order)]
         lengths = index.lengths[order]
         rows, cols = index.coords(order)
         positions = cols - np.repeat(index.starts[order], lengths)
         tokens = layout.token_matrix(pad_token=self.config.pad_token)[rows, cols]
-        states = encode_packed(
+        return encode_packed(
             self.params.encoder_layers,
             self.config.num_heads,
             self.embed(tokens, positions),
             lengths,
         )
-        first = np.cumsum(index.lengths) - index.lengths
-        packed = np.empty_like(states)
-        packed[np.repeat(first[order], lengths) + positions] = states
-        return packed
 
     def encode_single(self, tokens: Sequence[int]) -> np.ndarray:
         """Reference path: encode one request alone (no padding, no concat)."""

@@ -185,8 +185,8 @@ class TestWorkGuard:
 
     @pytest.fixture()
     def counted(self, monkeypatch):
-        """Count score elements and linear rows; forbid the Eq. 6 mask."""
-        seen = {"scores": 0, "linear_rows": []}
+        """Count score elements and linear rows × columns; forbid the Eq. 6 mask."""
+        seen = {"scores": 0, "linear_rows": [], "linear_work": 0}
         attention, linear = encoder.attention, encoder.linear
 
         def count_attention(q, k, v, **kwargs):
@@ -195,6 +195,7 @@ class TestWorkGuard:
 
         def count_linear(x, weight, bias=None):
             seen["linear_rows"].append(x.shape[:-1])
+            seen["linear_work"] += int(np.prod(x.shape[:-1])) * weight.shape[-1]
             return linear(x, weight, bias)
 
         def no_mask(*args, **kwargs):
@@ -216,8 +217,14 @@ class TestWorkGuard:
         assert tokens < layout.num_rows * layout.effective_width
         per_layer = cfg.num_heads * sum(n * n for n in self.LENGTHS)
         assert counted["scores"] == cfg.num_encoder_layers * per_layer
-        # Q, K, V, O and the two FFN linears, each over the useful tokens only.
-        assert counted["linear_rows"] == [(tokens,)] * (6 * cfg.num_encoder_layers)
+        # The fused Q/K/V, O and the two FFN linears, each over the useful
+        # tokens only, and together exactly the rows × output columns of
+        # six separate linears (Q, K, V, O, FFN in, FFN out): no padding
+        # row and no extra column.
+        assert counted["linear_rows"] == [(tokens,)] * (4 * cfg.num_encoder_layers)
+        d, d_ff = cfg.d_model, cfg.ffn_dim
+        six_linears = tokens * (4 * d + d_ff + d)
+        assert counted["linear_work"] == cfg.num_encoder_layers * six_linears
 
     def test_server_path_has_no_dense_intermediate(
         self, tiny_model, counted, monkeypatch
