@@ -42,10 +42,20 @@ def _project_attend(
     kv: np.ndarray,
     kernel: Callable[[np.ndarray, np.ndarray, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Q/K/V projection → per-head ``kernel(q, k, v)`` → output projection."""
-    q = split_heads(linear(query_input, params.w_q, params.b_q), num_heads)
-    k = split_heads(linear(kv, params.w_k, params.b_k), num_heads)
-    v = split_heads(linear(kv, params.w_v, params.b_v), num_heads)
+    """Q/K/V projection → per-head ``kernel(q, k, v)`` → output projection.
+
+    Self-attention projects Q, K and V in one linear through the fused
+    :attr:`~repro.model.params.AttentionParams.qkv`; cross-attention
+    projects Q from the queries and K, V together from ``kv``.
+    """
+    w, b = params.qkv
+    d = w.shape[0]
+    if kv is query_input:
+        q, k, v = np.split(linear(query_input, w, b), 3, axis=-1)
+    else:
+        q = linear(query_input, w[:, :d], b[:d])
+        k, v = np.split(linear(kv, w[:, d:], b[d:]), 2, axis=-1)
+    q, k, v = (split_heads(a, num_heads) for a in (q, k, v))
     return linear(merge_heads(kernel(q, k, v)), params.w_o, params.b_o)
 
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -42,3 +44,22 @@ def tokenized_requests(tiny_config):
         return make_tokenized_requests(lengths, tiny_config, seed, start_id)
 
     return factory
+
+
+def with_eos_bias(model: Seq2SeqModel, bias: float) -> Seq2SeqModel:
+    """The same model, its EOS logit shifted by ``bias``."""
+    out_bias = model.params.out_bias.copy()
+    out_bias[model.config.eos_token] += bias
+    params = dataclasses.replace(model.params, out_bias=out_bias)
+    return Seq2SeqModel(model.config, params=params)
+
+
+# Three lengths repeat, so the decode loop's length groups hold 2-3
+# requests each.
+REPEATED = [4, 4, 4, 6, 6, 2, 2, 5]
+
+
+def grouped_eos_model() -> Seq2SeqModel:
+    """A tiny model that, on REPEATED, ends members of the 4-, 6- and
+    2-token groups at different steps (found by scanning seeds)."""
+    return with_eos_bias(Seq2SeqModel(ModelConfig.tiny(), seed=4), 2.0)

@@ -174,3 +174,25 @@ class TestParams:
         p = init_seq2seq(tiny_config, seed=0)
         assert len(p.encoder_layers) == tiny_config.num_encoder_layers
         assert len(p.decoder_layers) == tiny_config.num_decoder_layers
+
+    def test_fused_qkv_views_stay_in_step(self, tiny_config, tokenized_requests):
+        """w_q … b_v are views of ``AttentionParams.qkv``: rebinding one
+        raises, and writing into one in place reaches the fused projection
+        that the packed encoder runs."""
+        model = Seq2SeqModel(tiny_config, seed=3)
+        layout = _concat_layout(tokenized_requests([5, 3, 5, 2]), rows=2, cap=10)
+        before = model.encode_layout(layout)
+        attn = model.params.encoder_layers[0].self_attn
+        for name in ("qkv", "w_q", "w_k", "w_v", "b_q", "b_k", "b_v"):
+            value = getattr(attn, name)
+            fresh = tuple(a.copy() for a in value) if name == "qkv" else value.copy()
+            with pytest.raises(AttributeError, match="fused qkv"):
+                setattr(attn, name, fresh)
+        attn.w_o = attn.w_o  # not fused: rebinding is fine
+        attn.w_k *= 1.5
+        attn.b_v += 0.1
+        enc = model.encode_layout(layout)
+        assert not np.allclose(enc, before)
+        for k, seg in layout.segments():
+            single = model.encode_single(seg.request.tokens)[0]
+            np.testing.assert_allclose(enc[k, seg.start : seg.end], single, atol=ATOL)
