@@ -17,11 +17,11 @@ examples:
 figures:
 	python -m repro figure all --out figures_report.txt
 
-# tcblint (the repo's own AST invariant checker) always runs; ruff and
+# The eight static invariants (TCB001-007, TCB011) always run; ruff and
 # mypy run when installed (pip install -e .[dev]) and are skipped with
 # a notice otherwise, so `make lint` works in the bare container.
 lint:
-	PYTHONPATH=src python -m repro lint
+	PYTHONPATH=src python -m pytest -q tests/test_static_invariants.py
 	@if command -v ruff >/dev/null 2>&1; then ruff check src tests; \
 	else echo "ruff not installed — skipped (pip install -e .[dev])"; fi
 	@if command -v mypy >/dev/null 2>&1; then mypy; \
@@ -66,7 +66,6 @@ tenancy-smoke:
 	PYTHONPATH=src python -c "from repro.experiments.tenancy import tenancy_smoke; tenancy_smoke()"
 
 report: lint test bench overload-smoke recovery-smoke tail-smoke tenancy-smoke
-	python -m repro lint --format json --out lint_report.json
 	pytest tests/ 2>&1 | tee test_output.txt
 	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 

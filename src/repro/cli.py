@@ -7,7 +7,6 @@ Usage::
     python -m repro ablation packing [--format ...]
     python -m repro demo
     python -m repro info
-    python -m repro lint [--format text|json] [--rules TCB001,...]
     python -m repro trace fig13 [--fast] [--format chrome|csv|ascii] [--out F]
 
 ``--fast`` shrinks horizons/seeds so every figure runs in seconds —
@@ -335,10 +334,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_parser("info", help="print version / configuration info").set_defaults(
         func=_cmd_info
     )
-
-    from repro.statics.cli import add_lint_parser
-
-    add_lint_parser(sub)
     return parser
 
 

@@ -16,7 +16,7 @@ enough to destroy the latency tail.  Three composable mechanisms:
   health-scored placement, drains/rolling restarts, and hedge targets.
 
 Everything is seeded and replay-stable (dedicated RNG stream domain,
-tcblint TCB011), inert by default (bit-identical digests when
+TCB011 in ``tests/test_static_invariants.py``), inert by default (bit-identical digests when
 disabled), and snapshot/restorable through the durability plane.  See
 ``docs/tail_tolerance.md``.
 """

@@ -8,7 +8,7 @@ and :mod:`repro.cluster_health.hedge`:
   same simulated timestamp, :meth:`place` picks the highest-scored one;
   exact score ties break through a dedicated ``repro.rng`` stream
   (domain tag distinct from the fault plan / crash plan / shed streams,
-  tcblint TCB011), so placement is replay-stable and independent of
+  TCB011 in ``tests/test_static_invariants.py``), so placement is replay-stable and independent of
   every other seeded component.  QUARANTINED engines are deferred to
   their next probe window and drained engines to their readmit time.
 - **drain / readmit** — an operator-style rolling-restart primitive:
@@ -58,7 +58,7 @@ __all__ = [
 # Stream-domain tag for placement tie-breaks.  Distinct from the fault
 # plan (0xFA), scheduler crash (0xCC) and random-shed (0x5D) tags, so a
 # cluster sharing one experiment seed across all planes never aliases
-# streams (tcblint TCB011).
+# streams (TCB011, tests/test_static_invariants.py).
 _STREAM_HEALTH_PLACEMENT = 0x7B
 
 # Heap entry: (idle_at, tiebreak, engine_index) — the cluster loop's

@@ -37,9 +37,9 @@ NEG_INF: float = -1.0e9
 def additive_mask(allowed: np.ndarray) -> np.ndarray:
     """Lower a boolean *allowed* array to the canonical additive mask.
 
-    The one sanctioned way (tcblint rule TCB001) to build an additive
-    mask whose allow-pattern is not expressible by the specific
-    constructors below: ``0.0`` where *allowed*, :data:`NEG_INF`
+    The one sanctioned way (TCB001, ``tests/test_static_invariants.py``)
+    to build an additive mask whose allow-pattern is not expressible by
+    the specific constructors below: ``0.0`` where *allowed*, :data:`NEG_INF`
     elsewhere, float64.
     """
     return np.where(np.asarray(allowed, dtype=bool), 0.0, NEG_INF).astype(np.float64)

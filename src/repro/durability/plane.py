@@ -8,7 +8,8 @@ carrying the small absolute state, and takes a
 :class:`~repro.durability.snapshot.Snapshot` (each owner's exported
 state: what is live plus watermarks, never a deep copy) every
 ``checkpoint_every`` steps.  Everything runs on the simulated clock
-(``repro/durability`` is inside tcblint TCB003's scope) and the plane
+(``repro/durability`` is inside TCB003's scope,
+``tests/test_static_invariants.py``) and the plane
 is pure bookkeeping: with ``durability=None`` the loops take exactly
 their pre-durability paths, bit-identical to today.
 

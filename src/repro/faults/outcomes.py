@@ -3,9 +3,9 @@
 A faulty slot must never look like a successful one: instead of
 returning a doctored :class:`~repro.engine.base.BatchResult`, the
 wrapper raises one of these exceptions.  Serving loops catch them
-explicitly (tcblint rule TCB007 bans bare/silent handlers in the
-serving and engine trees, so a loop cannot quietly drop them) and apply
-the recovery policies in :mod:`repro.faults.recovery`.
+explicitly (TCB007 in ``tests/test_static_invariants.py`` bans
+bare/silent handlers in the serving and engine trees, so a loop cannot
+quietly drop them) and apply the recovery policies in :mod:`repro.faults.recovery`.
 """
 
 from __future__ import annotations

@@ -45,7 +45,8 @@ class FaultConfigError(ValueError):
 # Stream-domain tag mixed into every SeedSequence key below.  Each
 # consumer of per-index child streams owns a distinct tag so two
 # components sharing an experiment seed can never consume the same
-# stream (tcblint TCB011); the shedding policies use a different tag.
+# stream (TCB011, tests/test_static_invariants.py); the shedding
+# policies use a different tag.
 _STREAM_FAULT_PLAN = 0xFA
 # Scheduler-crash step draws use their own domain tag: a crash plan and
 # a fault plan sharing one experiment seed must stay independent.
@@ -242,7 +243,8 @@ class SchedulerCrash:
 
         ``max_step`` bounds the draw (exclusive); the same seed always
         kills the same step, independent of anything else the seed
-        feeds (distinct stream-domain tag, tcblint TCB011).
+        feeds (distinct stream-domain tag, TCB011 in
+        ``tests/test_static_invariants.py``).
         """
         if seed < 0:
             raise ValueError(f"seed must be non-negative, got {seed}")

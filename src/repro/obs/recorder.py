@@ -8,7 +8,7 @@ Two recorders share one call surface:
   attribute lookup per site and never builds event objects.
 - :class:`Tracer` — appends every emission, request lifecycle and lane
   alike, to one log on the simulated clock (no wall-clock reads —
-  ``repro/obs`` is inside tcblint TCB003's scope).  That log is the only
+  ``repro/obs`` is inside TCB003's scope, ``tests/test_static_invariants.py``).  That log is the only
   store: the typed per-request :class:`~repro.obs.spans.RequestEvent`
   streams, the lanes, ``attempts`` and :meth:`Tracer.spans` are folded
   from its unseen tail when read, and a durability checkpoint is a

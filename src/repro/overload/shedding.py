@@ -39,7 +39,8 @@ __all__ = [
 
 # Stream-domain tag mixed into every SeedSequence key below, distinct
 # from the FaultPlan tag, so a shedder and a fault plan sharing one
-# experiment seed can never consume the same stream (tcblint TCB011).
+# experiment seed can never consume the same stream (TCB011,
+# tests/test_static_invariants.py).
 _STREAM_RANDOM_SHED = 0x5D
 
 

@@ -1,7 +1,7 @@
 """The seed → ``np.random.Generator`` boundary of the system.
 
-Reproducibility invariant (enforced by tcblint rule TCB002): all
-randomness threads an *explicit* ``np.random.Generator``, so any figure
+Reproducibility invariant (TCB002, ``tests/test_static_invariants.py``):
+all randomness threads an *explicit* ``np.random.Generator``, so any figure
 or test can be replayed from its seed alone.  ``np.random.default_rng``
 may only be called at documented entry points — this module is the
 canonical one; pipeline code accepts either a Generator (injected by

@@ -23,8 +23,9 @@ entry points: each runs the untimed hook a concrete class implements
 ``SchedulingDecision.runtime`` — the wall-clock figure Fig. 16 reports
 — on what the hook returns.  A policy implements the hook and never
 reads a clock itself: its ``now`` is *simulated* time, and a body that
-holds no wall value cannot mix the two.  tcblint's TCB003 bans the wall
-clock in every other file of the package.
+holds no wall value cannot mix the two.  TCB003
+(``tests/test_static_invariants.py``) bans the wall clock in every
+other file of the package but ``serving/server.py``.
 """
 
 from __future__ import annotations

@@ -135,8 +135,9 @@ class TCBServer:
             online=True,
         )
         # TCBServer is the *online* facade: unlike the discrete-event
-        # simulators, its clock really is wall-clock.
-        self._t0 = time.perf_counter()  # tcblint: disable=TCB003
+        # simulators, its clock really is wall-clock (TCB003 allows this
+        # file's two reads; tests/test_static_invariants.py, ALLOWED).
+        self._t0 = time.perf_counter()
 
     # ------------------------------------------------------------------ #
 
@@ -149,7 +150,7 @@ class TCBServer:
         return self._life.queue
 
     def _now(self) -> float:
-        return time.perf_counter() - self._t0  # tcblint: disable=TCB003
+        return time.perf_counter() - self._t0
 
     def _loop_state(self) -> dict:
         return {

@@ -1,7 +1,7 @@
 """Known-bad fixture: wall-clock reads in simulator code (TCB003).
 
-Linted under a synthetic ``repro/serving/...`` path so the rule's
-path scoping applies.
+Checked as a synthetic ``serving/...`` module so the rule's path
+scoping applies.
 """
 
 import time

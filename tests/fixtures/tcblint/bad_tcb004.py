@@ -1,6 +1,6 @@
 """Known-bad fixture: reduced-precision dtypes in hot paths (TCB004).
 
-Linted under a synthetic ``repro/core/...`` path so the rule's path
+Checked as a synthetic ``core/...`` module so the rule's path
 scoping applies.
 """
 

@@ -1,7 +1,7 @@
 """Known-bad fixture: swallowed exceptions in serving code (TCB007).
 
-Linted under a synthetic ``repro/serving/...`` path so the rule's
-path scoping applies.
+Checked as a synthetic ``serving/...`` module so the rule's path
+scoping applies.
 """
 
 

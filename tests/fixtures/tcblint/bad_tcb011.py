@@ -1,6 +1,6 @@
 """Known-bad TCB011 fixture: two consumers keying the same RNG stream.
 
-Linted by tests with a ``repro/`` path; the project rule fingerprints
+Checked as a one-module package; the project rule fingerprints
 ``SeedSequence`` tuple keys structurally.
 """
 
