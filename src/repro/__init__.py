@@ -49,7 +49,6 @@ _LAZY = {
     "TurboEngine": ("repro.engine.turbo", "TurboEngine"),
     "ConcatEngine": ("repro.engine.concat", "ConcatEngine"),
     "SlottedConcatEngine": ("repro.engine.slotted", "SlottedConcatEngine"),
-    "AdaptiveEngine": ("repro.engine.adaptive", "AdaptiveEngine"),
     "GPUCostModel": ("repro.engine.cost_model", "GPUCostModel"),
     "GPUMemorySimulator": ("repro.engine.memory", "GPUMemorySimulator"),
     "DASScheduler": ("repro.scheduling.das", "DASScheduler"),

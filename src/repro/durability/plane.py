@@ -226,14 +226,8 @@ class DurabilityPlane:
     # Mutation records (called by the loops at their semantic sites)
     # ------------------------------------------------------------------ #
 
-    def enqueue(
-        self, request: Request, submit_time: Optional[float] = None
-    ) -> None:
-        self.journal.append(
-            EnqueueRecord(
-                step=self._step, request=request, submit_time=submit_time
-            )
-        )
+    def enqueue(self, request: Request) -> None:
+        self.journal.append(EnqueueRecord(step=self._step, request=request))
 
     def dispatch(
         self,

@@ -93,12 +93,10 @@ class EnqueueRecord(JournalRecord):
 
     Carries the full request payload so a server restore can rebuild
     requests that exist nowhere else (online submits have no workload
-    list to resolve ids against).  ``submit_time`` is the online
-    server's submit clock; simulator loops leave it ``None``.
+    list to resolve ids against).
     """
 
     request: Request = None  # type: ignore[assignment]
-    submit_time: Optional[float] = None
 
     kind: str = field(default="enqueue", init=False)
 
@@ -107,7 +105,6 @@ class EnqueueRecord(JournalRecord):
             "kind": self.kind,
             "step": self.step,
             "request": _request_to_dict(self.request),
-            "submit_time": self.submit_time,
         }
 
 
@@ -361,11 +358,7 @@ def record_from_dict(d: Mapping[str, Any]) -> JournalRecord:
     kind = d.get("kind")
     step = int(d["step"])
     if kind == "enqueue":
-        return EnqueueRecord(
-            step=step,
-            request=_request_from_dict(d["request"]),
-            submit_time=d.get("submit_time"),
-        )
+        return EnqueueRecord(step=step, request=_request_from_dict(d["request"]))
     if kind == "dispatch":
         return DispatchRecord(
             step=step,

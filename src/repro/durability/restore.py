@@ -77,7 +77,7 @@ class RestoredState:
     snapshot_seq: int = 0
     replayed_records: int = 0
     voided_records: int = 0
-    # (request, submit_time) pairs recovered from write-ahead enqueues.
+    # Requests recovered from write-ahead enqueues.
     recovered: list = field(default_factory=list)
 
     # ------------------------------------------------------------------ #
@@ -223,7 +223,7 @@ def restore_state(
             # A write-ahead enqueue was acknowledged to its client: it
             # exists, so it re-enters the arrived denominator.
             metrics.arrived += 1
-            recovered.append((enq.request, enq.submit_time))
+            recovered.append(enq.request)
 
     absolute = thaw(absolute)
     shared = {name: absolute.pop(name) for name in ABSOLUTE}

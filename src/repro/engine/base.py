@@ -11,7 +11,9 @@ Two execution modes (:class:`EngineMode`):
   are never touched, so paper-scale workloads (thousands of requests,
   d_model 3072) run in microseconds of host time.
 - ``MEASURED`` — the layouts are executed through the real NumPy
-  transformer and wall-clock timed.  Requests must carry token ids (use
+  transformer (encode, then ``max_new_tokens`` of greedy decode) and
+  wall-clock timed; the result carries every served request's decoded
+  tokens.  Requests must carry token ids (use
   :meth:`InferenceEngine.materialize_tokens` to synthesise them).
 """
 
@@ -53,6 +55,8 @@ class BatchResult:
     latency: float = 0.0
     layouts: list[BatchLayout] = field(default_factory=list)
     stats: RequestBatchStats = field(default_factory=RequestBatchStats)
+    # Request id -> decoded tokens; MEASURED mode only (None under COST).
+    outputs: Optional[dict[int, list[int]]] = None
 
     @property
     def num_served(self) -> int:
@@ -77,10 +81,12 @@ class InferenceEngine(abc.ABC):
         cost_model: Optional[GPUCostModel] = None,
         model_config: Optional[ModelConfig] = None,
         model_seed: int = 0,
+        max_new_tokens: int = 4,
     ):
         self.batch = batch
         self.mode = mode
         self.cost_model = cost_model or GPUCostModel.calibrated()
+        self.max_new_tokens = max_new_tokens
         self._model = None
         self._model_config = model_config
         self._model_seed = model_seed
@@ -112,6 +118,9 @@ class InferenceEngine(abc.ABC):
             return BatchResult()
         layouts, rejected = self.plan(requests)
         result = BatchResult(rejected=list(rejected), layouts=list(layouts))
+        measured = self.mode is EngineMode.MEASURED
+        if measured:
+            result.outputs = {}
         for layout in layouts:
             layout.validate()
             result.served.extend(layout.requests())
@@ -121,25 +130,30 @@ class InferenceEngine(abc.ABC):
             result.stats.padded_tokens += layout.num_rows * w - layout.useful_tokens
             result.stats.rows += layout.num_rows
             result.stats.row_width = max(result.stats.row_width, w)
-            if self.mode is EngineMode.COST:
-                result.latency += self.cost_model.layout_time(layout)
+            if measured:
+                result.latency += self._execute_measured(layout, result.outputs)
             else:
-                result.latency += self._execute_measured(layout)
+                result.latency += self.cost_model.layout_time(layout)
         return result
 
-    def _execute_measured(self, layout: BatchLayout) -> float:
-        model = self._get_model()
+    def _execute_measured(
+        self, layout: BatchLayout, outputs: dict[int, list[int]]
+    ) -> float:
+        """Encode and greedy-decode *layout*; its tokens go into *outputs*."""
+        model = self.model
         start = time.perf_counter()
-        slotted = layout.scheme == "slotted" and any(
-            row.slots for row in layout.rows
-        )
-        memory = model.encode_layout(layout, slotted=slotted)
-        # A short decode keeps measured mode affordable while still
-        # exercising the auto-regressive path.
-        model.greedy_decode(layout, max_new_tokens=4, memory=memory)
+        memory = None
+        if layout.scheme == "slotted" and any(row.slots for row in layout.rows):
+            # Eq. 8 runs per slot; every other layout encodes inside
+            # greedy_decode, on the packed per-segment stack.
+            memory = model.encode_layout(layout, slotted=True)
+        gen = model.greedy_decode(layout, self.max_new_tokens, memory=memory)
+        outputs.update(gen.outputs)
         return time.perf_counter() - start
 
-    def _get_model(self):
+    @property
+    def model(self):
+        """The NumPy model MEASURED mode runs, built on first use."""
         if self._model is None:
             from repro.model.seq2seq import Seq2SeqModel
 
@@ -148,6 +162,10 @@ class InferenceEngine(abc.ABC):
             )
             self._model = Seq2SeqModel(cfg, seed=self._model_seed)
         return self._model
+
+    @model.setter
+    def model(self, model) -> None:
+        self._model = model
 
     # ------------------------------------------------------------------ #
     # Helpers

@@ -92,6 +92,15 @@ class FaultyEngine(InferenceEngine):
         return result
 
     @property
+    def model(self):
+        """The inner engine's model: a wrapper runs nothing of its own."""
+        return self.inner.model
+
+    @model.setter
+    def model(self, model) -> None:
+        self.inner.model = model
+
+    @property
     def is_down(self) -> bool:
         """Whether the engine is inside a crash recovery window.
 

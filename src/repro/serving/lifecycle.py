@@ -198,9 +198,7 @@ class Lifecycle:
             i += 1
             self.next_arrival = i
 
-    def admit(
-        self, r: Request, now: float, *, submit_time: Optional[float] = None
-    ) -> Optional[tuple[str, str]]:
+    def admit(self, r: Request, now: float) -> Optional[tuple[str, str]]:
         """Enqueue one arrived request, or reject it.
 
         Returns ``None`` when enqueued, else ``(cause, detail)`` with
@@ -235,7 +233,7 @@ class Lifecycle:
             tr.arrive(r, now)
             tr.enqueue(r, now)
         if self.dur is not None:
-            self.dur.enqueue(r, submit_time)
+            self.dur.enqueue(r)
         return None
 
     def reject(

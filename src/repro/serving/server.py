@@ -3,9 +3,15 @@
 A synchronous in-process server exercising the *real* NumPy model:
 applications ``submit()`` sentences (token-id lists), the server queues
 them, and each ``step()`` runs one scheduler+engine slot, returning
-finished responses.  This is the component a deployment would put behind
-an RPC layer; the discrete-event :class:`ServingSimulator` exists for
-paper-scale sweeps where real execution is too slow.
+finished responses.  The engine is a measured
+:class:`~repro.engine.concat.ConcatEngine` packing in scheduler order,
+run through :func:`~repro.faults.recovery.serve_slot` like every
+simulator engine, so a :class:`~repro.faults.engine.FaultyEngine`
+assigned to :attr:`TCBServer.engine` gets the same split-batch retry,
+requeue triage and crash booking online.  This is the component a
+deployment would put behind an RPC layer; the discrete-event
+:class:`ServingSimulator` exists for paper-scale sweeps where real
+execution is too slow.
 
 Overload management (``docs/overload.md``): with an
 :class:`~repro.serving.admission.AdmissionController` and/or an
@@ -21,17 +27,15 @@ conservation invariant holds once the queue is drained.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from repro.config import BatchConfig, ModelConfig, SchedulerConfig
-from repro.core.layout import BatchLayout
-from repro.core.packing import pack_in_order
-from repro.durability.plane import DurabilityConfig, DurabilityPlane
+from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
-from repro.model.seq2seq import Seq2SeqModel
+from repro.engine.base import EngineMode, InferenceEngine
+from repro.engine.concat import ConcatEngine
+from repro.faults.recovery import serve_slot
 from repro.overload.backpressure import BackpressureError
 from repro.overload.controller import OverloadController
 from repro.scheduling.base import Scheduler
@@ -43,7 +47,6 @@ from repro.serving.metrics import ServingMetrics
 from repro.tenancy.admission import QuotaExceeded
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
-from repro.watermark import mark
 
 __all__ = ["TCBServer", "Response", "DrainExhausted"]
 
@@ -87,7 +90,6 @@ class TCBServer:
         admission: Optional[AdmissionController] = None,
         overload: Optional[OverloadController] = None,
         durability: Optional[DurabilityPlane] = None,
-        checkpoint_every: int = 0,
         tenancy: Optional[TenancyPlane] = None,
     ):
         self.model_config = model_config or ModelConfig.tiny()
@@ -97,25 +99,27 @@ class TCBServer:
                 "batch row length exceeds the model's maximum input length"
             )
         self.scheduler = scheduler or DASScheduler(self.batch, SchedulerConfig())
-        self.model = Seq2SeqModel(self.model_config, seed=seed)
+        self.engine: InferenceEngine = ConcatEngine(
+            self.batch,
+            packing="in_order",
+            mode=EngineMode.MEASURED,
+            model_config=self.model_config,
+            model_seed=seed,
+            max_new_tokens=max_new_tokens,
+        )
         self.max_new_tokens = max_new_tokens
         self.default_slack = default_slack
         self.admission = admission
         self.overload = overload
         self._next_id = 0
-        self._submit_times: dict[int, float] = {}
         self._responses: dict[int, Response] = {}
-        # True when the last run_until_drained() hit its step budget.
-        self.drain_exhausted = False
+        # Wall-clock time a crashed engine rejoins; no slot before it.
+        self._down_until = 0.0
         # Durability plane (docs/recovery.md): submits are write-ahead
         # journaled before being acknowledged, so a warm restart can
         # recover every acknowledged-but-unserved request exactly once.
         # Armed lazily on the first submit/step so a server built over
         # an existing journal can warm_restart() from it instead.
-        if durability is None and checkpoint_every > 0:
-            durability = DurabilityPlane(
-                DurabilityConfig(checkpoint_every=checkpoint_every)
-            )
         self.durability = durability
         self._dur_armed = False
         # Tenancy plane (docs/tenancy.md): quota rejections surface as
@@ -142,6 +146,15 @@ class TCBServer:
     # ------------------------------------------------------------------ #
 
     @property
+    def model(self):
+        """The model the engine decodes with; assignable (e.g. a spy)."""
+        return self.engine.model
+
+    @model.setter
+    def model(self, model) -> None:
+        self.engine.model = model
+
+    @property
     def metrics(self) -> ServingMetrics:
         return self._life.metrics
 
@@ -153,14 +166,7 @@ class TCBServer:
         return time.perf_counter() - self._t0
 
     def _loop_state(self) -> dict:
-        return {
-            "now": self._now(),
-            "extra": {
-                "next_id": self._next_id,
-                # One entry per submit, never rewritten: a watermark.
-                "submit_times": mark(self._submit_times),
-            },
-        }
+        return {"now": self._now(), "extra": {"next_id": self._next_id}}
 
     def _arm_durability(self) -> None:
         if self.durability is not None and not self._dur_armed:
@@ -186,16 +192,12 @@ class TCBServer:
         # sweep), so the metrics bucket mirrors the queue's ledger.
         state.metrics.expired = list(state.queue.expired)
         self._life.adopt(state)
-        extra = state.extra
-        self._submit_times = dict(extra.get("submit_times", {}))
-        self._next_id = extra.get("next_id", 0)
-        for req, submit_time in state.recovered:
+        self._next_id = state.extra.get("next_id", 0)
+        for req in state.recovered:
             # restore_state re-counted it in metrics.arrived; its tenant's
             # ledger came from the last commit, before the submit.
             if self.tenancy is not None:
                 self.tenancy.arrive(req)
-            if submit_time is not None:
-                self._submit_times[req.request_id] = submit_time
             self._next_id = max(self._next_id, req.request_id + 1)
         self._responses = {}
         self._dur_armed = True
@@ -260,7 +262,7 @@ class TCBServer:
                 raise BackpressureError("queue-full", pressure)
         # Write-ahead: an admitted submit is durable before it is
         # acknowledged to the caller by returning the id.
-        refusal = life.admit(req, now, submit_time=now)
+        refusal = life.admit(req, now)
         if refusal is not None:
             cause, detail = refusal
             if cause == "admission":
@@ -268,7 +270,6 @@ class TCBServer:
             if cause == "degraded":
                 raise BackpressureError(f"degraded ({ov.level.label})")
             raise QuotaExceeded(tn.key(req), detail)
-        self._submit_times[rid] = now
         return rid
 
     def step(self) -> list[Response]:
@@ -278,7 +279,7 @@ class TCBServer:
         life.tick()
         now = self._now()
         life.expire_and_shed(now)
-        if life.breaker_blocks(0, now) is not None:
+        if now < self._down_until or life.breaker_blocks(0, now) is not None:
             return []
         waiting = life.waiting(now)
         if not waiting:
@@ -288,58 +289,55 @@ class TCBServer:
             return []
         selected = life.dispatch(selected, now)
         started = self._now()
-        packing = pack_in_order(
-            selected, self.batch.num_rows, self.batch.row_length
-        )
-        layout = packing.layout
-        gen = self.model.greedy_decode(layout, max_new_tokens=self.max_new_tokens)
-        finished_at = self._now()
-        life.engine_result(0, finished_at, ok=True)
-        life.serve(packing.packed, finished_at)
-        life.batch_done(
-            finished_at - started, layout.useful_tokens, layout.padded_tokens
-        )
-        out: list[Response] = []
-        for req in packing.packed:
-            resp = Response(
-                request_id=req.request_id,
-                output_tokens=gen.outputs[req.request_id],
-                submitted_at=self._submit_times[req.request_id],
-                finished_at=finished_at,
+        outcome = serve_slot(self.engine, selected, started)
+        finished = self._now()
+        life.attempted(outcome, len(selected), started)
+        result = outcome.result
+        if result is None:
+            if outcome.down_until is not None:
+                life.crashed(outcome.downtime, finished)
+                self._down_until = outcome.down_until
+            life.failed(
+                outcome.failed,
+                self.engine.cost_model,
+                finished,
+                retry_from=outcome.down_until,
             )
-            self._responses[req.request_id] = resp
-            out.append(resp)
+            return []
+        finish = life.serve_batch(
+            result, selected, started, finished - started, self.engine
+        )
+        out = [
+            Response(
+                request_id=req.request_id,
+                output_tokens=result.outputs[req.request_id],
+                submitted_at=req.arrival,
+                finished_at=finish,
+            )
+            for req in result.served
+        ]
+        self._responses.update((resp.request_id, resp) for resp in out)
         return out
 
     def poll(self, request_id: int) -> Optional[Response]:
         """Fetch a finished response (None while pending)."""
         return self._responses.get(request_id)
 
-    def run_until_drained(
-        self, max_steps: int = 1000, *, on_exhausted: str = "raise"
-    ) -> list[Response]:
+    def run_until_drained(self, max_steps: int = 1000) -> list[Response]:
         """Keep stepping until the queue is empty; returns all responses.
 
-        If the queue is still non-empty after ``max_steps`` the drain is
-        *exhausted* — previously that returned a silently-partial result.
-        Now it raises :class:`DrainExhausted` (default) or, with
-        ``on_exhausted="return"``, returns the partial responses with the
-        exhaustion recorded in :attr:`drain_exhausted`.
+        Raises :class:`DrainExhausted` if work is still queued after
+        ``max_steps``; the responses served so far stay available
+        through :meth:`poll`.
         """
-        if on_exhausted not in ("raise", "return"):
-            raise ValueError(f"unknown on_exhausted mode {on_exhausted!r}")
-        self.drain_exhausted = False
-        all_out: list[Response] = []
+        out: list[Response] = []
         for _ in range(max_steps):
             if not len(self._queue):
-                return all_out
-            out = self.step()
-            all_out.extend(out)
+                return out
+            out.extend(self.step())
         if len(self._queue):
-            self.drain_exhausted = True
-            if on_exhausted == "raise":
-                raise DrainExhausted(len(self._queue), max_steps)
-        return all_out
+            raise DrainExhausted(len(self._queue), max_steps)
+        return out
 
     @property
     def pending(self) -> int:

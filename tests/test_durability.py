@@ -900,10 +900,9 @@ class TestRecords:
             tokens=(1, 2, 3, 4),
             weight=2.0,
         )
-        rec = EnqueueRecord(step=1, request=req, submit_time=0.5)
+        rec = EnqueueRecord(step=1, request=req)
         back = record_from_dict(rec.to_dict())
         assert back.request == req
-        assert back.submit_time == 0.5
         bare = make_requests([5], deadlines=[1.0])[0]  # tokens=None
         rec2 = DispatchRecord(step=2, requests=(bare,), resident=True)
         back2 = record_from_dict(rec2.to_dict())
@@ -994,7 +993,7 @@ class TestServerWarmRestart:
 
         s2 = self._server(plane)
         state = s2.warm_restart()
-        recovered = {req.request_id for req, _ in state.recovered}
+        recovered = {req.request_id for req in state.recovered}
         assert recovered == set(wal_ids)
         served_post = [r.request_id for r in s2.run_until_drained()]
         # Exactly once: no id served twice, none lost.
@@ -1017,7 +1016,7 @@ class TestServerWarmRestart:
         wal_ids = [server.submit([5, 6, 7]) for _ in range(3)]
 
         state = server.warm_restart()
-        assert {req.request_id for req, _ in state.recovered} == set(wal_ids)
+        assert {req.request_id for req in state.recovered} == set(wal_ids)
         served_mid = [r.request_id for r in server.step()]
         server.step()
         server.warm_restart()  # from the restart checkpoint's successors
@@ -1052,19 +1051,13 @@ class TestServerWarmRestart:
         s1.step(), s1.step(), s1.step()  # serve + commit
         s2 = self._server(plane)
         state = s2.warm_restart()
-        assert rid not in {req.request_id for req, _ in state.recovered}
+        assert rid not in {req.request_id for req in state.recovered}
         assert s2.pending == 0
         assert rid in {r.request_id for r in s2.metrics.served}
 
     def test_restart_without_plane_raises(self):
         with pytest.raises(ValueError, match="durability"):
             TCBServer(seed=0).warm_restart()
-
-    def test_checkpoint_every_kwarg_builds_plane(self):
-        s = TCBServer(seed=0, checkpoint_every=2)
-        assert s.durability is not None
-        assert s.durability.config.checkpoint_every == 2
-        assert TCBServer(seed=0).durability is None
 
     def test_submit_ids_continue_after_restart(self):
         plane = DurabilityPlane(DurabilityConfig(checkpoint_every=1))

@@ -62,6 +62,36 @@ class TestEngineInfrastructure:
         assert result.num_served == 4
         assert result.latency > 0
 
+    @pytest.mark.parametrize("scheme", ["naive", "turbo", "concat", "slotted"])
+    def test_measured_engines_return_their_tokens(self, scheme):
+        """MEASURED mode hands back what it decoded: per served request,
+        the tokens greedy_decode gives for the executed layout."""
+        from repro.engine.naive import NaiveEngine
+        from repro.engine.turbo import TurboEngine
+
+        batch = BatchConfig(num_rows=3, row_length=16)
+        kw = dict(mode=EngineMode.MEASURED, model_config=ModelConfig.tiny())
+        eng = {
+            "naive": lambda: NaiveEngine(batch, **kw),
+            "turbo": lambda: TurboEngine(batch, **kw),
+            "concat": lambda: ConcatEngine(batch, **kw),
+            "slotted": lambda: SlottedConcatEngine(batch, num_slots=2, **kw),
+        }[scheme]()
+        reqs = eng.materialize_tokens(make_requests([4, 7, 3, 5, 2, 6], start_id=0))
+        result = eng.serve(reqs)
+        assert result.num_served > 0
+        want = {}
+        for layout in result.layouts:
+            want.update(eng.model.greedy_decode(layout, 4).outputs)
+        assert result.outputs == want
+        assert set(want) == {r.request_id for r in result.served}
+
+    def test_cost_mode_returns_no_tokens(self):
+        result = ConcatEngine(BatchConfig(num_rows=2, row_length=16)).serve(
+            make_requests([4, 3], start_id=0)
+        )
+        assert result.num_served == 2 and result.outputs is None
+
     def test_default_cost_model_is_calibrated(self):
         from repro.engine.cost_model import GPUCostModel
 

@@ -290,10 +290,22 @@ QUEUE_MUTATORS = frozenset(
 QUEUE_CALLERS = frozenset(
     {"scheduling/queue.py", "serving/lifecycle.py", "durability/restore.py"}
 )
+# Running the model, or packing the batch it runs on, is an engine's
+# work: under serving/ it reaches the model only through serve_slot.
+MODEL_CALLS = frozenset(
+    {
+        "greedy_decode",
+        "encode_layout",
+        "encode_requests",
+        "pack_in_order",
+        "pack_first_fit",
+        "pack_into_slots",
+    }
+)
 
 
 def _receiver(node: ast.AST) -> str:
-    """Last name of an attribute chain's receiver (``a.b.c()`` -> ``b``)."""
+    """Last name of a name or attribute chain (``a.b`` -> ``b``, ``a`` -> ``a``)."""
     if isinstance(node, ast.Attribute):
         return node.attr
     return node.id if isinstance(node, ast.Name) else ""
@@ -303,6 +315,12 @@ def side_doors(source: str, rel: str) -> list[str]:
     """Every way *source* (at package path *rel*) goes round the door."""
     found = []
     for node in ast.walk(ast.parse(source)):
+        if (
+            rel.startswith("serving/")
+            and isinstance(node, ast.Call)
+            and _receiver(node.func) in MODEL_CALLS
+        ):
+            found.append(f"{rel}:{node.lineno} runs the model without serve_slot")
         if not isinstance(node, ast.Attribute):
             continue
         own = isinstance(node.value, ast.Name) and node.value.id == "self"
@@ -347,6 +365,16 @@ def test_a_reopened_side_door_is_caught():
     assert src.count(anchor) == 1
     reopened = src.replace(anchor, "engine.serve(selected)")
     assert len(side_doors(reopened, rel)) == 1
+    rel = "serving/server.py"
+    src = (PACKAGE / rel).read_text()
+    anchor = "serve_slot(self.engine, selected, started)"
+    assert src.count(anchor) == 1
+    reopened = src.replace(
+        anchor, "self.model.greedy_decode(pack_in_order(selected, 1, 8).layout)"
+    )
+    assert [door.split(" ", 1)[1] for door in side_doors(reopened, rel)] == [
+        "runs the model without serve_slot"
+    ] * 2
     assert side_doors("def f(q):\n    return q._waiting\n", "overload/x.py")
 
 

@@ -23,7 +23,6 @@ class TestPackageSurface:
             "TurboEngine",
             "ConcatEngine",
             "SlottedConcatEngine",
-            "AdaptiveEngine",
             "GPUCostModel",
             "GPUMemorySimulator",
             "DASScheduler",

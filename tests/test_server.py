@@ -3,6 +3,9 @@
 import pytest
 
 from repro.config import BatchConfig, ModelConfig, SchedulerConfig
+from repro.faults.engine import FaultyEngine
+from repro.faults.outcomes import BatchFailure, EngineDown
+from repro.faults.plan import FaultConfig, FaultPlan
 from repro.scheduling.das import DASScheduler
 from repro.serving.server import TCBServer
 
@@ -217,34 +220,6 @@ class TestServerOverload:
             server.run_until_drained(max_steps=3)
         assert exc.value.pending == 1
         assert exc.value.max_steps == 3
-        assert server.drain_exhausted
-
-    def test_run_until_drained_return_mode(self):
-        from repro.overload import (
-            BreakerConfig,
-            OverloadConfig,
-            OverloadController,
-        )
-
-        ov = OverloadController(
-            OverloadConfig(
-                breaker=BreakerConfig(failure_threshold=1, recovery_time=3600.0)
-            )
-        )
-        server = self._server(overload=ov)
-        server.submit([5, 6, 7])
-        ov.record_result(0, 0.0, ok=False)
-        out = server.run_until_drained(max_steps=2, on_exhausted="return")
-        assert out == []
-        assert server.drain_exhausted
-        with pytest.raises(ValueError, match="on_exhausted"):
-            server.run_until_drained(on_exhausted="explode")
-
-    def test_drained_flag_resets_on_success(self, server):
-        server.submit([5, 6, 7])
-        server.drain_exhausted = True
-        server.run_until_drained()
-        assert not server.drain_exhausted
 
     def test_metrics_ledger_conserves_after_drain(self):
         from repro.overload import (
@@ -271,3 +246,63 @@ class TestServerOverload:
         assert m.num_served == accepted
         assert m.num_rejected == 5 - accepted
         m.assert_conservation()
+
+
+class _LoggedFaults(FaultyEngine):
+    """A FaultyEngine that logs what each attempt raised."""
+
+    def __init__(self, inner, plan):
+        super().__init__(inner, plan)
+        self.log = []
+
+    def serve(self, requests, *, now=0.0):
+        try:
+            return super().serve(requests, now=now)
+        except BatchFailure as fail:
+            self.log.append((fail.kind, len(requests), 0.0))
+            raise
+        except EngineDown as down:
+            self.log.append(("crash", len(requests), down.downtime))
+            raise
+
+
+class TestServerFaults:
+    def test_faulty_engine_under_the_server(self):
+        """A seeded plan's failures, OOM splits and crash reach the online
+        ledger through serve_slot, and what is served is still exact."""
+        server = TCBServer(
+            model_config=ModelConfig.tiny(),
+            batch=BatchConfig(num_rows=2, row_length=16),
+            seed=11,
+            max_new_tokens=4,
+        )
+        # Seed 30 opens failure, OOM, none, none, crash; 2 ms outages.
+        cfg = FaultConfig(
+            failure_rate=0.15, oom_rate=0.15, crash_rate=0.1,
+            downtime=0.002, oom_threshold=0.25,
+        )
+        engine = _LoggedFaults(server.engine, FaultPlan(cfg, seed=30))
+        server.engine = engine
+        assert server.model is engine.inner.model
+        sentences = [[4 + (i * 3 + j) % 9 for j in range(9 + i % 4)] for i in range(12)]
+        tokens = {server.submit(s): s for s in sentences}
+        # Steps return nothing, in microseconds, while the engine is down
+        # (an OOM's launch overhead, priced by the cost model, counts too).
+        served = server.run_until_drained(max_steps=1_000_000)
+
+        kinds = [kind for kind, _, _ in engine.log]
+        assert {"failure", "oom", "crash"} <= set(kinds)
+        assert all(downtime > 0 for kind, _, downtime in engine.log if kind == "crash")
+        m = server.metrics
+        assert m.failed_batches == kinds.count("failure") + kinds.count("oom")
+        assert m.downtime == sum(d for kind, _, d in engine.log if kind == "crash")
+        split = sum((n + 1) // 2 for kind, n, _ in engine.log if kind == "oom" and n > 1)
+        triaged = sum(n for kind, n, _ in engine.log if kind != "oom" or n == 1)
+        assert m.retries == split + triaged - len(m.abandoned)
+        m.assert_conservation()
+        assert len(served) == m.num_served > 0
+        assert m.num_served + len(m.abandoned) == 12
+        for resp in served:
+            assert resp.output_tokens == server.model.greedy_decode_single(
+                tokens[resp.request_id], max_new_tokens=4
+            )
