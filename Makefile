@@ -6,16 +6,16 @@ install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src python -m pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only
 
 examples:
-	for f in examples/*.py; do echo "== $$f"; python $$f > /dev/null || exit 1; done
+	for f in examples/*.py; do echo "== $$f"; PYTHONPATH=src python $$f > /dev/null || exit 1; done
 
 figures:
-	python -m repro figure all --out figures_report.txt
+	PYTHONPATH=src python -m repro figure all --out figures_report.txt
 
 # The eight static invariants (TCB001-007, TCB011) always run; ruff and
 # mypy run when installed (pip install -e .[dev]) and are skipped with
@@ -66,8 +66,8 @@ tenancy-smoke:
 	PYTHONPATH=src python -c "from repro.experiments.tenancy import tenancy_smoke; tenancy_smoke()"
 
 report: lint test bench overload-smoke recovery-smoke tail-smoke tenancy-smoke
-	pytest tests/ 2>&1 | tee test_output.txt
-	pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
+	PYTHONPATH=src python -m pytest tests/ 2>&1 | tee test_output.txt
+	PYTHONPATH=src python -m pytest benchmarks/ --benchmark-only 2>&1 | tee bench_output.txt
 
 clean:
 	rm -rf .pytest_cache */__pycache__ src/repro/__pycache__ src/repro/*/__pycache__

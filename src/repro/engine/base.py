@@ -139,15 +139,14 @@ class InferenceEngine(abc.ABC):
     def _execute_measured(
         self, layout: BatchLayout, outputs: dict[int, list[int]]
     ) -> float:
-        """Encode and greedy-decode *layout*; its tokens go into *outputs*."""
-        model = self.model
+        """Encode and greedy-decode *layout*; its tokens go into *outputs*.
+
+        Every layout but a padded scheme's, slotted ones included, is
+        encoded inside ``greedy_decode`` by the packed per-segment stack;
+        Eq. 8 (``encode_layout(slotted=True)``) is the ablation's arm.
+        """
         start = time.perf_counter()
-        memory = None
-        if layout.scheme == "slotted" and any(row.slots for row in layout.rows):
-            # Eq. 8 runs per slot; every other layout encodes inside
-            # greedy_decode, on the packed per-segment stack.
-            memory = model.encode_layout(layout, slotted=True)
-        gen = model.greedy_decode(layout, self.max_new_tokens, memory=memory)
+        gen = self.model.greedy_decode(layout, self.max_new_tokens)
         outputs.update(gen.outputs)
         return time.perf_counter() - start
 

@@ -1,8 +1,12 @@
 """Slotted ConcatBatching engine (paper §4.2, Algorithm 2's engine half).
 
-Rows are divided into fixed-size slots; self-attention is computed per
-slot (Eq. 8), and finished slots release their memory early (§4.2.2 —
-see :class:`repro.engine.memory.GPUMemorySimulator`).
+Rows are divided into fixed-size slots; the paper computes
+self-attention per slot (Eq. 8), and finished slots release their memory
+early (§4.2.2 — see :class:`repro.engine.memory.GPUMemorySimulator`).
+Under ``EngineMode.MEASURED`` a slotted layout runs the packed
+per-segment stack, like a concatenated one: it gives the same states
+without the slots' padding.  Eq. 8 itself is
+``Seq2SeqModel.encode_layout(slotted=True)``, the ablation's arm.
 
 The slot size is supplied per ``serve()`` call by the scheduler
 (Algorithm 2 derives it from the utility-dominant set) or fixed at

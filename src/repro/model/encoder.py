@@ -30,7 +30,11 @@ from repro.model.feedforward import feed_forward
 from repro.model.functional import add_norm, linear
 from repro.model.params import EncoderLayerParams
 
-__all__ = ["encoder_layer", "encoder_layer_slotted", "encode", "encode_packed"]
+__all__ = ["CHUNK_TOKENS", "encoder_layer", "encoder_layer_slotted", "encode", "encode_packed"]
+
+# Most tokens in one chunk of the packed encoder (whole segments only): the
+# fastest of 128–2,048 at the bench shape, see docs/performance.md §10.
+CHUNK_TOKENS = 512
 
 
 def _residual_ffn(
@@ -90,6 +94,47 @@ def encode(
     return h
 
 
+# (first row, end row, segments, segment length) of adjacent equal-length segments.
+Run = tuple[int, int, int, int]
+
+
+def _chunks(lengths: Sequence[int]) -> list[tuple[int, int, list[Run]]]:
+    """Whole segments in chunks of at most :data:`CHUNK_TOKENS` tokens.
+
+    A segment longer than that is a chunk of its own.  Each chunk is
+    ``(first token, end token, runs)``, its runs' rows counted from the
+    chunk's first token.
+    """
+    chunks: list[tuple[int, int, list[Run]]] = []
+    first, end, runs = 0, 0, []
+    for length in lengths:
+        if end > first and end + length - first > CHUNK_TOKENS:
+            chunks.append((first, end, runs))
+            first, runs = end, []
+        a = end - first
+        if runs and runs[-1][3] == length:
+            runs[-1] = (runs[-1][0], a + length, runs[-1][2] + 1, length)
+        else:
+            runs.append((a, a + length, 1, length))
+        end += length
+    if end > first:
+        chunks.append((first, end, runs))
+    return chunks
+
+
+def _packed_layer(
+    layer: EncoderLayerParams, num_heads: int, h: np.ndarray, runs: Sequence[Run]
+) -> np.ndarray:
+    p = layer.self_attn
+    qkv = linear(h, *p.qkv)
+    ctx = np.empty((len(h), qkv.shape[1] // 3), dtype=qkv.dtype)
+    for a, b, n, length in runs:
+        # (3, n, H, ℓ, d/H): Q, K and V of the run's segments.
+        qh, kh, vh = qkv[a:b].reshape(n, length, 3, num_heads, -1).transpose(2, 0, 3, 1, 4)
+        ctx[a:b] = attention(qh, kh, vh).transpose(0, 2, 1, 3).reshape(b - a, -1)
+    return _residual_ffn(layer, h, linear(ctx, p.w_o, p.b_o))
+
+
 def encode_packed(
     layers: Sequence[EncoderLayerParams],
     num_heads: int,
@@ -99,33 +144,23 @@ def encode_packed(
     """Run the encoder stack over segments packed back to back.
 
     ``x`` is ``(T, d)``: segment ``i`` owns the next ``lengths[i]`` rows.
-    Linears, LayerNorm and FFN are position-wise and run on ``(T, d)``;
-    a layer projects Q, K and V in one ``(T, 3d)`` linear through the
-    fused weight of :attr:`~repro.model.params.AttentionParams.qkv`.
-    Self-attention runs once per run of equal-length segments, as a
-    maskless ``(n, H, ℓ, ℓ)`` batched matmul over the run's contiguous
-    slice of that projection.  Any segment order is correct; sorted by
-    length, every distinct length is one matmul.
+    Linears, LayerNorm and FFN are position-wise; a layer projects Q, K
+    and V in one ``(·, 3d)`` linear through the fused weight of
+    :attr:`~repro.model.params.AttentionParams.qkv`.  Self-attention runs
+    once per run of equal-length segments, as a maskless
+    ``(n, H, ℓ, ℓ)`` batched matmul over the run's contiguous slice of
+    that projection.  Any segment order is correct; sorted by length,
+    every distinct length is one matmul.
+
+    No token attends outside its segment, so the stack runs chunk by
+    chunk (:func:`_chunks`): every layer over one chunk's rows, then the
+    next chunk.  Only ``x`` and the returned ``(T, d)`` array grow with
+    ``T``; every other temporary is the size of one chunk.
     """
-    lengths = np.asarray(lengths)
-    bounds = [0, *(np.flatnonzero(np.diff(lengths)) + 1).tolist(), len(lengths)]
-    offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
-    # (first token, end token, segments, segment length) of each run.
-    runs = [
-        (offsets[i], offsets[j], j - i, int(lengths[i]))
-        for i, j in zip(bounds, bounds[1:])
-        if i < j
-    ]
-    h = x
-    for layer in layers:
-        p = layer.self_attn
-        qkv = linear(h, *p.qkv)
-        ctx = np.empty((len(h), qkv.shape[1] // 3), dtype=qkv.dtype)
-        for a, b, n, length in runs:
-            # (3, n, H, ℓ, d/H): Q, K and V of the run's segments.
-            qh, kh, vh = qkv[a:b].reshape(n, length, 3, num_heads, -1).transpose(
-                2, 0, 3, 1, 4
-            )
-            ctx[a:b] = attention(qh, kh, vh).transpose(0, 2, 1, 3).reshape(b - a, -1)
-        h = _residual_ffn(layer, h, linear(ctx, p.w_o, p.b_o))
-    return h
+    out = np.empty(x.shape)
+    for a, b, runs in _chunks(np.asarray(lengths).tolist()):
+        h = x[a:b]
+        for layer in layers:
+            h = _packed_layer(layer, num_heads, h, runs)
+        out[a:b] = h
+    return out

@@ -19,7 +19,6 @@ import itertools
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.types import Request
 
@@ -124,6 +123,8 @@ def lp_upper_bound(
     Σ_n l_n x ≤ B·L per slot, maximising Σ v_n x.  Row structure and
     integrality are relaxed, so the value dominates OPT.
     """
+    from scipy.optimize import linprog
+
     reqs = [r for r in requests if r.length <= row_length]
     n, T = len(reqs), len(slot_times)
     if n == 0 or T == 0:

@@ -48,8 +48,8 @@ class TestEngineInfrastructure:
         assert len(result.layouts) == 3
 
     def test_measured_mode_slotted_engine(self):
-        """Slotted engine in measured mode exercises the slot-wise
-        encoder path end to end."""
+        """Slotted engine in measured mode serves a slotted layout end
+        to end (on the packed per-segment stack)."""
         batch = BatchConfig(num_rows=2, row_length=16)
         eng = SlottedConcatEngine(
             batch,

@@ -14,7 +14,9 @@ per batch annotation, and what one tracer emission stores.
 
 The last part counts what one decode step of the real NumPy model does:
 linears per layer, the largest array a step allocates, and the K/V
-elements that a request leaving the active set copies.
+elements that a request leaving the active set copies; and what the
+encoder keeps alive at once, and which kernel a measured slotted engine
+runs.
 """
 
 import gc
@@ -27,6 +29,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.model.attention as attention
 import repro.model.feedforward as feedforward
 import repro.model.generation as generation
 import repro.obs.recorder as recorder
@@ -34,8 +37,10 @@ from repro.config import BatchConfig, ModelConfig
 from repro.core.packing import pack_first_fit
 from repro.core.slotting import pack_into_slots
 from repro.durability import DurabilityConfig, DurabilityPlane
+from repro.engine.base import EngineMode
 from repro.engine.concat import ConcatEngine
 from repro.engine.memory import GPUMemorySimulator
+from repro.engine.slotted import SlottedConcatEngine
 from repro.model.seq2seq import Seq2SeqModel
 from repro.obs.recorder import Tracer
 from repro.rng import ensure_rng
@@ -574,3 +579,58 @@ class TestDecodeWork:
             assert own <= self_bound
         # Survivors did move: group compaction ran.
         assert any(cross > 0 for cross, *_ in events)
+
+
+class TestEncodeWorkingSet:
+    def test_concat_encode_holds_only_the_residual_streams(self):
+        """At the bench model shape, one concat encode of ~4k tokens peaks
+        below six ``(T, d)`` arrays: the input and output streams plus one
+        chunk's temporaries.  The whole-batch layer loop held about 13."""
+        cfg = ModelConfig(
+            vocab_size=256,
+            d_model=128,
+            num_heads=4,
+            num_encoder_layers=2,
+            num_decoder_layers=2,
+            max_len=400,
+        )
+        model = Seq2SeqModel(cfg, seed=0)
+        lengths = np.random.default_rng(0).integers(3, 40, size=200).tolist()
+        layout = pack_first_fit(make_tokenized_requests(lengths, cfg), 10, 400).layout
+        assert layout.scheme == "concat" and layout.useful_tokens >= 3000
+        index = layout.segment_index()
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            model.encode_requests(layout, index)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * layout.useful_tokens * cfg.d_model * 8
+
+    def test_measured_slotted_engine_runs_the_packed_stack(self, monkeypatch):
+        """Eq. 8 is the ablation's arm: serving a slotted layout makes no
+        slot-wise encode and no ``att_cb_s`` call."""
+        calls = Counter()
+        encode_layout, att_cb_s = Seq2SeqModel.encode_layout, attention.att_cb_s
+
+        def counted_encode(self, layout, **kwargs):
+            calls["slotted encode"] += bool(kwargs.get("slotted"))
+            return encode_layout(self, layout, **kwargs)
+
+        def counted_att_cb_s(*args, **kwargs):
+            calls["att_cb_s"] += 1
+            return att_cb_s(*args, **kwargs)
+
+        monkeypatch.setattr(Seq2SeqModel, "encode_layout", counted_encode)
+        monkeypatch.setattr(attention, "att_cb_s", counted_att_cb_s)
+        engine = SlottedConcatEngine(
+            BatchConfig(num_rows=2, row_length=16),
+            num_slots=2,
+            mode=EngineMode.MEASURED,
+            model_config=ModelConfig.tiny(),
+        )
+        result = engine.serve(make_tokenized_requests([4, 3, 6, 2], ModelConfig.tiny()))
+        assert result.num_served == 4
+        assert any(row.slots for layout in result.layouts for row in layout.rows)
+        assert calls["slotted encode"] == calls["att_cb_s"] == 0

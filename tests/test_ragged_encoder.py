@@ -10,6 +10,9 @@ run of equal-length segments.  Three guards:
   and decoding through it ≡ ``greedy_decode_single`` token for token;
 - kernel edge cases carried on the ROADMAP: fully padded row or slot,
   ragged trailing slot, float32 inputs;
+- chunk boundaries: with ``CHUNK_TOKENS`` shrunk to 1, 3 and 8, runs
+  split across chunks, segments longer than a chunk and chunks that end
+  mid-run give the same encodings and tokens;
 - a deterministic work guard: with ``attention`` / ``linear`` counted,
   one concat encode issues exactly ``H·Σℓ²`` score elements per layer
   and ``T`` rows per linear, and never builds a block-diagonal mask — a
@@ -115,6 +118,64 @@ class TestPackedEquivalence:
         layout = pack_first_fit(make_requests([4, 3], start_id=0), 1, 8).layout
         with pytest.raises(ValueError, match="request 0 has no tokens"):
             tiny_model.encode_layout(layout)
+
+
+class TestChunkBoundaries:
+    """Shrunk chunks make every layout above cross chunk boundaries."""
+
+    # (lengths, CHUNK_TOKENS, chunks expected)
+    CASES = [
+        ([2, 2, 2, 2, 2], 8, 2),  # a run of five split 4 + 1: ends mid-run
+        ([2, 2, 2, 2, 2], 3, 5),  # every segment a chunk of its own
+        ([1, 9, 2, 2], 8, 2),  # a segment longer than a chunk
+        ([3, 3, 1, 4, 4, 4], 8, 3),  # two runs in one chunk, the next run split
+        ([5, 1, 5, 1, 2], 1, 5),  # chunk size 1: one segment per chunk
+        ([], 3, 0),  # empty layout
+    ]
+
+    @pytest.mark.parametrize("lengths, chunk, expected", CASES)
+    def test_chunks_keep_segments_whole(self, monkeypatch, lengths, chunk, expected):
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", chunk)
+        chunks = encoder._chunks(sorted(lengths))
+        assert len(chunks) == expected
+        ends = [0]
+        for a, b, runs in chunks:
+            assert a == ends[-1] and b - a == runs[-1][1]
+            assert b - a <= chunk or len(runs) == runs[0][2] == 1
+            ends.append(b)
+            for (_, end, _, _), (start, _, _, _) in zip(runs, runs[1:]):
+                assert end == start
+            assert all(e - s == n * length for s, e, n, length in runs)
+        assert ends[-1] == sum(lengths)
+
+    @pytest.mark.parametrize("lengths, chunk, expected", CASES)
+    def test_chunked_equals_solo(self, tiny_model, monkeypatch, lengths, chunk, expected):
+        monkeypatch.setattr(encoder, "CHUNK_TOKENS", chunk)
+        layout = build_layout(lengths, 2, 1, "first_fit", tiny_model.config)
+        enc = tiny_model.encode_layout(layout)
+        useful = layout.segment_id_matrix() >= 0
+        assert not enc[~useful].any()
+        for k, seg in layout.segments():
+            alone = tiny_model.encode_single(seg.request.tokens)[0]
+            assert np.abs(enc[k, seg.start : seg.end] - alone).max() <= EXACT
+        res = tiny_model.greedy_decode(layout, max_new_tokens=3)
+        assert set(res.outputs) == {r.request_id for r in layout.requests()}
+        for req in layout.requests():
+            assert res.outputs[req.request_id] == tiny_model.greedy_decode_single(
+                req.tokens, max_new_tokens=3
+            )
+
+    @given(case=layouts(), chunk=st.sampled_from([1, 3, 8]))
+    @settings(max_examples=30, deadline=None)
+    def test_drawn_layouts_across_chunks(self, tiny_model, case, chunk):
+        lengths, rows, slack, packer = case
+        layout = build_layout(lengths, rows, slack, packer, tiny_model.config)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(encoder, "CHUNK_TOKENS", chunk)
+            enc = tiny_model.encode_layout(layout)
+        for k, seg in layout.segments():
+            alone = tiny_model.encode_single(seg.request.tokens)[0]
+            assert np.abs(enc[k, seg.start : seg.end] - alone).max() <= EXACT
 
 
 class TestKernelEdgeCases:
