@@ -100,6 +100,10 @@ class InferenceEngine(abc.ABC):
     def plan(self, requests: Sequence[Request]) -> tuple[list[BatchLayout], list[Request]]:
         """Lay out the requests; returns (layouts, rejected)."""
 
+    def set_slot_size(self, slot_size: int) -> None:
+        """Scheduler hook for Algorithm 2's slot size; unslotted schemes
+        have no slots, so the base engine ignores it."""
+
     # ------------------------------------------------------------------ #
     # Execution
     # ------------------------------------------------------------------ #

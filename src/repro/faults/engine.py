@@ -53,6 +53,9 @@ class FaultyEngine(InferenceEngine):
     ) -> tuple[list[BatchLayout], list[Request]]:
         return self.inner.plan(requests)
 
+    def set_slot_size(self, slot_size: int) -> None:
+        self.inner.set_slot_size(slot_size)
+
     def serve(
         self, requests: Sequence[Request], *, now: float = 0.0
     ) -> BatchResult:

@@ -9,9 +9,9 @@ over this loop, which is :class:`~repro.serving.cluster.ClusterSimulator`
 over one engine (the autoscaler runs it over a scaling fleet).
 
 :class:`~repro.serving.server.TCBServer` is the online facade a real
-deployment would use (submit / poll): the same lifecycle and
-``serve_slot`` over a measured ConcatEngine, whose decoded tokens are
-the responses.
+deployment would use (submit / poll): the same lifecycle and engine
+slot (``Lifecycle.run_slot``) over a measured ConcatEngine, whose
+decoded tokens are the responses.
 """
 
 from repro.serving.metrics import ServingMetrics

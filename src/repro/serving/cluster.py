@@ -6,6 +6,10 @@ busy-until clocks and serves the earliest-idle engine.  It is the only
 batch-level loop: :class:`~repro.serving.simulator.ServingSimulator`
 runs it over one engine, :class:`~repro.serving.autoscale.AutoscalingSimulator`
 over a fleet that :meth:`ClusterSimulator._scale` grows and shrinks.
+The slot an engine runs when polled is
+:meth:`~repro.serving.lifecycle.Lifecycle.run_slot`'s; the loop keeps
+the clock (which engine polls when), health placement, arrivals and
+expiry, the ``_scale`` hook and the hedge race (:meth:`_hedge`).
 
 Failover semantics (``docs/faults.md``): a crashed engine leaves the
 idle heap until its recovery time, its in-flight requests go through
@@ -19,7 +23,9 @@ its start, and its decision spans carry no ``engine`` attribute.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from repro.cluster_health.hedge import HedgeResolution
@@ -27,12 +33,12 @@ from repro.cluster_health.plane import TailTolerancePlane
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
 from repro.engine.base import InferenceEngine
-from repro.faults.recovery import RetryPolicy, SlotOutcome, serve_slot
+from repro.faults.recovery import RetryPolicy, SlotOutcome
 from repro.obs.recorder import Tracer
 from repro.overload.controller import OverloadController
 from repro.scheduling.base import Scheduler
 from repro.serving.admission import AdmissionController
-from repro.serving.common import MIN_SLOT, apply_slot_size, resolve_workload
+from repro.serving.common import MIN_SLOT, resolve_workload
 from repro.serving.lifecycle import Lifecycle
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
@@ -104,35 +110,13 @@ class ClusterSimulator:
         later = [t for (t, _, _) in idle if t > now]
         return min(later) if later else None
 
-    def _observe(
-        self,
-        hp: TailTolerancePlane,
-        life: Lifecycle,
-        engine_idx: int,
-        outcome: SlotOutcome,
-        at: float,
-    ) -> None:
-        """Feed one slot outcome to the health scoreboard."""
-        if outcome.result is None:
-            hp.observe(engine_idx, at, ok=False, tracer=life.tr)
-            return
-        hp.observe(
-            engine_idx,
-            at,
-            ok=True,
-            observed=max(outcome.result.latency, MIN_SLOT),
-            predicted=hp.predict(self.engines[engine_idx], outcome.result),
-            tracer=life.tr,
-        )
-
     def _hedge(
         self,
-        hp: TailTolerancePlane,
         life: Lifecycle,
         idle: list,
         primary_idx: int,
-        selected: list,
         now: float,
+        selected: list,
         outcome: SlotOutcome,
         deadline: float,
         primary_finish: float,
@@ -149,6 +133,7 @@ class ClusterSimulator:
         terminal dedupe hold exactly.  Returns ``None`` when no eligible
         target exists (the primary simply finishes late).
         """
+        hp = life.health
         hedge_start = now + deadline
         entry = hp.hedge_target(idle, primary_idx, hedge_start)
         if entry is None:
@@ -173,35 +158,36 @@ class ClusterSimulator:
             )
         if dur is not None:
             dur.dispatch(selected, engine=target_idx)
-        h_out = serve_slot(self.engines[target_idx], selected, hedge_start)
+        h_out = life.attempt(
+            self.engines[target_idx], selected, hedge_start, engine=target_idx
+        )
         h_dispatch = hedge_start + h_out.wasted
         metrics.hedge_wasted += h_out.wasted
-        life.attempted(h_out, len(selected), hedge_start, engine=target_idx)
-        self._observe(hp, life, target_idx, h_out, h_dispatch)
+        resolve = partial(
+            HedgeResolution,
+            primary=primary_idx,
+            target=target_idx,
+            deadline=deadline,
+            hedge_start=hedge_start,
+        )
+        # A failed or losing duplicate: the primary's result stands.
+        primary_stands = partial(
+            resolve,
+            winner_engine=primary_idx,
+            winner_dispatch=primary_dispatch,
+            winner_latency=primary_finish - primary_dispatch,
+            winner_finish=primary_finish,
+            loser_engine=target_idx,
+        )
         if h_out.result is None:
             # The duplicate itself failed or crashed.  Its requests are
             # NOT requeued or abandoned — the primary's in-flight copy
             # still owns them (exactly-once); only engine time and
             # downtime are booked, and the target re-arms like any
             # failed slot.
-            if h_out.down_until is not None:
-                life.crashed(h_out.downtime, h_dispatch, engine=target_idx)
-                heapq.heappush(idle, (h_out.down_until, target_idx, target_idx))
-            else:
-                heapq.heappush(idle, (h_dispatch, target_idx, target_idx))
-            res = HedgeResolution(
-                kind="failed",
-                primary=primary_idx,
-                target=target_idx,
-                deadline=deadline,
-                hedge_start=hedge_start,
-                winner_engine=primary_idx,
-                winner_dispatch=primary_dispatch,
-                winner_latency=primary_finish - primary_dispatch,
-                winner_finish=primary_finish,
-                loser_engine=target_idx,
-                loser_busy=h_out.wasted,
-            )
+            rejoin = h_dispatch if h_out.down_until is None else h_out.down_until
+            heapq.heappush(idle, (rejoin, target_idx, target_idx))
+            res = primary_stands(kind="failed", loser_busy=h_out.wasted)
         else:
             h_latency = max(h_out.result.latency, MIN_SLOT)
             h_finish = h_dispatch + h_latency
@@ -234,12 +220,8 @@ class ClusterSimulator:
                         saved=primary_finish - h_finish,
                     )
                 heapq.heappush(idle, (h_finish, target_idx, target_idx))
-                res = HedgeResolution(
+                res = resolve(
                     kind="win",
-                    primary=primary_idx,
-                    target=target_idx,
-                    deadline=deadline,
-                    hedge_start=hedge_start,
                     winner_engine=target_idx,
                     winner_dispatch=h_dispatch,
                     winner_latency=h_latency,
@@ -272,19 +254,7 @@ class ClusterSimulator:
                         target=target_idx,
                     )
                 heapq.heappush(idle, (cancel_at, target_idx, target_idx))
-                res = HedgeResolution(
-                    kind="lose",
-                    primary=primary_idx,
-                    target=target_idx,
-                    deadline=deadline,
-                    hedge_start=hedge_start,
-                    winner_engine=primary_idx,
-                    winner_dispatch=primary_dispatch,
-                    winner_latency=primary_finish - primary_dispatch,
-                    winner_finish=primary_finish,
-                    loser_engine=target_idx,
-                    loser_busy=loser_busy,
-                )
+                res = primary_stands(kind="lose", loser_busy=loser_busy)
         if dur is not None:
             dur.hedge(
                 selected,
@@ -354,6 +324,12 @@ class ClusterSimulator:
             if wake is not None:
                 rearm(wake, engine_idx, late=True)
 
+        def race(selected, outcome, deadline, finish) -> Optional[HedgeResolution]:
+            """The hedge race of the slot `engine_idx` is running at `now`."""
+            return self._hedge(
+                life, idle, engine_idx, now, selected, outcome, deadline, finish
+            )
+
         retired = 0
         while idle:
             # Step boundary before the pop: the snapshot's idle heap
@@ -383,121 +359,16 @@ class ClusterSimulator:
             if self._scale(life, idle, len(engines) - retired, now):
                 retired += 1
                 continue  # this engine retires instead of serving
-            lone = len(engines) - retired == 1
-            waiting = life.waiting(now)
-            if not waiting:
+            slot = life.run_slot(
+                engines[engine_idx],
+                now,
+                engine=engine_idx,
+                lone=len(engines) - retired == 1,
+                hedge=race,
+            )
+            if slot.next_at is None:
                 wait_for_work(engine_idx)
-                continue
-
-            retry_at = life.breaker_blocks(engine_idx, now)
-            if retry_at is not None:
-                # Breaker open: quarantine this engine until its
-                # recovery interval elapses; the rest of the cluster
-                # keeps draining the queue in the meantime.
-                if retry_at < horizon:
-                    rearm(retry_at, engine_idx)
-                continue
-
-            if lone:
-                decision = life.select(waiting, now)
-            else:
-                decision = life.select(waiting, now, engine=engine_idx)
-            engine = engines[engine_idx]
-            apply_slot_size(engine, decision)
-            selected = decision.selected()
-            if not selected:
-                if life.drop_unservable(waiting, now):
-                    rearm(now, engine_idx)
-                else:
-                    # Servable requests may be waiting, but this engine
-                    # has nothing to do *now*.
-                    wait_for_work(engine_idx)
-                continue
-
-            selected = life.dispatch(selected, now, engine=engine_idx)
-            # The hedge deadline is priced *before* dispatch, from the
-            # pre-dispatch scoreboard and latency window only — the
-            # decision at `now + deadline` must be causal, never a
-            # function of the batch's own (future) outcome.
-            hedge_deadline = (
-                hp.hedge_deadline(engine_idx) if hp is not None else None
-            )
-            outcome = serve_slot(engine, selected, now)
-            dispatch = now + outcome.wasted
-            life.attempted(outcome, len(selected), now, engine=engine_idx)
-            if hp is not None:
-                self._observe(hp, life, engine_idx, outcome, dispatch)
-
-            if outcome.result is None:
-                # Failed or crashed.  A crashed engine (failover) leaves
-                # the heap for its downtime and rejoins at recovery.
-                if outcome.down_until is not None:
-                    life.crashed(outcome.downtime, dispatch, engine=engine_idx)
-                if lone:
-                    # Nothing can retry them before this engine rejoins.
-                    life.failed(
-                        outcome.failed,
-                        engine.cost_model,
-                        dispatch,
-                        retry_from=outcome.down_until,
-                    )
-                else:
-                    # Survivors can pick the requests up at once.
-                    life.failed(outcome.failed, engine.cost_model, now)
-                rearm(
-                    dispatch
-                    if outcome.down_until is None
-                    else outcome.down_until,
-                    engine_idx,
-                )
-                continue
-
-            batch_result = outcome.result
-            latency = max(batch_result.latency, MIN_SLOT)
-            finish = dispatch + latency
-            serve_engine = engine_idx
-            if (
-                hedge_deadline is not None
-                and outcome.wasted + latency > hedge_deadline
-            ):
-                res = self._hedge(
-                    hp,
-                    life,
-                    idle,
-                    engine_idx,
-                    selected,
-                    now,
-                    outcome,
-                    hedge_deadline,
-                    finish,
-                )
-                if res is not None and res.kind == "win":
-                    # First completion wins: the duplicate's result is
-                    # the batch's one terminal outcome; the straggling
-                    # primary was cancelled inside _hedge.
-                    batch_result = res.result
-                    latency = res.winner_latency
-                    dispatch = res.winner_dispatch
-                    serve_engine = res.winner_engine
-            # Exactly-once by construction: a hedge resolves to one
-            # winner whose result is this single serve path.
-            finish = life.serve_batch(
-                batch_result,
-                selected,
-                dispatch,
-                latency,
-                engines[serve_engine],
-                engine=serve_engine,
-                slot_size=decision.slot_size,
-                failures=outcome.failures,
-                split_retries=outcome.split_retries,
-                wasted=outcome.wasted,
-            )
-            # The primary engine re-arms at `finish` (its own finish, or
-            # — after a hedge win — the winner's finish, which is its
-            # cancellation point).  The max() guards the corner where
-            # the primary's failed-attempt waste outlasts the winner;
-            # without a hedge it is exactly `finish`.
-            rearm(max(finish, now + outcome.wasted), engine_idx)
+            elif slot.next_at < math.inf:
+                rearm(slot.next_at, engine_idx)
 
         return SimulationResult(metrics=life.finish())

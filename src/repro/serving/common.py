@@ -1,8 +1,8 @@
 """Plumbing shared by every serving loop (simulator, cluster, continuous).
 
-One home for the constants and duck-typing that used to be copy-pasted
-per loop, so the loops cannot drift apart on workload handling, the
-engine-time floor, or how slotted engines receive their slot size.
+One home for the constants that used to be copy-pasted per loop, so
+the loops cannot drift apart on workload handling, the engine-time
+floor, or how an engine receives its slot size.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 from typing import Optional, Sequence, Union
 
 from repro.engine.base import MIN_SLOT, InferenceEngine
-from repro.engine.slotted import SlottedConcatEngine
 from repro.scheduling.base import SchedulingDecision
 from repro.types import Request
 from repro.workload.generator import WorkloadGenerator
@@ -41,16 +40,6 @@ def resolve_workload(
 
 
 def apply_slot_size(engine: InferenceEngine, decision: SchedulingDecision) -> None:
-    """Forward a slotted scheduler's slot size to the engine, if any.
-
-    Unwraps one fault-injection layer (``FaultyEngine.inner``) so a
-    wrapped slotted engine still receives Algorithm 2's slot size.
-    """
-    if decision.slot_size is None:
-        return
-    target = engine
-    inner = getattr(engine, "inner", None)
-    if isinstance(inner, InferenceEngine):
-        target = inner
-    if isinstance(target, SlottedConcatEngine):
-        target.set_slot_size(decision.slot_size)
+    """Forward a slotted scheduler's slot size (Algorithm 2) to the engine."""
+    if decision.slot_size is not None:
+        engine.set_slot_size(decision.slot_size)

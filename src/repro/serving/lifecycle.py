@@ -13,9 +13,13 @@ other module calls a queue mutator — journal replay in
 ``repro/durability/restore.py`` re-applies this module's own records —
 so a request cannot leave the queue without its ledger entry
 (``tests/test_lifecycle_properties.py`` walks the package to check).
-The callers keep only what differs between them — the clock, batch
-selection, engine dispatch (through
-:func:`~repro.faults.recovery.serve_slot`), hedging, autoscaling.
+It also runs the batch-level engine slot itself: :meth:`run_slot` is
+the one body of the paper's Fig. 3 step (select, slot size, dispatch,
+:meth:`attempt` — the one call of
+:func:`~repro.faults.recovery.serve_slot` — then triage or serve) for
+the cluster loop and the online server.  The callers keep only what
+differs between them — the clock, which engine polls when, hedging's
+race, autoscaling, and turning what a slot served into responses.
 
 Every plane is optional and absent by default; a method then touches
 only the queue and the metrics, which is the paper's Fig. 3 loop.
@@ -23,24 +27,39 @@ only the queue and the metrics, which is the paper's Fig. 3 loop.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable, Optional, Sequence
+import math
+from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
 
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
 from repro.durability.snapshot import LiveState
 from repro.engine.base import BatchResult, InferenceEngine
 from repro.engine.cost_model import GPUCostModel
-from repro.faults.recovery import RetryPolicy, SlotOutcome
+from repro.faults.recovery import RetryPolicy, SlotOutcome, serve_slot
 from repro.obs.recorder import NO_TRACE, Tracer
 from repro.overload.controller import OverloadController
 from repro.scheduling.base import Scheduler, SchedulingDecision
 from repro.scheduling.queue import RequestQueue
 from repro.serving.admission import AdmissionController
+from repro.serving.common import MIN_SLOT, apply_slot_size
 from repro.serving.metrics import ServingMetrics
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
 
-__all__ = ["Lifecycle"]
+__all__ = ["Lifecycle", "SlotRun"]
+
+
+class SlotRun(NamedTuple):
+    """What one engine's poll of :meth:`Lifecycle.run_slot` came to."""
+
+    # When the engine may poll next: None means nothing to do until new
+    # work arrives, ``math.inf`` not again this run (a breaker open past
+    # the horizon).  A served slot's is its finish.
+    next_at: Optional[float]
+    # The rejoin time, when the engine crashed.
+    down_until: Optional[float] = None
+    # The batch served (after a hedge win, the duplicate's result).
+    result: Optional[BatchResult] = None
 
 
 class Lifecycle:
@@ -198,14 +217,28 @@ class Lifecycle:
             i += 1
             self.next_arrival = i
 
-    def admit(self, r: Request, now: float) -> Optional[tuple[str, str]]:
+    def admit(self, r: Request, now: float) -> Optional[tuple[str, Any]]:
         """Enqueue one arrived request, or reject it.
 
         Returns ``None`` when enqueued, else ``(cause, detail)`` with
-        cause ``"admission"`` (detail: the controller's reason),
+        cause ``"queue-full"`` (online only; detail: the
+        :class:`~repro.overload.backpressure.QueuePressure` reading),
+        ``"admission"`` (detail: the controller's reason),
         ``"degraded"`` or ``"quota"`` (detail: the quota that refused).
         """
         adm, ov, tn, tr = self.admission, self.ov, self.tn, self.tr
+        if self.online and ov is not None and not ov.config.limits.unbounded:
+            limits = ov.config.limits
+            pressure = self.queue.pressure(limits)
+            if (
+                limits.max_requests is not None
+                and pressure.queued_requests + 1 > limits.max_requests
+            ) or (
+                limits.max_tokens is not None
+                and pressure.queued_tokens + r.length > limits.max_tokens
+            ):
+                self.reject(r, now)
+                return ("queue-full", pressure)
         verdict = adm.decide(r, now) if adm is not None else None
         if verdict is not None and not verdict.admitted:
             if self.online:
@@ -406,30 +439,57 @@ class Lifecycle:
         if self.ov is not None:
             self.ov.record_result(engine, at, ok=ok, kind=kind, tracer=self.tr)
 
-    def attempted(
-        self, outcome: SlotOutcome, batch_size: int, now: float, *, engine: int = 0
-    ) -> None:
-        """Book a slot's failed attempts (wasted engine time, OOM splits)."""
-        m = self.metrics
+    def attempt(
+        self,
+        runner: InferenceEngine,
+        batch: Sequence[Request],
+        at: float,
+        *,
+        engine: int = 0,
+    ) -> SlotOutcome:
+        """Run *batch* on *runner* from *at*; book what the attempt cost.
+
+        The one call of :func:`~repro.faults.recovery.serve_slot`.  Books
+        the failed attempts (wasted engine time, OOM splits), feeds the
+        breaker and the health scoreboard, and books a crash's outage.
+        The requests' own outcome is the caller's: a hedge duplicate's
+        failure, unlike a primary's, triages nothing.
+        """
+        outcome = serve_slot(runner, batch, at)
+        result, m, tr = outcome.result, self.metrics, self.tr
+        dispatch = at + outcome.wasted
         m.failed_batches += outcome.failures
         m.retries += outcome.split_retries
         m.total_engine_time += outcome.wasted
         self.engine_result(
             engine,
-            now + outcome.wasted,
-            ok=outcome.result is not None,
+            dispatch,
+            ok=result is not None,
             kind="crash" if outcome.down_until is not None else "failure",
         )
-        if self.tr.enabled and outcome.failures:
-            self.tr.batch(
-                now,
+        if tr.enabled and outcome.failures:
+            tr.batch(
+                at,
                 outcome.wasted,
                 engine=engine,
                 kind="failed",
                 failures=outcome.failures,
                 split_retries=outcome.split_retries,
-                num_requests=batch_size,
+                num_requests=len(batch),
             )
+        hp = self.health
+        if hp is not None:
+            hp.observe(
+                engine,
+                dispatch,
+                ok=result is not None,
+                observed=None if result is None else max(result.latency, MIN_SLOT),
+                predicted=hp.predict(runner, result),
+                tracer=tr,
+            )
+        if outcome.down_until is not None:
+            self.crashed(outcome.downtime, dispatch, engine=engine)
+        return outcome
 
     def crashed(
         self, downtime: float, at: float, *, engine: int = 0, **span: Any
@@ -563,6 +623,94 @@ class Lifecycle:
         self.serve(result.served, finish)
         self.batch_done(latency, stats.useful_tokens, stats.padded_tokens)
         return finish
+
+    # ------------------------------------------------------------------ #
+    # One engine slot
+    # ------------------------------------------------------------------ #
+
+    def run_slot(
+        self,
+        runner: InferenceEngine,
+        now: float,
+        *,
+        engine: int = 0,
+        lone: bool = True,
+        hedge: Optional[Callable[..., Any]] = None,
+    ) -> SlotRun:
+        """Engine *engine* (*runner*) is free at *now*: run one slot on it.
+
+        Select, slot size, dispatch, :meth:`attempt`, then triage or
+        :meth:`serve_batch` at ``now + wasted + max(latency, MIN_SLOT)``
+        (``docs/lifecycle.md``, "One engine slot").  ``hedge(selected,
+        outcome, deadline, finish)`` is the caller's race against a slot
+        that runs past the health plane's hedge deadline.
+        """
+        waiting = self.waiting(now)
+        if not waiting:
+            return SlotRun(None)
+        retry_at = self.breaker_blocks(engine, now)
+        if retry_at is not None:
+            # Quarantined until the breaker's recovery interval elapses;
+            # other engines keep draining the queue meanwhile.
+            past = not self.online and retry_at >= self.metrics.horizon
+            return SlotRun(math.inf if past else retry_at)
+        if lone:
+            decision = self.select(waiting, now)
+        else:
+            decision = self.select(waiting, now, engine=engine)
+        apply_slot_size(runner, decision)
+        selected = decision.selected()
+        if not selected:
+            # Servable requests may be waiting, but this engine has
+            # nothing to do now.
+            return SlotRun(now if self.drop_unservable(waiting, now) else None)
+        selected = self.dispatch(selected, now, engine=engine)
+        # Priced before the attempt, from the pre-dispatch scoreboard and
+        # latency window only: the decision at `now + deadline` must be
+        # causal, never a function of the batch's own outcome.
+        deadline = (
+            self.health.hedge_deadline(engine)
+            if hedge is not None and self.health is not None
+            else None
+        )
+        outcome = self.attempt(runner, selected, now, engine=engine)
+        dispatch = now + outcome.wasted
+        result = outcome.result
+        down = outcome.down_until
+        if result is None:
+            # Nothing can retry a lone engine's requests before the
+            # attempt ends (or it rejoins); survivors can at once.
+            if lone:
+                self.failed(outcome.failed, runner.cost_model, dispatch, retry_from=down)
+            else:
+                self.failed(outcome.failed, runner.cost_model, now)
+            return SlotRun(dispatch if down is None else down, down)
+        latency = max(result.latency, MIN_SLOT)
+        at, by = dispatch, engine
+        if deadline is not None and outcome.wasted + latency > deadline:
+            res = hedge(selected, outcome, deadline, dispatch + latency)
+            if res is not None and res.kind == "win":
+                # First completion wins; the straggling primary was
+                # cancelled inside the race.
+                result, latency = res.result, res.winner_latency
+                at, by = res.winner_dispatch, res.winner_engine
+                runner = self.engines[by]
+        # Exactly-once by construction: one serve path, one winner.
+        finish = self.serve_batch(
+            result,
+            selected,
+            at,
+            latency,
+            runner,
+            engine=by,
+            slot_size=decision.slot_size,
+            failures=outcome.failures,
+            split_retries=outcome.split_retries,
+            wasted=outcome.wasted,
+        )
+        # After a hedge win the primary re-arms at the winner's finish,
+        # its cancellation point, unless its own failed attempts ran on.
+        return SlotRun(max(finish, dispatch), result=result)
 
     # ------------------------------------------------------------------ #
     # End of run

@@ -5,10 +5,13 @@ applications ``submit()`` sentences (token-id lists), the server queues
 them, and each ``step()`` runs one scheduler+engine slot, returning
 finished responses.  The engine is a measured
 :class:`~repro.engine.concat.ConcatEngine` packing in scheduler order,
-run through :func:`~repro.faults.recovery.serve_slot` like every
-simulator engine, so a :class:`~repro.faults.engine.FaultyEngine`
+and the slot is :meth:`~repro.serving.lifecycle.Lifecycle.run_slot`,
+the batch loop's own, so a :class:`~repro.faults.engine.FaultyEngine`
 assigned to :attr:`TCBServer.engine` gets the same split-batch retry,
-requeue triage and crash booking online.  This is the component a
+requeue triage and crash booking online, and a slotted scheduler's
+slot size reaches a slotted engine.  A slot is booked as the
+simulators book it, at its start plus failed attempts plus the engine's
+own timing of the model call.  This is the component a
 deployment would put behind an RPC layer; the discrete-event
 :class:`ServingSimulator` exists for paper-scale sweeps where real
 execution is too slow.
@@ -35,7 +38,6 @@ from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
 from repro.engine.base import EngineMode, InferenceEngine
 from repro.engine.concat import ConcatEngine
-from repro.faults.recovery import serve_slot
 from repro.overload.backpressure import BackpressureError
 from repro.overload.controller import OverloadController
 from repro.scheduling.base import Scheduler
@@ -248,23 +250,13 @@ class TCBServer:
             tenant=tenant,
         )
         life.arrive(req)
-        if ov is not None and not ov.config.limits.unbounded:
-            pressure = self._queue.pressure(ov.config.limits)
-            limits = ov.config.limits
-            if (
-                limits.max_requests is not None
-                and pressure.queued_requests + 1 > limits.max_requests
-            ) or (
-                limits.max_tokens is not None
-                and pressure.queued_tokens + req.length > limits.max_tokens
-            ):
-                life.reject(req, now)
-                raise BackpressureError("queue-full", pressure)
         # Write-ahead: an admitted submit is durable before it is
         # acknowledged to the caller by returning the id.
         refusal = life.admit(req, now)
         if refusal is not None:
             cause, detail = refusal
+            if cause == "queue-full":
+                raise BackpressureError("queue-full", detail)
             if cause == "admission":
                 raise BackpressureError(f"admission: {detail}")
             if cause == "degraded":
@@ -279,40 +271,20 @@ class TCBServer:
         life.tick()
         now = self._now()
         life.expire_and_shed(now)
-        if now < self._down_until or life.breaker_blocks(0, now) is not None:
+        if now < self._down_until:
             return []
-        waiting = life.waiting(now)
-        if not waiting:
-            return []
-        selected = life.select(waiting, now).selected()
-        if not selected:
-            return []
-        selected = life.dispatch(selected, now)
-        started = self._now()
-        outcome = serve_slot(self.engine, selected, started)
-        finished = self._now()
-        life.attempted(outcome, len(selected), started)
-        result = outcome.result
+        slot = life.run_slot(self.engine, now)
+        if slot.down_until is not None:
+            self._down_until = slot.down_until
+        result = slot.result
         if result is None:
-            if outcome.down_until is not None:
-                life.crashed(outcome.downtime, finished)
-                self._down_until = outcome.down_until
-            life.failed(
-                outcome.failed,
-                self.engine.cost_model,
-                finished,
-                retry_from=outcome.down_until,
-            )
             return []
-        finish = life.serve_batch(
-            result, selected, started, finished - started, self.engine
-        )
         out = [
             Response(
                 request_id=req.request_id,
                 output_tokens=result.outputs[req.request_id],
                 submitted_at=req.arrival,
-                finished_at=finish,
+                finished_at=slot.next_at,
             )
             for req in result.served
         ]

@@ -18,9 +18,10 @@ finalize and ``Tracer.reconcile``.  The durability plane runs with
 transition orders must replay to the live state.
 
 Below the machine, the one-door tests: an AST walk checking that
-``Lifecycle`` really is the only caller of the queue's mutators (and
-``serve_slot`` the only way ``serving/`` runs an engine), and the
-runtime checks of what the retired lint rules TCB008/009/012 used to
+``Lifecycle`` really is the only caller of the queue's mutators, that
+``serve_slot`` is the only way ``serving/`` runs an engine and that
+``Lifecycle.run_slot`` alone steps an engine slot; then the runtime
+checks of what the retired lint rules TCB008/009/012 used to
 prove about the shed and resident-dequeue paths.
 """
 
@@ -304,6 +305,15 @@ MODEL_CALLS = frozenset(
 )
 
 
+# The steps of one engine slot belong to Lifecycle.run_slot: nothing else
+# under serving/ calls them, and serve_slot has one call in src/repro,
+# the one in Lifecycle.attempt.
+SLOT_CALLS = frozenset(
+    {"serve_slot", "apply_slot_size", "drop_unservable", "serve_batch"}
+)
+SLOT_HOME = "serving/lifecycle.py"
+
+
 def _receiver(node: ast.AST) -> str:
     """Last name of a name or attribute chain (``a.b`` -> ``b``, ``a`` -> ``a``)."""
     if isinstance(node, ast.Attribute):
@@ -314,13 +324,19 @@ def _receiver(node: ast.AST) -> str:
 def side_doors(source: str, rel: str) -> list[str]:
     """Every way *source* (at package path *rel*) goes round the door."""
     found = []
+    serve_slots = 0
     for node in ast.walk(ast.parse(source)):
-        if (
-            rel.startswith("serving/")
-            and isinstance(node, ast.Call)
-            and _receiver(node.func) in MODEL_CALLS
-        ):
+        call = _receiver(node.func) if isinstance(node, ast.Call) else ""
+        if rel.startswith("serving/") and call in MODEL_CALLS:
             found.append(f"{rel}:{node.lineno} runs the model without serve_slot")
+        if call == "serve_slot" and rel == SLOT_HOME:
+            serve_slots += 1
+            if serve_slots > 1:
+                found.append(f"{rel}:{node.lineno} calls serve_slot() twice")
+        elif call in SLOT_CALLS and rel != SLOT_HOME and (
+            call == "serve_slot" or rel.startswith("serving/")
+        ):
+            found.append(f"{rel}:{node.lineno} calls {call}() outside run_slot")
         if not isinstance(node, ast.Attribute):
             continue
         own = isinstance(node.value, ast.Name) and node.value.id == "self"
@@ -359,22 +375,31 @@ def test_a_reopened_side_door_is_caught():
     pad = " " * 16
     reopened = src.replace(anchor, anchor + pad + "life.queue.remove_served(admitted)\n")
     assert len(side_doors(reopened, rel)) == 1
-    rel = "serving/cluster.py"
+    # The slot's one engine run, made past serve_slot, or a second one.
+    rel = SLOT_HOME
     src = (PACKAGE / rel).read_text()
-    anchor = "serve_slot(engine, selected, now)"
+    anchor = "serve_slot(runner, batch, at)"
     assert src.count(anchor) == 1
-    reopened = src.replace(anchor, "engine.serve(selected)")
-    assert len(side_doors(reopened, rel)) == 1
-    rel = "serving/server.py"
-    src = (PACKAGE / rel).read_text()
-    anchor = "serve_slot(self.engine, selected, started)"
-    assert src.count(anchor) == 1
-    reopened = src.replace(
-        anchor, "self.model.greedy_decode(pack_in_order(selected, 1, 8).layout)"
+    for door in (
+        "runner.serve(batch)",
+        "runner.model.greedy_decode(batch)",
+        "pack_in_order(batch, 1, 8)",
+        f"{anchor} and serve_slot(runner, batch[:1], at)",
+    ):
+        assert len(side_doors(src.replace(anchor, door), rel)) == 1, door
+    # A step of the slot written out again in a caller.
+    steps = (
+        "serve_slot(engine, selected, now)",
+        "apply_slot_size(engine, decision)",
+        "life.drop_unservable(waiting, now)",
+        "life.serve_batch(result, selected, now, 0.0, engine)",
     )
-    assert [door.split(" ", 1)[1] for door in side_doors(reopened, rel)] == [
-        "runs the model without serve_slot"
-    ] * 2
+    for rel in ("serving/cluster.py", "serving/server.py"):
+        src = (PACKAGE / rel).read_text()
+        for step in steps:
+            reopened = src + f"\n\ndef _slot(life, engine, decision):\n    {step}\n"
+            assert len(side_doors(reopened, rel)) == 1, (rel, step)
+    assert side_doors("serve_slot(engine, batch, 0.0)\n", "faults/x.py")
     assert side_doors("def f(q):\n    return q._waiting\n", "overload/x.py")
 
 
