@@ -43,8 +43,6 @@ _LAZY = {
     "BatchLayout": ("repro.core.layout", "BatchLayout"),
     "Seq2SeqModel": ("repro.model.seq2seq", "Seq2SeqModel"),
     "ToyVocab": ("repro.model.vocab", "ToyVocab"),
-    "BPETokenizer": ("repro.model.bpe", "BPETokenizer"),
-    "sample_decode": ("repro.model.sampling", "sample_decode"),
     "NaiveEngine": ("repro.engine.naive", "NaiveEngine"),
     "TurboEngine": ("repro.engine.turbo", "TurboEngine"),
     "ConcatEngine": ("repro.engine.concat", "ConcatEngine"),
@@ -62,11 +60,7 @@ _LAZY = {
     "AdmissionController": ("repro.serving.admission", "AdmissionController"),
     "TCBServer": ("repro.serving.server", "TCBServer"),
     "WorkloadGenerator": ("repro.workload.generator", "WorkloadGenerator"),
-    "CorpusWorkload": ("repro.workload.corpus", "CorpusWorkload"),
     "BurstyWorkload": ("repro.workload.burst", "BurstyWorkload"),
-    "ClassifierModel": ("repro.model.classifier", "ClassifierModel"),
-    "beam_decode": ("repro.model.beam", "beam_decode"),
-    "validate_layout": ("repro.core.validation", "validate_layout"),
     "render_layout": ("repro.core.render", "render_layout"),
     "ContinuousBatchingSimulator": (
         "repro.serving.continuous",

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -45,12 +45,11 @@ from repro.core.packing import (
 )
 from repro.core.slotting import pack_into_slots, slot_size_fixed_count
 from repro.engine.concat import ConcatEngine
-from repro.engine.cost_model import GPUCostModel
 from repro.engine.memory import GPUMemorySimulator
 from repro.engine.slotted import SlottedConcatEngine
 from repro.model.decoder import decode_stack
 from repro.model.encoder import encode
-from repro.model.generation import Chooser, GenerationResult, greedy
+from repro.model.generation import GenerationResult
 from repro.model.seq2seq import Seq2SeqModel
 from repro.scheduling.baselines import SJFScheduler
 from repro.scheduling.das import DASScheduler
@@ -300,7 +299,6 @@ def recompute_decode(
     model: Seq2SeqModel,
     layout: BatchLayout,
     max_new_tokens: int = 16,
-    choose: Chooser = greedy,
 ) -> GenerationResult:
     """Decode without a KV cache: re-run the decoder stack every step.
 
@@ -310,8 +308,7 @@ def recompute_decode(
     cross masks keep requests apart.  Simple, obviously correct and
     O(steps²): the baseline :func:`incremental_decode_ablation` times
     :meth:`Seq2SeqModel.greedy_decode` against, and the oracle its
-    tests compare with.  ``choose`` is the chooser of
-    :func:`repro.model.generation.generate`.
+    tests compare with.
     """
     cfg = model.config
     if layout.num_requests == 0:
@@ -353,8 +350,8 @@ def recompute_decode(
         rows = [k for _, k, _ in active]
         last = [nxt - 1 for _, _, nxt in active]
         survivors = []
-        for (rid, k, nxt), token in zip(active, choose(logits[rows, last])):
-            token = int(token)
+        tokens = logits[rows, last].argmax(axis=-1).tolist()
+        for (rid, k, nxt), token in zip(active, tokens):
             result.outputs[rid].append(token)
             if token == cfg.eos_token or step == max_new_tokens:
                 result.completion_step[rid] = step

@@ -103,14 +103,5 @@ class FaultyEngine(InferenceEngine):
     def model(self, model) -> None:
         self.inner.model = model
 
-    @property
-    def is_down(self) -> bool:
-        """Whether the engine is inside a crash recovery window.
-
-        Time-dependent: true relative to the last ``now`` it refused or
-        crashed at; callers compare ``down_until`` to their own clock.
-        """
-        return self.down_until > 0.0
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"FaultyEngine({self.inner!r}, plan={self.fault_plan!r})"

@@ -9,9 +9,8 @@ from repro.numerics import (
     gelu,
     layer_norm,
     linear,
-    log_softmax,
     relu,
     softmax,
 )
 
-__all__ = ["softmax", "log_softmax", "relu", "gelu", "layer_norm", "add_norm", "linear"]
+__all__ = ["softmax", "relu", "gelu", "layer_norm", "add_norm", "linear"]

@@ -1,8 +1,8 @@
 """Autoregressive generation: one ragged, KV-cached decode loop.
 
-:func:`generate` is the only decode loop of the model package; greedy
-decoding and sampling differ in the *chooser* they hand it and in
-nothing else.  It works per request, not per batch row:
+:func:`generate` is the only decode loop of the model package: greedy
+decoding, each step's next token the argmax of its logits.  It works
+per request, not per batch row:
 
 - the layout's requests are ordered by length once (stable, the order
   the packed encoder runs them in), and a run of equal-length requests
@@ -12,7 +12,7 @@ nothing else.  It works per request, not per batch row:
 - each layer keeps a self-attention cache
   ``(requests, H, max_new_tokens, d/H)``,
 - a step forwards one new position per *active* request, with the
-  activations in row-major request order — the order the chooser sees.
+  activations in row-major request order.
   Self-attention projects Q, K and V in one fused linear and reads the
   request's own cached prefix.  Cross-attention gathers the step's
   ``(m, d)`` queries into group order and runs two batched matmuls per
@@ -35,7 +35,7 @@ tests compare against token for token.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
@@ -47,16 +47,7 @@ from repro.model.params import AttentionParams, DecoderLayerParams
 if TYPE_CHECKING:
     from repro.model.seq2seq import Seq2SeqModel
 
-__all__ = ["GenerationResult", "Chooser", "greedy", "generate"]
-
-# ``(m, vocab)`` logits of the active requests, in row-major request
-# order, to their ``m`` next token ids.
-Chooser = Callable[[np.ndarray], Sequence[int]]
-
-
-def greedy(logits: np.ndarray) -> np.ndarray:
-    """The argmax chooser."""
-    return logits.argmax(axis=-1)
+__all__ = ["GenerationResult", "generate"]
 
 
 @dataclass
@@ -201,11 +192,10 @@ def generate(
     model: "Seq2SeqModel",
     layout: BatchLayout,
     max_new_tokens: int,
-    choose: Chooser,
     *,
     memory: Optional[np.ndarray] = None,
 ) -> GenerationResult:
-    """Decode every request of ``layout``; ``choose`` picks each next token."""
+    """Greedy-decode every request of ``layout``."""
     if layout.num_requests == 0:
         return GenerationResult()
     index = layout.segment_index()
@@ -241,7 +231,7 @@ def generate(
             )
             x = add_norm(x, feed_forward(layer.ffn, x), layer.norm3.gamma, layer.norm3.beta)
 
-        tokens = np.asarray(choose(model.project_logits(x)), dtype=np.int64)
+        tokens = model.project_logits(x).argmax(axis=-1)
         for i, token in zip(alive.tolist(), tokens.tolist()):
             result.outputs[rids[i]].append(token)
         going = (tokens != cfg.eos_token) & (step < max_new_tokens)

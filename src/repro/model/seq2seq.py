@@ -30,7 +30,7 @@ from repro.core.masks import block_diagonal_mask, padding_key_mask
 from repro.core.positional import sinusoidal_positional_encoding
 from repro.model.encoder import encode, encode_packed
 from repro.model.functional import linear
-from repro.model.generation import GenerationResult, generate, greedy
+from repro.model.generation import GenerationResult, generate
 from repro.model.params import Seq2SeqParams, init_seq2seq
 from repro.types import Request
 
@@ -210,10 +210,9 @@ class Seq2SeqModel:
         early at EOS; the same routine is exact for naive (one
         request/row) and concatenated layouts alike.  ``memory`` is the
         layout's encoder output if the caller already has it.  The loop
-        itself is :func:`repro.model.generation.generate`, with argmax
-        as the token chooser.
+        itself is :func:`repro.model.generation.generate`.
         """
-        return generate(self, layout, max_new_tokens, greedy, memory=memory)
+        return generate(self, layout, max_new_tokens, memory=memory)
 
     def greedy_decode_single(
         self, tokens: Sequence[int], max_new_tokens: int = 16

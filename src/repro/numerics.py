@@ -25,7 +25,6 @@ __all__ = [
     "layer_norm",
     "add_norm",
     "linear",
-    "log_softmax",
     "epilogue",
 ]
 
@@ -59,13 +58,6 @@ def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     np.exp(shifted, out=shifted)
     shifted /= shifted.sum(axis=axis, keepdims=True)
     return shifted
-
-
-def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    """Stable log-softmax (used by generation scoring)."""
-    x = np.asarray(x, dtype=np.float64)
-    shifted = x - x.max(axis=axis, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
 
 
 def relu(x: np.ndarray) -> np.ndarray:

@@ -265,15 +265,20 @@ class TCBServer:
         return rid
 
     def step(self) -> list[Response]:
-        """Run one engine slot; returns responses finished this step."""
+        """Run one engine slot; returns responses finished this step.
+
+        The ledger's ``horizon`` is the server's clock at the end of its
+        last step, so ``metrics.throughput`` is responses per second.
+        """
         self._arm_durability()
         life = self._life
         life.tick()
         now = self._now()
         life.expire_and_shed(now)
-        if now < self._down_until:
+        slot = None if now < self._down_until else life.run_slot(self.engine, now)
+        life.metrics.horizon = self._now()
+        if slot is None:
             return []
-        slot = life.run_slot(self.engine, now)
         if slot.down_until is not None:
             self._down_until = slot.down_until
         result = slot.result

@@ -1,7 +1,7 @@
 """Production decoding ≡ the full-recompute oracle, token for token.
 
-``Seq2SeqModel.greedy_decode`` and ``sample_decode`` run the ragged
-KV-cached loop of ``repro.model.generation``; the oracle is
+``Seq2SeqModel.greedy_decode`` runs the ragged KV-cached loop of
+``repro.model.generation``; the oracle is
 ``repro.experiments.ablations.recompute_decode``, which re-runs the
 masked decoder stack over a padded decoder tensor every step.
 """
@@ -15,9 +15,7 @@ from repro.core.layout import BatchLayout
 from repro.core.packing import pack_first_fit, pack_in_order
 from repro.core.slotting import pack_into_slots
 from repro.experiments.ablations import recompute_decode
-from repro.model.sampling import _pick, sample_decode
 from repro.model.seq2seq import Seq2SeqModel
-from repro.rng import ensure_rng
 from tests.conftest import REPEATED, grouped_eos_model, with_eos_bias
 
 
@@ -152,34 +150,6 @@ class TestDecodeEquivalence:
         assert got == recompute_decode(model, layout, 8)
 
 
-class TestSampleDecodeEquivalence:
-    @pytest.mark.parametrize("knobs", [{"top_k": 1}, {"temperature": 0.0}])
-    def test_degenerate_sampling_is_greedy(self, tiny_model, tokenized_requests, knobs):
-        layout = LAYOUTS["first_fit"](tokenized_requests(LENGTHS))
-        assert sample_decode(tiny_model, layout, 6, **knobs) == tiny_model.greedy_decode(
-            layout, 6
-        )
-
-    @pytest.mark.parametrize("family", ["in_order", "slotted"])
-    @pytest.mark.parametrize("top_k", [None, 5])
-    def test_seeded_sampling_matches_oracle(
-        self, tokenized_requests, family, top_k
-    ):
-        """Same ``_pick``, same seed, same row-major draw order."""
-        model = early_eos_model()
-        layout = LAYOUTS[family](tokenized_requests(LENGTHS))
-        got = sample_decode(model, layout, 8, temperature=1.5, top_k=top_k, seed=11)
-        rng = ensure_rng(None, default_seed=11)
-        want = recompute_decode(
-            model,
-            layout,
-            8,
-            lambda logits: [_pick(row, rng, 1.5, top_k) for row in logits],
-        )
-        assert got == want
-        assert got != model.greedy_decode(layout, 8)
-
-
 # REPEATED gives the decode loop's length groups 2-3 requests each;
 # LENGTHS above gives every request a group of its own.
 GROUPED_LAYOUTS = {
@@ -222,22 +192,6 @@ class TestEqualLengthGroups:
         assert got == recompute_decode(model, layout, 8)
         for rid, toks in got.outputs.items():
             assert len(toks) == got.completion_step[rid]
-
-    @pytest.mark.parametrize("family", GROUPED_LAYOUTS)
-    @pytest.mark.parametrize("top_k", [None, 5])
-    def test_seeded_sampling_eos_inside_groups(self, tokenized_requests, family, top_k):
-        model = grouped_eos_model()
-        layout = GROUPED_LAYOUTS[family](tokenized_requests(REPEATED))
-        got = sample_decode(model, layout, 8, temperature=1.5, top_k=top_k, seed=11)
-        rng = ensure_rng(None, default_seed=11)
-        want = recompute_decode(
-            model,
-            layout,
-            8,
-            lambda logits: [_pick(row, rng, 1.5, top_k) for row in logits],
-        )
-        assert split_groups(got, layout) >= 1, "sampling no longer splits a group"
-        assert got == want
 
 
 def test_large_cross_attention_scores_stay_exact(tiny_model, tokenized_requests):

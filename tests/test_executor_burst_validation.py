@@ -1,12 +1,7 @@
-"""Tests for bursty workloads and layout validation."""
+"""Tests for bursty workloads."""
 
 import pytest
 
-from repro.core.layout import BatchLayout
-from repro.core.packing import pack_first_fit
-from repro.core.slotting import pack_into_slots
-from repro.core.validation import validate_layout
-from repro.types import Request, make_requests
 from repro.workload.burst import BurstyWorkload
 
 
@@ -56,46 +51,3 @@ class TestBurstyWorkload:
         wl = BurstyWorkload()
         assert wl.burstiness_index([]) == 0.0
 
-
-class TestValidateLayout:
-    def test_good_concat_layout(self):
-        reqs = make_requests([4, 3, 5, 2], start_id=0)
-        layout = pack_first_fit(reqs, num_rows=2, row_length=10).layout
-        report = validate_layout(layout)
-        assert report.ok
-        assert "att_cb ≡ per-request" in report.checks
-        report.raise_if_failed()
-
-    def test_good_slotted_layout(self):
-        reqs = make_requests([3, 4, 2, 4], start_id=0)
-        layout = pack_into_slots(reqs, 2, 8, 4).layout
-        report = validate_layout(layout)
-        assert report.ok
-        assert "att_cb_s ≡ att_cb" in report.checks
-
-    def test_structural_failure_detected(self):
-        layout = BatchLayout(num_rows=1, row_length=10)
-        layout.rows[0].add(Request(request_id=0, length=4))
-        layout.rows[0].add(Request(request_id=0, length=4))  # duplicate id
-        report = validate_layout(layout)
-        assert not report.ok
-        with pytest.raises(AssertionError, match="validation failed"):
-            report.raise_if_failed()
-
-    def test_empty_layout_flagged(self):
-        layout = BatchLayout(num_rows=1, row_length=10)
-        report = validate_layout(layout)
-        assert not report.ok
-
-    def test_model_check(self, tiny_model, tokenized_requests):
-        reqs = tokenized_requests([4, 6, 3])
-        layout = pack_first_fit(reqs, num_rows=1, row_length=16).layout
-        report = validate_layout(layout, model=tiny_model)
-        assert report.ok
-        assert "model concat ≡ isolated" in report.checks
-
-    def test_model_check_requires_tokens(self, tiny_model):
-        reqs = make_requests([4, 3], start_id=0)
-        layout = pack_first_fit(reqs, num_rows=1, row_length=8).layout
-        report = validate_layout(layout, model=tiny_model)
-        assert not report.ok

@@ -2,8 +2,6 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from hypothesis.extra import numpy as hnp
 
 from repro.core.concat_attention import attention
 from repro.model.feedforward import feed_forward
@@ -14,7 +12,6 @@ from repro.numerics import (
     gelu,
     layer_norm,
     linear,
-    log_softmax,
     relu,
     softmax,
 )
@@ -43,17 +40,6 @@ class TestSoftmax:
     def test_axis_argument(self, rng):
         x = rng.normal(size=(3, 4))
         assert np.allclose(softmax(x, axis=0).sum(axis=0), 1.0)
-
-    @given(
-        hnp.arrays(
-            np.float64,
-            st.tuples(st.integers(1, 4), st.integers(1, 6)),
-            elements=st.floats(-50, 50),
-        )
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_log_softmax_consistent(self, x):
-        assert np.allclose(np.exp(log_softmax(x)), softmax(x), atol=1e-12)
 
 
 class TestActivations:

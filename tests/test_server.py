@@ -99,6 +99,16 @@ class TestTCBServer:
         summary = m.summary()
         assert summary["padding_ratio"] > 0 and summary["sched_overhead"] > 0
 
+    def test_throughput_is_over_the_servers_own_clock(self, server):
+        for s in ([5, 6, 7], [9, 10], [8, 8, 8, 8]):
+            server.submit(s)
+        server.run_until_drained()
+        m = server.metrics
+        assert m.num_served == 3
+        assert m.horizon > 0
+        assert m.throughput == m.num_served / m.horizon
+        assert m.horizon >= max(finish for _, finish in m.finish_times.values())
+
     def test_row_length_must_fit_model(self):
         with pytest.raises(ValueError, match="maximum input length"):
             TCBServer(

@@ -1,4 +1,4 @@
-"""Tier-1 static invariants: eight AST rules over ``src/repro``.
+"""Tier-1 static invariants: eight AST rules and one reachability walk over ``src/repro``.
 
 Three of the rules guard the paper's own invariants: the Eq. 5-8
 additive masks live in ``core/masks.py`` (TCB001), every Fig. 9-16 run
@@ -14,6 +14,11 @@ message)]``, where *rel* is the module's path inside the package
 (``serving/server.py``); TCB011 needs every module at once.  The package
 is parsed once per session, and the walk must find exactly the findings
 ``ALLOWED`` lists and nothing else.
+
+The same parse feeds the reachability walk: every module of the package
+must be imported, directly or through others, from the CLI, the repo
+benchmark, the pytest-benchmark suite or an example.  A module that
+only tests reach is not part of the system.
 """
 
 from __future__ import annotations
@@ -680,9 +685,9 @@ def test_a_checkout_under_a_directory_named_repro_gets_the_same_verdict(
 
 # One edit per rule to a real in-scope file: (rule, path, anchor, edit).
 MUTANTS = [
-    ("TCB001", "model/beam.py",
-     "    return cross_attention_mask(mapped, enc)\n",
-     "    return np.where(mapped[..., None] == enc[:, None, :], 0.0, -1e9)\n"),
+    ("TCB001", "experiments/ablations.py",
+     "            cross_attention_mask(dec_seg, enc_seg),\n",
+     "            np.where(dec_seg[..., None] == enc_seg[:, None, :], 0.0, -1e9),\n"),
     ("TCB002", "serving/continuous.py",
      "    order = np.lexsort((ids, key))\n",
      "    order = np.random.permutation(n)\n"),
@@ -695,9 +700,9 @@ MUTANTS = [
     ("TCB005", "serving/continuous.py",
      "    tenancy: Optional[TenancyPlane] = None,\n) -> list[Request]:",
      "    tenancy: Optional[TenancyPlane] = None,\n    skipped: list = [],\n) -> list[Request]:"),
-    ("TCB006", "model/beam.py",
-     "dec_pos = np.zeros((b, wd), dtype=np.int64)",
-     "dec_pos = np.zeros((b, wd, wd), dtype=np.int64)"),
+    ("TCB006", "experiments/ablations.py",
+     "dec_pos = np.zeros((layout.num_rows, width), dtype=np.int64)",
+     "dec_pos = np.zeros((layout.num_rows, width, width), dtype=np.int64)"),
     ("TCB007", "faults/recovery.py",
      "        except BatchFailure as failure:\n",
      "        except KeyError:\n            pass\n        except BatchFailure as failure:\n"),
@@ -727,6 +732,90 @@ def test_a_seeded_mutant_is_caught_by_its_rule_alone(
     )
     rules = {v.split()[0] for v in violations(found)}
     assert rules == {rule}
+
+
+# ---------------------------------------------------------------------- #
+# Reachability
+# ---------------------------------------------------------------------- #
+
+# What the package is for starts here: ``python -m repro``, the repo
+# benchmark, the pytest-benchmark suite and the examples.  Tests are not
+# roots, and ``repro._LAZY``'s strings are not imports.
+PACKAGE_ROOTS = ("cli.py", "__main__.py")
+OUTSIDE_ROOTS = ("bench/*.py", "benchmarks/*.py", "examples/*.py")
+
+
+def module_name(rel: str) -> str:
+    """``core/layout.py`` -> ``repro.core.layout``, ``core/__init__.py`` -> ``repro.core``."""
+    parts = ["repro", *rel.removesuffix(".py").split("/")]
+    return ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+
+
+def imported_names(tree: ast.AST, name: str, is_package: bool) -> set[str]:
+    """Every dotted name an import in *tree*, function bodies included, may load."""
+    out: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            out.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = name.split(".")
+                parent = parts[: len(parts) - node.level + is_package]
+                base = ".".join(parent + ([base] if base else []))
+            out.add(base)
+            out.update(f"{base}.{a.name}" for a in node.names)
+    return out
+
+
+def unreached(modules: list[Module], roots: list[ast.Module]) -> list[str]:
+    """Package paths of the modules no root imports, directly or through others."""
+    by_name = {module_name(m.rel): m for m in modules}
+    todo = [module_name(rel) for rel in PACKAGE_ROOTS]
+    todo += [dotted for tree in roots for dotted in imported_names(tree, "", False)]
+    seen: set[str] = set()
+    while todo:
+        parts = todo.pop().split(".")
+        # Importing ``a.b.c`` runs ``a`` and ``a.b``'s ``__init__`` too.
+        for i in range(1, len(parts) + 1):
+            name = ".".join(parts[:i])
+            if name in by_name and name not in seen:
+                seen.add(name)
+                m = by_name[name]
+                todo += imported_names(m.tree, name, m.rel.endswith("__init__.py"))
+    return sorted(m.rel for name, m in by_name.items() if name not in seen)
+
+
+@pytest.fixture(scope="module")
+def outside_roots() -> list[ast.Module]:
+    return [
+        ast.parse(p.read_text(encoding="utf-8"), filename=str(p))
+        for pattern in OUTSIDE_ROOTS
+        for p in sorted(ROOT.glob(pattern))
+    ]
+
+
+def test_every_module_is_reached_from_a_root(package, outside_roots):
+    assert len(outside_roots) > 30  # bench, benchmarks and examples were all found
+    orphans = unreached(package, outside_roots)
+    assert orphans == [], "no root imports " + ", ".join(orphans)
+
+
+def test_an_orphan_module_is_caught(tmp_path, outside_roots):
+    copy = tmp_path / "src" / "repro"
+    shutil.copytree(PACKAGE, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    (copy / "core" / "orphan.py").write_text("X = 1\n")
+    # Named only by a lazy export: still an orphan.
+    (copy / "model" / "lazy_only.py").write_text("Y = 1\n")
+    init = copy / "__init__.py"
+    init.write_text(
+        init.read_text().replace("_LAZY = {\n", '_LAZY = {\n    "Y": ("repro.model.lazy_only", "Y"),\n')
+    )
+    # Imported, relatively, inside a function of a reached module: reached.
+    (copy / "core" / "late.py").write_text("Z = 1\n")
+    layout = copy / "core" / "layout.py"
+    layout.write_text(layout.read_text() + "\n\ndef _late():\n    from . import late\n\n    return late.Z\n")
+    assert unreached(parse_package(copy), outside_roots) == ["core/orphan.py", "model/lazy_only.py"]
 
 
 # ---------------------------------------------------------------------- #
