@@ -20,7 +20,7 @@ Public API quick tour::
 See ``examples/quickstart.py`` for an end-to-end walkthrough.
 """
 
-from repro.config import BatchConfig, ModelConfig, SchedulerConfig, ServingConfig
+from repro.config import BatchConfig, ModelConfig, SchedulerConfig
 from repro.types import Request, make_requests, total_utility
 
 __version__ = "1.0.0"
@@ -29,7 +29,6 @@ __all__ = [
     "BatchConfig",
     "ModelConfig",
     "SchedulerConfig",
-    "ServingConfig",
     "Request",
     "make_requests",
     "total_utility",

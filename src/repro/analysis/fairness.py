@@ -12,7 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.serving.metrics import ServingMetrics
+from repro.serving.metrics import ServingMetrics, Terminals
+from repro.tenancy.ledger import TenantLedgerBook
 from repro.types import Request
 
 __all__ = [
@@ -73,25 +74,20 @@ def service_rate_by_tenant(
     """Per-tenant offered/served counts and service rate.
 
     Offered load is served ∪ expired, mirroring
-    :func:`service_rate_by_length`; untagged requests fall under the
-    ``"default"`` tenant.  Keys are tenant names sorted alphabetically.
+    :func:`service_rate_by_length`, grouped by the tenant ledgers' own
+    fold; untagged requests fall under the ``"default"`` tenant.  Keys
+    are tenant names sorted alphabetically.
     """
-    offered: list[Request] = list(metrics.served) + list(metrics.expired)
-    served_ids = {r.request_id for r in metrics.served}
-    out: dict[str, dict[str, float]] = {}
-    for r in offered:
-        tenant = r.tenant if r.tenant is not None else "default"
-        row = out.setdefault(
-            tenant, {"offered": 0.0, "served": 0.0, "service_rate": 0.0}
-        )
-        row["offered"] += 1.0
-        if r.request_id in served_ids:
-            row["served"] += 1.0
-    for row in out.values():
-        row["service_rate"] = (
-            row["served"] / row["offered"] if row["offered"] else 0.0
-        )
-    return dict(sorted(out.items()))
+    offered = Terminals(metrics.served, metrics.expired, (), (), {})
+    book = TenantLedgerBook().fold(offered)
+    return {
+        tenant: {
+            "offered": float(led.served + led.expired),
+            "served": float(led.served),
+            "service_rate": led.served / (led.served + led.expired),
+        }
+        for tenant, led in sorted(book.ledgers.items())
+    }
 
 
 def jain_index(rates: Sequence[float]) -> float:

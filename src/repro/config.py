@@ -12,9 +12,9 @@ dimensions because it never materialises weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-__all__ = ["ModelConfig", "BatchConfig", "SchedulerConfig", "ServingConfig"]
+__all__ = ["ModelConfig", "BatchConfig", "SchedulerConfig"]
 
 
 @dataclass(frozen=True)
@@ -106,16 +106,3 @@ class SchedulerConfig:
     def competitive_ratio(self) -> float:
         """Theorem 5.1 bound: ``ηq / (ηq + 1)`` (⅕ at η=q=½)."""
         return (self.eta * self.q) / (self.eta * self.q + 1.0)
-
-
-@dataclass(frozen=True)
-class ServingConfig:
-    """End-to-end serving-system settings used by the simulator."""
-
-    batch: BatchConfig = field(default_factory=BatchConfig)
-    scheduler: SchedulerConfig = field(default_factory=SchedulerConfig)
-    # Wall-clock horizon of one simulation, seconds.
-    horizon: float = 10.0
-    # Slack model: deadline = arrival + base_slack + slack_per_token * length.
-    base_slack: float = 0.5
-    slack_per_token: float = 0.0

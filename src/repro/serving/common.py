@@ -23,10 +23,10 @@ def resolve_workload(
 ) -> tuple[list[Request], float]:
     """Lower a workload generator or request list to ``(requests, horizon)``.
 
-    Generators are duck-typed on ``generate()`` so corpus/burst workloads
-    plug in; a plain request list is sorted by ``(arrival, request_id)``
-    and, absent an explicit horizon, served until one second past the
-    last arrival.
+    Generators are duck-typed on ``generate()`` so the Poisson and burst
+    workloads both plug in; a plain request list is sorted by
+    ``(arrival, request_id)`` and, absent an explicit horizon, served
+    until one second past the last arrival.
     """
     if hasattr(workload, "generate"):
         requests = workload.generate()

@@ -28,7 +28,7 @@ only the queue and the metrics, which is the paper's Fig. 3 loop.
 from __future__ import annotations
 
 import math
-from typing import Any, Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Any, Callable, NamedTuple, Optional, Sequence
 
 from repro.durability.plane import DurabilityPlane
 from repro.durability.restore import RestoredState
@@ -42,7 +42,7 @@ from repro.scheduling.base import Scheduler, SchedulingDecision
 from repro.scheduling.queue import RequestQueue
 from repro.serving.admission import AdmissionController
 from repro.serving.common import MIN_SLOT, apply_slot_size
-from repro.serving.metrics import ServingMetrics
+from repro.serving.metrics import ServingMetrics, Terminals
 from repro.tenancy.plane import TenancyPlane
 from repro.types import Request
 
@@ -100,6 +100,10 @@ class Lifecycle:
         self.online = online
         self.queue = RequestQueue()
         self.metrics = ServingMetrics()
+        # Set once finish() has folded every terminal into the metrics.
+        self.finished = False
+        if tenancy is not None:
+            tenancy.bind(self.terminals)
         self.requests: Sequence[Request] = ()
         self.next_arrival = 0
         # A controller may be shared across runs; only this run's
@@ -190,10 +194,27 @@ class Lifecycle:
             return self.requests[self.next_arrival].arrival
         return None
 
-    def _release(self, requests: Iterable[Request]) -> None:
-        """Tell the admission controller requests left the queue."""
+    def _release(self, requests: Sequence[Request]) -> None:
+        """Tell the admission controller and tenancy requests left the queue."""
         if self.admission is not None:
             self.admission.release(requests)
+        if self.tn is not None:
+            self.tn.release(requests)
+
+    def terminals(self) -> Terminals:
+        """The run's terminal ledger as it stands now.
+
+        Online, and once :meth:`finish` has folded them, every terminal
+        is in the metrics; before that, expiries and abandons sit on the
+        queue's ledger and admission refusals on the controller's.
+        """
+        m, q = self.metrics, self.queue
+        if self.online or self.finished:
+            return Terminals(m.served, m.expired, m.rejected, m.abandoned, m.finish_times)
+        rejected = m.rejected
+        if self.admission is not None:
+            rejected = rejected + self.admission.rejected[self.rejected_before:]
+        return Terminals(m.served, q.expired, rejected, q.abandoned, m.finish_times)
 
     # ------------------------------------------------------------------ #
     # Arrival: admission controller → degradation floor → tenant quota
@@ -243,14 +264,11 @@ class Lifecycle:
         if verdict is not None and not verdict.admitted:
             if self.online:
                 self.reject(r, now)
-            else:
+            elif tr.enabled:
                 # The controller keeps its refusals; finish() folds them
-                # into the ledger, so only the mirrors are told here.
-                if tn is not None:
-                    tn.rejected([r])
-                if tr.enabled:
-                    tr.arrive(r, now)
-                    tr.rejected(r, now)
+                # into the ledger, so only the tracer is told here.
+                tr.arrive(r, now)
+                tr.rejected(r, now)
             return ("admission", verdict.reason)
         if ov is not None and not ov.admit(r, now):
             self.reject(r, now, held=True)
@@ -259,7 +277,11 @@ class Lifecycle:
         if tn is not None and not tn.passive_admission:
             quota = tn.admit(r, now)
             if quota is not None:
-                self.reject(r, now, held=True, quota=True)
+                if tr.enabled:
+                    tr.tenant(
+                        now, "quota", tenant=tn.key(r), request_id=r.request_id, tokens=r.length
+                    )
+                self.reject(r, now, held=True)
                 return ("quota", quota)
         self.queue.add(r)
         if tr.enabled:
@@ -269,20 +291,15 @@ class Lifecycle:
             self.dur.enqueue(r)
         return None
 
-    def reject(
-        self, r: Request, now: float, *, held: bool = False, quota: bool = False
-    ) -> None:
+    def reject(self, r: Request, now: float, *, held: bool = False) -> None:
         """Terminal ``rejected`` for a request that never queued.
 
         ``held``: the admission controller had admitted it, so the
-        tokens it reserved are given back.  ``quota``: attributed to the
-        tenant's own ledger as quota-rejected.
+        tokens it reserved are given back.
         """
         if held:
             self._release((r,))
         self.metrics.rejected.append(r)
-        if self.tn is not None:
-            self.tn.rejected([r], quota=quota, now=now, tracer=self.trace_arg)
         if self.tr.enabled:
             self.tr.arrive(r, now)
             self.tr.rejected(r, now)
@@ -311,8 +328,6 @@ class Lifecycle:
         if tr.enabled:
             tr.expired(dead, now)
         self._release(dead)
-        if tn is not None:
-            tn.expired(dead)
         if dur is not None:
             dur.terminal("expired", dead)
         if ov is None:
@@ -391,11 +406,11 @@ class Lifecycle:
         if not unservable:
             return False
         self.queue.drop(unservable)
+        if self.online:
+            self.metrics.expired.extend(unservable)
         if self.tr.enabled:
             self.tr.expired(unservable, now)
         self._release(unservable)
-        if self.tn is not None:
-            self.tn.expired(unservable)
         if self.dur is not None:
             self.dur.terminal("expired", unservable)
         return True
@@ -533,6 +548,8 @@ class Lifecycle:
         )
         if lost:
             queue.abandon(lost)
+            if self.online:
+                self.metrics.abandoned.extend(lost)
         if readd:
             queue.requeue(retained)
         self.metrics.retries += len(retained)
@@ -540,8 +557,6 @@ class Lifecycle:
             tr.requeued(retained, now)
             tr.abandoned(lost, now)
         self._release(lost)
-        if self.tn is not None:
-            self.tn.abandoned(lost)
         if self.dur is not None:
             self.dur.requeued(queue, requests, retained, lost, readd=readd)
         if self.ov is not None:
@@ -558,8 +573,6 @@ class Lifecycle:
         if dequeue:
             self.queue.remove_served(served)
         self._release(served)
-        if self.tn is not None:
-            self.tn.served(served, finish)
         if self.dur is not None:
             self.dur.served(served, finish, dequeue=dequeue)
         if self.ov is not None:
@@ -736,11 +749,10 @@ class Lifecycle:
                 tr.arrive(r, r.arrival)
             tr.expired(leftover, horizon)
         if tn is not None:
-            tn.expired(residents)
-            tn.expired(dead)
+            tn.release(residents)
+            tn.release(dead)
             for r in leftover:
                 tn.arrive(r)
-            tn.expired(leftover)
         if dur is not None:
             dur.terminal("expired", residents, dequeue=False)
             dur.terminal("expired", dead)
@@ -750,6 +762,7 @@ class Lifecycle:
         m.abandoned.extend(self.queue.abandoned)
         if self.admission is not None:
             m.rejected.extend(self.admission.rejected[self.rejected_before:])
+        self.finished = True
         m.assert_conservation()
         if tn is not None:
             tn.finalize(m)

@@ -8,14 +8,24 @@ requests served by their deadline — Figs. 9, 15), *serving throughput*
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from repro.types import Request
 from repro.watermark import mark
 
-__all__ = ["ServingMetrics"]
+__all__ = ["ServingMetrics", "Terminals"]
+
+
+class Terminals(NamedTuple):
+    """A run's terminal ledger: the lists :class:`ServingMetrics` ends with."""
+
+    served: Sequence[Request]
+    expired: Sequence[Request]
+    rejected: Sequence[Request]
+    abandoned: Sequence[Request]
+    finish_times: dict[int, tuple[float, float]]
 
 
 @dataclass

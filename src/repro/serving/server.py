@@ -126,7 +126,7 @@ class TCBServer:
         self._dur_armed = False
         # Tenancy plane (docs/tenancy.md): quota rejections surface as
         # typed QuotaExceeded (a BackpressureError subclass) from
-        # submit(); per-tenant ledgers mirror the online ledger.
+        # submit(); per-tenant ledgers group the online ledger.
         self.tenancy = tenancy
         if tenancy is not None:
             tenancy.begin_run()
@@ -190,14 +190,15 @@ class TCBServer:
         if dur is None:
             raise ValueError("warm restart requires a durability plane")
         state = dur.restore(recover_enqueues=True)
-        # The online ledger folds expiry immediately (no end-of-run
-        # sweep), so the metrics bucket mirrors the queue's ledger.
+        # The online ledger books expiries and abandons at once (no
+        # end-of-run sweep), so its buckets are the queue's ledgers.
         state.metrics.expired = list(state.queue.expired)
+        state.metrics.abandoned = list(state.queue.abandoned)
         self._life.adopt(state)
         self._next_id = state.extra.get("next_id", 0)
         for req in state.recovered:
             # restore_state re-counted it in metrics.arrived; its tenant's
-            # ledger came from the last commit, before the submit.
+            # arrivals came from the last commit, before the submit.
             if self.tenancy is not None:
                 self.tenancy.arrive(req)
             self._next_id = max(self._next_id, req.request_id + 1)

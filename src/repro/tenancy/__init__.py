@@ -4,7 +4,7 @@ Tenant identity + typed SLO classes (:mod:`repro.tenancy.registry`),
 deterministic token-bucket admission on the sim clock
 (:mod:`repro.tenancy.admission`), deficit-weighted fair sharing of the
 batch over the existing schedulers (:mod:`repro.tenancy.fairshare`),
-and per-tenant SLO ledgers with an exact global conservation invariant
+and per-tenant SLO ledgers grouped from the global ledger
 (:mod:`repro.tenancy.ledger`) — all carried by one
 :class:`~repro.tenancy.plane.TenancyPlane` threaded behind the serving
 loops' ``tenancy=`` kwarg, inert when ``None``.

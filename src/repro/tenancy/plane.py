@@ -14,10 +14,12 @@ subsystem:
   waiting (single-tenant decisions fall through to the wrapped
   scheduler untouched, so an all-default registry costs one set-build
   per decision);
-* **accounting** — a :class:`~repro.tenancy.ledger.TenantLedgerBook`
-  mirroring every global-ledger mutation under the owning tenant, with
-  :meth:`finalize` asserting the cross-tenant conservation invariant
-  at end of run.
+* **accounting** — :attr:`TenancyPlane.book`, a
+  :class:`~repro.tenancy.ledger.TenantLedgerBook` built on read by
+  grouping the run's global terminal ledger under each tenant, plus the
+  three counters only this plane sees (arrivals, quota refusals,
+  sheds); :meth:`finalize` checks those against the terminals at end of
+  run.
 
 State is export/apply round-trippable for the durability plane
 (Snapshot + journal commits), mirroring the health plane.
@@ -25,7 +27,8 @@ State is export/apply round-trippable for the durability plane
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Mapping, Optional, Sequence
+from collections import Counter
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -38,9 +41,12 @@ from repro.tenancy.fairshare import (
     fair_select,
     settle_deficits,
 )
-from repro.tenancy.ledger import TenantLedgerBook
-from repro.tenancy.registry import DEFAULT_TENANT, TenantRegistry
+from repro.tenancy.ledger import TenantLedger, TenantLedgerBook
+from repro.tenancy.registry import TenantRegistry
 from repro.types import Request
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.serving.metrics import Terminals
 
 __all__ = ["TenancyPlane", "IterationShare"]
 
@@ -103,7 +109,13 @@ class TenancyPlane:
         self.passive_admission = all(
             c.rate is None and c.max_in_flight is None for c in classes
         )
-        self.book = TenantLedgerBook()
+        # The terminal ledger of the run this plane serves (set by the
+        # serving lifecycle); the book groups it on read.
+        self._terminals: Optional[Callable[[], "Terminals"]] = None
+        # What the global ledger cannot tell apart by tenant.
+        self._arrived: Counter[str] = Counter()
+        self._quota_rejected: Counter[str] = Counter()
+        self._shed: Counter[str] = Counter()
         self._buckets: dict[str, TokenBucket] = {}
         self._in_flight: dict[str, int] = {}
         self._charged: dict[int, tuple[str, int]] = {}
@@ -112,27 +124,22 @@ class TenancyPlane:
         # Tenants whose SLO class has neither a rate nor an in-flight
         # cap: admission is a no-op for them, cached to one set probe.
         self._unconstrained: set[Optional[str]] = set()
-        # One-entry ledger cache for the hot hooks (hit rate ~100% in
-        # single-tenant runs); invalidated whenever the book's ledger
-        # objects can change identity.
-        self._hot_tenant: Optional[str] = None
-        self._hot_ledger: Any = None
-
-    @property
-    def enabled(self) -> bool:
-        return True
 
     def begin_run(self) -> None:
-        """Reset all run-scoped state (ledgers, buckets, deficits)."""
-        self.book.reset()
+        """Reset all run-scoped state (counters, buckets, deficits)."""
+        self._arrived.clear()
+        self._quota_rejected.clear()
+        self._shed.clear()
         self._buckets.clear()
         self._in_flight.clear()
         self._charged.clear()
         self._deficits.clear()
         self._decision = 0
         self._unconstrained.clear()
-        self._hot_tenant = None
-        self._hot_ledger = None
+
+    def bind(self, terminals: Callable[[], "Terminals"]) -> None:
+        """Read the run's terminal ledger from *terminals()* from now on."""
+        self._terminals = terminals
 
     # ------------------------------------------------------------------
     # identity
@@ -148,8 +155,9 @@ class TenancyPlane:
         """Try to admit *request* at sim time *now*.
 
         Returns ``None`` on success (the request's tokens are charged
-        against the tenant's in-flight cap until a terminal releases
-        them) or a human-readable rejection reason.
+        against the tenant's in-flight cap until :meth:`release`) or a
+        human-readable rejection reason, counted as the tenant's quota
+        refusal.
         """
         if request.tenant in self._unconstrained:
             return None
@@ -159,28 +167,32 @@ class TenancyPlane:
             self._unconstrained.add(request.tenant)
             return None
         t = self.key(request)
-        if cls.max_in_flight is not None:
-            if (
-                self._in_flight.get(t, 0) + request.length
-                > cls.max_in_flight
-            ):
-                return f"in-flight cap {cls.max_in_flight} tokens"
-        if cls.rate is not None:
+        refusal = None
+        if (
+            cls.max_in_flight is not None
+            and self._in_flight.get(t, 0) + request.length > cls.max_in_flight
+        ):
+            refusal = f"in-flight cap {cls.max_in_flight} tokens"
+        elif cls.rate is not None:
             bucket = self._buckets.get(t)
             if bucket is None:
                 bucket = self._buckets[t] = TokenBucket(
                     cls.rate, cls.bucket_burst
                 )
             if not bucket.try_take(request.length, now):
-                return (
+                refusal = (
                     f"token bucket empty "
                     f"(rate {cls.rate:g}/s, burst {cls.bucket_burst:g})"
                 )
+        if refusal is not None:
+            self._quota_rejected[t] += 1
+            return refusal
         self._in_flight[t] = self._in_flight.get(t, 0) + request.length
         self._charged[request.request_id] = (t, request.length)
         return None
 
-    def _release(self, requests: Iterable[Request]) -> None:
+    def release(self, requests: Iterable[Request]) -> None:
+        """*requests* left the queue: give back their in-flight charges."""
         if not self._charged:
             return
         for r in requests:
@@ -189,99 +201,34 @@ class TenancyPlane:
                 self._in_flight[rec[0]] -= rec[1]
 
     # ------------------------------------------------------------------
-    # ledger hooks (mirror every global ServingMetrics mutation)
-
-    def _ledger_for(self, tenant: Optional[str]):
-        t = tenant if tenant is not None else DEFAULT_TENANT
-        led = self.book.ledgers.get(t)
-        if led is None:
-            led = self.book.ledger(t)
-        self._hot_tenant = tenant
-        self._hot_ledger = led
-        return led
+    # accounting
 
     def arrive(self, request: Request) -> None:
-        t = request.tenant
-        led = (
-            self._hot_ledger
-            if t == self._hot_tenant and self._hot_ledger is not None
-            else self._ledger_for(t)
-        )
-        led.arrived += 1
-
-    def served(self, requests: Sequence[Request], finish: float) -> None:
-        hot_t, hot_led = self._hot_tenant, self._hot_ledger
-        for r in requests:
-            t = r.tenant
-            if t == hot_t and hot_led is not None:
-                led = hot_led
-            else:
-                led = self._ledger_for(t)
-                hot_t, hot_led = t, led
-            led.served += 1
-            led.served_tokens += r.length
-            if finish <= r.deadline:
-                led.on_time += 1
-                led.goodput_utility += r.utility
-        self._release(requests)
-
-    def expired(self, requests: Sequence[Request]) -> None:
-        hot_t, hot_led = self._hot_tenant, self._hot_ledger
-        for r in requests:
-            t = r.tenant
-            if t == hot_t and hot_led is not None:
-                led = hot_led
-            else:
-                led = self._ledger_for(t)
-                hot_t, hot_led = t, led
-            led.expired += 1
-        self._release(requests)
-
-    def rejected(
-        self,
-        requests: Sequence[Request],
-        *,
-        quota: bool = False,
-        now: float = 0.0,
-        tracer: Any = None,
-    ) -> None:
-        for r in requests:
-            led = self.book.ledger(self.key(r))
-            led.rejected += 1
-            if quota:
-                led.quota_rejected += 1
-                if tracer is not None:
-                    tracer.tenant(
-                        now,
-                        "quota",
-                        tenant=self.key(r),
-                        request_id=r.request_id,
-                        tokens=r.length,
-                    )
-        self._release(requests)
+        self._arrived[self.key(request)] += 1
 
     def shed(self, requests: Sequence[Request]) -> None:
-        # Sheds are rejections in the global ledger (shed ⊂ rejected),
-        # so the tenant ledger mirrors both counters.
+        # Sheds are rejections in the global ledger (shed ⊂ rejected);
+        # only this count tells them apart by tenant.
         for r in requests:
-            led = self.book.ledger(self.key(r))
-            led.rejected += 1
-            led.shed += 1
-        self._release(requests)
+            self._shed[self.key(r)] += 1
 
-    def abandoned(self, requests: Sequence[Request]) -> None:
-        for r in requests:
-            self.book.ledger(self.key(r)).abandoned += 1
-        self._release(requests)
+    @property
+    def book(self) -> TenantLedgerBook:
+        """Per-tenant ledgers: the run's terminal ledger grouped by tenant."""
+        book = TenantLedgerBook(
+            {t: TenantLedger(arrived=n) for t, n in self._arrived.items()}
+        )
+        if self._terminals is not None:
+            book.fold(self._terminals())
+        for t, n in self._quota_rejected.items():
+            book.ledger(t).quota_rejected = n
+        for t, n in self._shed.items():
+            book.ledger(t).shed = n
+        return book
 
     def finalize(self, metrics: Any) -> None:
-        """Assert the per-tenant vs global conservation invariant.
-
-        The O(served) on-time/goodput recompute only pays off when
-        there is a cross-tenant split to get wrong; single-ledger runs
-        keep the O(1) counter conservation check.
-        """
-        self.book.assert_matches(metrics, deep=len(self.book.ledgers) > 1)
+        """Assert the per-tenant conservation invariant at end of run."""
+        self.book.assert_matches(metrics)
 
     # ------------------------------------------------------------------
     # fair share
@@ -301,7 +248,7 @@ class TenancyPlane:
         single-tenant runs pay only a set-build per decision (and runs
         whose whole history has one tenant skip even that: every
         request passes :meth:`arrive` before it can wait, so the
-        ledger book's keyset bounds the tenants a decision can see).
+        arrivals' keyset bounds the tenants a decision can see).
         """
         groups = self._groups(waiting)
         if groups is None:
@@ -345,7 +292,7 @@ class TenancyPlane:
         self, waiting: Sequence[Request]
     ) -> Optional[dict[str, list[Request]]]:
         """*waiting* by tenant key; None when at most one tenant waits."""
-        if len(self.book.ledgers) <= 1 or len({r.tenant for r in waiting}) <= 1:
+        if len(self._arrived) <= 1 or len({r.tenant for r in waiting}) <= 1:
             return None
         groups: dict[str, list[Request]] = {}
         for r in waiting:
@@ -358,7 +305,9 @@ class TenancyPlane:
     def export_state(self) -> dict[str, Any]:
         """Serializable run state (fresh containers, JSON-safe)."""
         return {
-            "ledgers": self.book.export_state(),
+            "arrived": dict(self._arrived),
+            "quota_rejected": dict(self._quota_rejected),
+            "shed": dict(self._shed),
             "buckets": {
                 t: b.export_state() for t, b in self._buckets.items()
             },
@@ -376,7 +325,9 @@ class TenancyPlane:
         self.begin_run()
         if state is None:
             return
-        self.book.apply_state(state["ledgers"])
+        self._arrived.update(state["arrived"])
+        self._quota_rejected.update(state["quota_rejected"])
+        self._shed.update(state["shed"])
         for t, bstate in state["buckets"].items():
             cls = self.registry.tenant_class(t)
             if cls.rate is None:
@@ -399,6 +350,6 @@ class TenancyPlane:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"TenancyPlane(tenants={len(self.registry.tenants)}, "
-            f"ledgers={len(self.book.ledgers)}, "
+            f"arrived={len(self._arrived)}, "
             f"decisions={self._decision})"
         )

@@ -128,7 +128,8 @@ class TenantRegistry:
         """Registered tenant ids in insertion order."""
         return tuple(self._classes)
 
-    def tenant_of(self, request: Request) -> str:
+    @staticmethod
+    def tenant_of(request: Request) -> str:
         """Ledger key for *request* (``DEFAULT_TENANT`` if untagged)."""
         return request.tenant if request.tenant is not None else DEFAULT_TENANT
 

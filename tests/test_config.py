@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import BatchConfig, ModelConfig, SchedulerConfig, ServingConfig
+from repro.config import BatchConfig, ModelConfig, SchedulerConfig
 
 
 class TestModelConfig:
@@ -54,10 +54,3 @@ class TestSchedulerConfig:
     def test_open_interval_enforced(self, eta, q):
         with pytest.raises(ValueError):
             SchedulerConfig(eta=eta, q=q)
-
-
-class TestServingConfig:
-    def test_defaults_compose(self):
-        cfg = ServingConfig()
-        assert cfg.batch.num_rows == 64
-        assert cfg.scheduler.competitive_ratio == pytest.approx(0.2)

@@ -8,6 +8,7 @@ from repro.faults.outcomes import BatchFailure, EngineDown
 from repro.faults.plan import FaultConfig, FaultPlan
 from repro.scheduling.das import DASScheduler
 from repro.serving.server import TCBServer
+from repro.tenancy import TenancyPlane
 
 
 @pytest.fixture()
@@ -126,6 +127,21 @@ class TestTCBServer:
         rid = server.submit([5, 5, 5])
         server.step()
         assert server.poll(rid) is not None
+
+    def test_request_longer_than_the_schedulers_rows_is_booked_expired(self):
+        """A request that fits the server's rows but not its scheduler's
+        is dropped as unservable, and the online ledger books it then."""
+        server = TCBServer(
+            model_config=ModelConfig.tiny(),
+            batch=BatchConfig(num_rows=2, row_length=16),
+            scheduler=DASScheduler(BatchConfig(num_rows=2, row_length=8)),
+        )
+        long_id = server.submit([4] * 12)
+        server.submit([5] * 4)
+        assert len(server.run_until_drained()) == 1
+        m = server.metrics
+        assert [r.request_id for r in m.expired] == [long_id]
+        m.assert_conservation()
 
 
 class TestServerOverload:
@@ -316,3 +332,26 @@ class TestServerFaults:
             assert resp.output_tokens == server.model.greedy_decode_single(
                 tokens[resp.request_id], max_new_tokens=4
             )
+
+    def test_abandoned_requests_are_booked_at_once(self):
+        """Requests the retry policy gives up on reach the online ledger
+        when they are abandoned: there is no end-of-run sweep to fold
+        the queue's ledger in later."""
+        server = TCBServer(
+            model_config=ModelConfig.tiny(),
+            batch=BatchConfig(num_rows=2, row_length=16),
+            seed=11,
+            max_new_tokens=4,
+            tenancy=TenancyPlane(),
+        )
+        server.engine = FaultyEngine(
+            server.engine, FaultPlan(FaultConfig(failure_rate=1.0), seed=0)
+        )
+        for i in range(4):
+            server.submit([4, 5, 6 + i])
+        assert server.run_until_drained(max_steps=100_000) == []
+        m = server.metrics
+        assert m.num_abandoned == 4
+        m.assert_conservation()
+        assert server.tenancy.book.ledger("default").abandoned == 4
+        server.tenancy.book.assert_matches(m)

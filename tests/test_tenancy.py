@@ -8,6 +8,7 @@ QuotaExceeded path.
 """
 
 import copy
+from collections import Counter
 
 import pytest
 
@@ -374,6 +375,40 @@ class TestPerTenantConservation:
         for led in book.ledgers.values():
             assert led.quota_rejected <= led.rejected
             assert led.shed <= led.rejected
+        # The book is the global ledger grouped by tenant, field by field
+        # (shed and quota refusals are the plane's own counts).
+        got = {
+            t: {k: v for k, v in led.items() if k not in ("shed", "quota_rejected")}
+            for t, led in book.summary().items()
+        }
+        assert got == _grouped_ledger(m)
+
+
+def _grouped_ledger(m):
+    """Oracle: *m*'s terminal lists grouped by tenant, independently."""
+
+    def tenant(r):
+        return r.tenant if r.tenant is not None else "default"
+
+    names = ("served", "expired", "rejected", "abandoned")
+    counts = {name: Counter(map(tenant, getattr(m, name))) for name in names}
+    on_time, tokens, goodput = Counter(), Counter(), Counter()
+    for r in m.served:
+        t = tenant(r)
+        tokens[t] += r.length
+        if m.finish_times[r.request_id][1] <= r.deadline:
+            on_time[t] += 1
+            goodput[t] += r.utility
+    return {
+        t: {
+            "arrived": sum(c[t] for c in counts.values()),
+            **{name: counts[name][t] for name in names},
+            "on_time": on_time[t],
+            "served_tokens": tokens[t],
+            "goodput_utility": float(goodput[t]),
+        }
+        for t in set().union(*counts.values())
+    }
 
 
 # --------------------------------------------------------------------- #
@@ -441,7 +476,7 @@ class TestCrashRestoreTenancy:
         m_crash, tr_crash = out
         assert ledger_digest(m_ref) == ledger_digest(m_crash)
         # Per-tenant ledgers survive the crash bit-for-bit too.
-        assert ref_plane.book.export_state() == crash_plane.book.export_state()
+        assert ref_plane.book.summary() == crash_plane.book.summary()
         crash_plane.book.assert_matches(m_crash)
 
     def test_plane_state_round_trips(self, loop):
@@ -450,6 +485,11 @@ class TestCrashRestoreTenancy:
         requests = _workload(seed=6, registry=reg)
         LOOPS[loop](requests, 3, tenancy=plane)
         state = copy.deepcopy(plane.export_state())
+        # Terminal counts live on the global ledger, never in the plane.
+        assert set(state) == {
+            "arrived", "quota_rejected", "shed", "buckets", "in_flight",
+            "charged", "deficits", "decision",
+        }
         clone = TenancyPlane(reg, seed=2)
         clone.apply_state(state)
         assert clone.export_state() == state
