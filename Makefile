@@ -42,10 +42,10 @@ assert on.goodput_utility > off.goodput_utility, (on.goodput_utility, off.goodpu
 print(f'overload smoke: goodput {off.goodput_utility:.1f} (off) -> {on.goodput_utility:.1f} (on), {on.shed} shed')"
 
 # Crash/restore differential on all three serving loops: kill the
-# scheduler mid-run, restore from the journal, and require the finished
-# ledger to be bit-identical to the uninterrupted run's.  On a mismatch
-# the failing cell's journal (JSONL) and digest diff land in
-# recovery_smoke_artifacts/ for offline replay (CI uploads them).
+# scheduler mid-run, restore the latest snapshot, re-execute from it, and
+# require the finished ledger to be bit-identical to the uninterrupted
+# run's.  On a mismatch the failing cell's digest diff lands in
+# recovery_smoke_artifacts/ (CI uploads it).
 recovery-smoke:
 	PYTHONPATH=src python -c "from repro.experiments.recovery import recovery_smoke; recovery_smoke()"
 

@@ -1,14 +1,14 @@
-"""Extension bench: durability plane — restart cost and journaling cost.
+"""Extension bench: durability plane — restart cost and checkpoint cost.
 
 Two properties of the crash-consistent serving plane (docs/recovery.md):
 
 1. **Checkpoint-interval sweep** — `recovery_point` kills the scheduler
-   mid-run, restores from the journal and finishes.  Sparser snapshots
-   mean a longer committed-record replay at restore; the terminal
+   mid-run, restores the latest snapshot and finishes.  Sparser
+   snapshots mean more steps re-executed after a restore; the terminal
    ledger must be bit-identical to the uninterrupted run's
    (`match == 1.0`) at *every* interval — restart cost is tunable,
    correctness is not.
-2. **Journaling cost** — wall time of a run with an armed plane
+2. **Checkpoint cost** — wall time of a run with an armed plane
    (``checkpoint_every`` 5 and 1) over the same loop without one,
    min-of-repeats, on a 10 s trace and on a 40 s trace at the same
    rate.  A checkpoint costs what is live, not the run so far, so the
@@ -51,11 +51,11 @@ def test_ext_recovery_checkpoint_sweep(benchmark, save_table):
         f"match={out['match']}"
     )
     # Sparser checkpoints -> monotonically fewer snapshots; the
-    # genesis-only journal (interval 0) replays at least as much as the
-    # snapshot-every-step one.
+    # genesis-only journal (interval 0) re-runs at least as many steps
+    # as the snapshot-every-step one.
     snaps = out["snapshots"]
     assert all(a >= b for a, b in zip(snaps, snaps[1:])), snaps
-    assert out["replayed"][-1] >= out["replayed"][0], out["replayed"]
+    assert out["rerun"][-1] >= out["rerun"][0], out["rerun"]
 
     from repro.experiments.tables import format_series_table
 

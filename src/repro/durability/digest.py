@@ -11,8 +11,9 @@ Wall-clock quantities are excluded by construction:
 measure *host* time (the Fig. 16 quantities, TCB003-waived at their
 source), so two otherwise identical runs legitimately differ there.
 :func:`state_digest` — used only for the plane's *internal*
-replay-verification, where the replayed value is recorded absolutely at
-each commit — is the one digest that includes scheduler time.
+snapshot self-audit, where the restored value was read from the live
+state it is compared with — is the one digest that includes scheduler
+time.
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ def ledger_digest(metrics: "ServingMetrics") -> dict[str, Any]:
     """The terminal ledger as a comparable structure (order-sensitive).
 
     Excludes ``total_scheduler_time`` (wall clock); everything else —
-    including list order, which the journal replay must reproduce — is
-    part of the bit-for-bit claim.
+    including list order, which a resumed run must reproduce — is part
+    of the bit-for-bit claim.
     """
     return {
         "served": [r.request_id for r in metrics.served],
@@ -92,19 +93,34 @@ def state_digest(
     now: float,
     next_arrival: int,
 ) -> dict[str, Any]:
-    """Full live-state fingerprint for internal replay verification.
+    """Full live-state fingerprint for the snapshot self-audit.
 
-    Includes scheduler time: the replayed value comes from the commit
-    records (recorded absolutely), so replay-vs-live must match even
-    though run-vs-run would not.
+    Includes scheduler time: a restore and the live state it was taken
+    from must agree on it, though two runs would not.  The queue's
+    per-id history covers only requests that have not ended other than
+    served: attempt counts of the waiting and resident requests, and the
+    served and resident ids.  What it holds about expired, rejected or
+    abandoned requests is never read again, and no checkpoint keeps it.
     """
+    ended = {
+        r.request_id
+        for ledger in (
+            queue.expired, queue.abandoned,
+            metrics.expired, metrics.rejected, metrics.abandoned,
+        )
+        for r in ledger
+    }
+    served = {r.request_id for r in metrics.served}
     return {
         "now": now,
         "next_arrival": next_arrival,
         "waiting": queue.waiting_ids(),
         "queued_tokens": queue.queued_tokens,
-        "attempts": dict(queue.attempts),
-        "served_ids": sorted(queue.served_ids),
+        "attempts": sorted(
+            (rid, n) for rid, n in queue.attempts.items()
+            if rid not in ended and rid not in served
+        ),
+        "served_ids": sorted(queue.served_ids - ended),
         "queue_expired": [r.request_id for r in queue.expired],
         "queue_abandoned": [r.request_id for r in queue.abandoned],
         "scheduler_time": metrics.total_scheduler_time,

@@ -1,28 +1,31 @@
 """Snapshot: a checkpoint of serving state that copies only what is live.
 
 A :class:`Snapshot` holds what a serving loop needs to restart from a
-step boundary, as the mapping *name → exported state*.  Each owner —
-the wait queue, the metrics ledger, the tracer, the admission and
-overload controllers, the cluster-health and tenancy planes — lowers
-itself to plain data through its own ``export_state()``; the loop's
-locals (clock, arrival cursor, cluster idle heap, iteration-level
-residents, RNG cursor) and the fault-engine cursors ride along, so a
-restored run re-consumes the *same* seeded fault events the crashed run
-would have.  Nothing is deep-copied.  An exported state is made of three
-things:
+step boundary, as the mapping *name → exported state*, and it is the
+whole recovery state: a restored loop re-executes from the snapshot's
+step.  Each owner — the wait queue, the metrics ledger, the tracer, the
+admission and overload controllers, the cluster-health and tenancy
+planes — lowers itself to plain data through its own ``export_state()``;
+the loop's locals (clock, arrival cursor, cluster idle heap,
+iteration-level residents, RNG cursor) and the fault-engine cursors ride
+along, so a restored run re-consumes the *same* seeded fault events the
+crashed run did.  Nothing is deep-copied.  An exported state is made of
+two things:
 
 - **fresh containers** for state that mutates in place and is bounded
-  by what is live (the waiting set, a breaker's counters, the miss
-  window, token buckets) — copied shallowly, the elements shared;
+  by what is live (the waiting set and the retry counts of the waiting
+  requests and the residents, a breaker's counters, the miss window,
+  token buckets) — copied shallowly, the elements shared;
 - **watermarks** (:class:`repro.watermark.Watermark`: the container
   itself plus its length) for state that only ever grows — the terminal
   ledgers, ``finish_times``, transition logs, the admission
   controller's refusals, and the tracer's log, which is all the state
-  a tracer has;
-- **nothing** for what the journal already holds: the queue's
-  ``served_ids`` and ``attempts`` change per request id, every change is
-  a journal record, and restore folds them back
-  (:meth:`~repro.durability.journal.Journal.request_history`).
+  a tracer has.
+
+The queue's per-id history of requests that have ended is not kept: the
+retry counts of ended requests are never read again, and restore
+rebuilds ``served_ids`` (the duplicate-id guard) from the served ledger
+and the residents.
 
 So a checkpoint costs the live state plus a constant, however long the
 run has been going, and is still safe from later mutation — under one
@@ -35,10 +38,9 @@ it).  Restore thaws an export into new lists and dicts on every call
 (:func:`repro.watermark.thaw`), so restored state never aliases a
 checkpoint, another restore, or the crashed objects.
 
-One table drives both directions: :data:`REPLAYED` and :data:`ABSOLUTE`
-name the owners, :meth:`Snapshot.capture` exports exactly those and
-:func:`repro.durability.restore.restore_state` /
-:meth:`~repro.durability.restore.RestoredState.apply_shared` consume
+:data:`ABSOLUTE` names the owners that restore hands back to the
+caller-held objects: :meth:`Snapshot.capture` exports exactly those and
+:meth:`~repro.durability.restore.RestoredState.apply_shared` consumes
 exactly those, so an owner that is captured is restored by
 construction.
 """
@@ -50,19 +52,15 @@ from typing import Any, Optional
 
 __all__ = [
     "ABSOLUTE",
-    "REPLAYED",
     "LiveState",
     "Snapshot",
-    "absolute_state",
     "apply_engine_cursors",
     "capture_engine_cursors",
 ]
 
-# Owners a checkpoint exports and journal replay then advances record
-# by record (restore rebuilds each as a real object).
-REPLAYED = ("queue", "metrics", "tracer")
-# Owners small enough that every commit re-exports them whole; restore
-# keeps the latest export and hands it back to the caller-held object.
+# Planes the caller holds: restore hands each export back into the
+# caller's object (as it does the tracer's), while the queue and the
+# metrics it rebuilds as new objects.
 ABSOLUTE = ("admission", "overload", "health", "tenancy")
 
 
@@ -133,24 +131,6 @@ class LiveState:
     extra: dict = field(default_factory=dict)
 
 
-def absolute_state(live: LiveState) -> dict[str, Any]:
-    """What every commit (and every checkpoint) exports whole.
-
-    The :data:`ABSOLUTE` owners plus the loop's own small structures;
-    None marks state this run does not have.
-    """
-    state = {name: _export(getattr(live, name)) for name in ABSOLUTE}
-    state["idle"] = None if live.idle is None else tuple(live.idle)
-    state["running"] = None if live.running is None else tuple(live.running)
-    state["iteration"] = live.iteration
-    # NumPy builds a new state dict on every read; nothing to copy.
-    state["rng_state"] = (
-        None if live.rng is None else live.rng.bit_generator.state
-    )
-    state["engine_cursors"] = capture_engine_cursors(live.engines)
-    return state
-
-
 @dataclass
 class Snapshot:
     """One checkpoint: name → exported state as of the start of ``step``."""
@@ -161,12 +141,30 @@ class Snapshot:
 
     @classmethod
     def capture(cls, live: LiveState, *, seq: int, step: int) -> "Snapshot":
-        state = {name: _export(getattr(live, name)) for name in REPLAYED}
-        state.update(absolute_state(live))
+        state = {name: _export(getattr(live, name)) for name in ABSOLUTE}
+        running = None if live.running is None else tuple(live.running)
+        queue = live.queue.export_state()
+        # The queue keeps the waiting requests' retry counts; a resident's
+        # is read again if a fault evicts it.
+        attempts = live.queue.attempts
+        queue["attempts"].update(
+            (r.request_id, attempts[r.request_id])
+            for r, _ in running or ()
+            if r.request_id in attempts
+        )
         state.update(
+            queue=queue,
+            metrics=live.metrics.export_state(),
+            tracer=_export(live.tracer),
             now=live.now,
             next_arrival=live.next_arrival,
             rejected_before=live.rejected_before,
+            idle=None if live.idle is None else tuple(live.idle),
+            running=running,
+            iteration=live.iteration,
+            # NumPy builds a new state dict on every read; nothing to copy.
+            rng_state=None if live.rng is None else live.rng.bit_generator.state,
+            engine_cursors=capture_engine_cursors(live.engines),
             extra=live.extra,
         )
         return cls(seq=seq, step=step, state=state)

@@ -2,17 +2,17 @@
 
 Not a paper figure — the paper assumes the scheduler never dies — but
 the durability plane (``docs/recovery.md``) makes a quantitative claim
-worth sweeping: checkpoint interval trades journal replay length
-against snapshot cost, while the *result* must not depend on it at
-all.  Every cell of the sweep crashes a serving run mid-flight,
-restores, finishes, and checks the terminal ledger digest against the
-uninterrupted run's — a mismatch is a correctness bug, not a data
-point.
+worth sweeping: checkpoint interval trades the steps a restored run
+re-executes against snapshot cost, while the *result* must not depend
+on it at all.  Every cell of the sweep crashes a serving run
+mid-flight, restores, finishes, and checks the terminal ledger digest
+against the uninterrupted run's — a mismatch is a correctness bug, not
+a data point.
 
 ``recovery_smoke`` is the same differential at CI scale (``make
 recovery-smoke``): all three serving loops over a seed matrix; on a
-mismatch it writes the journal JSONL and the digest diff next to the
-failure so the broken replay can be inspected offline.
+mismatch it writes the digest diff next to the failure so the broken
+restore can be inspected offline.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ __all__ = [
     "run_recovery",
 ]
 
-# 0 = genesis snapshot only (maximal replay); 1 = snapshot every step.
+# 0 = genesis snapshot only (re-run from the start); 1 = snapshot every step.
 CHECKPOINT_INTERVALS = (1, 2, 5, 10, 0)
 
 LOOPS = ("simulator", "cluster", "continuous")
@@ -129,9 +129,10 @@ def recovery_point(
 ) -> dict:
     """One crash/restore differential cell.
 
-    Runs the uninterrupted reference, replays with a planned crash
-    (mid-run by default), restores and finishes, and reports journal
-    statistics plus whether the terminal ledger and trace digests
+    Runs the uninterrupted reference, runs again with a planned crash
+    (mid-run by default), restores and finishes, and reports the
+    snapshots taken, the steps the restored run re-executed (crash step
+    − restored step) and whether the terminal ledger and trace digests
     match bit-for-bit (``match`` — anything but 1.0 is a bug).
     """
     requests = _requests(seed, rate=rate, horizon=horizon)
@@ -186,14 +187,11 @@ def recovery_point(
         "crash_step": crash_step,
         "phase": phase,
         "crashed": crashed,
-        "snapshots": plane.journal.audit()["snapshots"],
-        "journal_records": len(plane.journal),
-        "replayed": state.replayed_records,
-        "voided": len(plane.voided),
+        "snapshots": len(plane.journal.snapshots),
+        "rerun": crash_step - state.step,
         "match": float(led == ref_led and trd == ref_trd),
         "ledger_diff": digest_diff(led, ref_led),
         "trace_diff": digest_diff(trd, ref_trd),
-        "plane": plane,
     }
 
 
@@ -206,13 +204,13 @@ def run_recovery(
 ) -> dict[str, list[float]]:
     """Checkpoint-interval sweep (``python -m repro ablation recovery``).
 
-    Seed-averaged per interval, on the single-engine loop: journal
-    length, snapshot count, records replayed at restore, records
-    voided at the crash boundary, and the differential ``match`` rate
-    (must be 1.0 in every column — the sweep doubles as a test).
+    Seed-averaged per interval, on the single-engine loop: snapshot
+    count, steps the restored run re-executed, and the differential
+    ``match`` rate (must be 1.0 in every column — the sweep doubles as
+    a test).
     """
     out: dict[str, list[float]] = {"checkpoint_every": [float(k) for k in intervals]}
-    cols = ("journal_records", "snapshots", "replayed", "voided", "match")
+    cols = ("snapshots", "rerun", "match")
     out.update(
         seed_means(
             intervals,
@@ -242,16 +240,16 @@ def recovery_smoke(
     """CI chaos smoke: crash/restore differential over a seed matrix.
 
     Prints one line per (loop, seed) cell; on any digest mismatch,
-    writes the failing cell's journal (JSONL) and digest diff into
-    *artifact_dir* and raises ``SystemExit(1)`` so CI can upload the
-    artifacts from the failed job.
+    writes the failing cell's digest diff into *artifact_dir* and
+    raises ``SystemExit(1)`` so CI can upload the artifacts from the
+    failed job.
     """
     failures = []
     for loop in loops:
         for seed in seeds:
             # Alternate crash windows: odd seeds crash inside dispatch
-            # (mid-step, write-ahead records already journaled), even
-            # seeds at the step boundary.
+            # (mid-step, before the engine runs the batch), even seeds at
+            # the step boundary.
             phase = "dispatch" if seed % 2 else "step"
             cell = recovery_point(
                 loop,
@@ -265,7 +263,7 @@ def recovery_smoke(
             print(
                 f"recovery smoke: {loop:<10} seed={seed} "
                 f"crash@{cell['crash_step']}/{cell['steps']}:{phase} "
-                f"replayed={cell['replayed']} voided={cell['voided']} "
+                f"rerun={cell['rerun']} "
                 f"{'OK' if ok else 'MISMATCH'}"
             )
             if not ok:
@@ -275,9 +273,6 @@ def recovery_smoke(
         art.mkdir(parents=True, exist_ok=True)
         for cell in failures:
             stem = f"{cell['loop']}_seed{cell['seed']}"
-            (art / f"{stem}.journal.jsonl").write_text(
-                cell["plane"].journal.to_jsonl()
-            )
             (art / f"{stem}.diff.json").write_text(
                 json.dumps(
                     {
@@ -291,7 +286,7 @@ def recovery_smoke(
             )
         raise SystemExit(
             f"recovery smoke: {len(failures)} mismatched cell(s); "
-            f"journals and digest diffs written to {art}/"
+            f"digest diffs written to {art}/"
         )
     print(
         f"recovery smoke: {len(loops) * len(seeds)} cells, "

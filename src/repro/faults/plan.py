@@ -215,11 +215,11 @@ class SchedulerCrash:
     ``step`` is the serving-loop step index at which the crash fires;
     ``phase`` says where inside the step:
 
-    - ``"step"`` — at the step boundary, right after the previous step
-      committed (the clean case: no trailing journal records),
-    - ``"dispatch"`` — after a batch's write-ahead dispatch record is
-      journalled but before the engine runs it (the hard case: restore
-      must void the in-flight dispatch and re-execute it).
+    - ``"step"`` — at the step boundary, right after the step's
+      snapshot (if one was due),
+    - ``"dispatch"`` — after a batch is selected but before the engine
+      runs it (mid-step: the restored run re-executes the selection and
+      the dispatch).
 
     A crash fires at most once; a restored run disarms it.
     """

@@ -11,7 +11,7 @@ pid   lane         tid convention
 2     engines      engine index (cluster lanes)
 3     scheduler    0
 4     overload     engine index for breaker events, else 0
-5     durability   0 (snapshots/commits/crashes/restores)
+5     durability   0 (snapshots/crashes/restores)
 6     health       engine index (transitions/probes/hedges)
 ====  ===========  ============================================
 
@@ -60,7 +60,7 @@ PID_SCHEDULER = 3
 # metadata entry is only emitted when a trace actually carries overload
 # events, so pre-overload traces keep exactly the three classic lanes.
 PID_OVERLOAD = 4
-# Durability-plane lane (snapshots, commits, crashes, restores).  Like
+# Durability-plane lane (snapshots, crashes, restores).  Like
 # the overload lane its metadata entry is emitted only when the trace
 # carries durability events, so pre-durability traces are unchanged.
 PID_DURABILITY = 5

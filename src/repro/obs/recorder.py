@@ -117,7 +117,7 @@ class Tracer:
     batches = _view("batch", "engine slots / iterations, in emission order")
     decisions = _view("decision", "scheduler decisions")
     overload_events = _view("overload", "sheds, level changes, breaker trips")
-    durability_events = _view("durability", "snapshots, commits, crash, restore")
+    durability_events = _view("durability", "snapshots, crash, restore")
     health_events = _view("health", "health transitions, probes, hedges")
     tenant_events = _view("tenant", "quota rejections and fair-share splits")
 
@@ -245,7 +245,7 @@ class Tracer:
             self.log.append(("overload", OverloadEvent(t=t, kind=kind, attrs=attrs)))
 
     def durability(self, t: float, kind: str, **attrs: Any) -> None:
-        """Record one durability-plane action (snapshot / commit / …)."""
+        """Record one durability-plane action (snapshot / crash / restore)."""
         if self.enabled:
             self.log.append(("durability", DurabilityEvent(t=t, kind=kind, attrs=attrs)))
 

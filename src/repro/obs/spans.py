@@ -138,10 +138,11 @@ class DurabilityEvent:
     """One durability-plane action, on the simulated clock.
 
     ``kind`` names the action — ``"snapshot"`` (a checkpoint was taken,
-    with its sequence number and step), ``"commit"`` (a step was sealed
-    into the journal), ``"crash"`` (a planned scheduler crash fired),
-    ``"restore"`` (state was rebuilt from snapshot + replay, with the
-    replayed/voided record counts).  Like overload events these are
+    with its sequence number and step), ``"crash"`` (a planned scheduler
+    crash fired), ``"restore"`` (a run resumed from a snapshot, with the
+    restart snapshot's sequence number, the step it re-executes from,
+    the snapshot it was restored from and the server submits recovered
+    from the journal).  Like overload events these are
     control-plane actions, not lifecycle steps of any request, so they
     live in their own lane.
     """

@@ -285,14 +285,17 @@ class RequestQueue:
     def export_state(self) -> dict:
         """Checkpointable state: the waiting set + watermarked ledgers.
 
-        ``served_ids`` and ``attempts`` are deliberately absent: they
-        are keyed by request id and change per key, so no length can
-        watermark them — and every change to them is a journal record,
-        which is where a restore gets them back
-        (:meth:`~repro.durability.journal.Journal.request_history`).
+        ``attempts`` (the retry budget) is kept for the waiting requests
+        only (a snapshot adds the iteration-level residents'), and
+        ``served_ids`` is left to the restore, which rebuilds it from the
+        served ledger and the residents.  Both are keyed by request id,
+        so no length can watermark them, and what they hold about ended
+        requests is never read again.
         """
+        attempts = self.attempts
         return {
             "waiting": list(self._waiting.values()),
+            "attempts": {rid: attempts[rid] for rid in self._waiting if rid in attempts},
             "expired": mark(self.expired),
             "abandoned": mark(self.abandoned),
         }
@@ -305,6 +308,7 @@ class RequestQueue:
         """
         self.__init__()
         self.extend(state["waiting"])
+        self.attempts = state["attempts"]
         self.expired = state["expired"]
         self.abandoned = state["abandoned"]
 

@@ -125,13 +125,13 @@ class ClusterSimulator:
 
         Called once the primary's busy time is known to blow the hedge
         deadline.  Picks a healthy idle engine able to start at
-        ``now + deadline``, write-ahead journals the duplicate dispatch,
-        serves it, and resolves first-completion-wins.  Exactly-once
-        discipline: the loser — or a failed duplicate — never touches
-        the queue or the terminal ledger; only the winner's result flows
-        back into the caller's (single) serve path, so conservation and
-        terminal dedupe hold exactly.  Returns ``None`` when no eligible
-        target exists (the primary simply finishes late).
+        ``now + deadline``, serves the duplicate on it, and resolves
+        first-completion-wins.  Exactly-once discipline: the loser — or
+        a failed duplicate — never touches the queue or the terminal
+        ledger; only the winner's result flows back into the caller's
+        (single) serve path, so conservation and terminal dedupe hold
+        exactly.  Returns ``None`` when no eligible target exists (the
+        primary simply finishes late).
         """
         hp = life.health
         hedge_start = now + deadline
@@ -143,9 +143,9 @@ class ClusterSimulator:
         target_idx = entry[2]
         primary_dispatch = now + outcome.wasted
         # The race's own bookkeeping (hedge counters, cancelled-loser
-        # time, health spans, the duplicate's journal records) stays
-        # here: a duplicate is engine time, never a request transition.
-        metrics, tr, dur = life.metrics, life.tr, life.dur
+        # time, health spans) stays here: a duplicate is engine time,
+        # never a request transition.
+        metrics, tr = life.metrics, life.tr
         metrics.hedges += 1
         if tr.enabled:
             tr.health(
@@ -156,8 +156,6 @@ class ClusterSimulator:
                 deadline=deadline,
                 num_requests=len(selected),
             )
-        if dur is not None:
-            dur.dispatch(selected, engine=target_idx)
         h_out = life.attempt(
             self.engines[target_idx], selected, hedge_start, engine=target_idx
         )
@@ -255,15 +253,6 @@ class ClusterSimulator:
                     )
                 heapq.heappush(idle, (cancel_at, target_idx, target_idx))
                 res = primary_stands(kind="lose", loser_busy=loser_busy)
-        if dur is not None:
-            dur.hedge(
-                selected,
-                primary=primary_idx,
-                target=target_idx,
-                deadline=deadline,
-                outcome=res.kind,
-                winner_finish=res.winner_finish,
-            )
         return res
 
     def run(

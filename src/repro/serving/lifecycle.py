@@ -9,9 +9,10 @@ durability, tenancy, cluster health), and is the only code that
 performs one of those transitions: each method below moves the
 requests, books the ledger and tells every attached plane once, in one
 order (``docs/lifecycle.md`` has the transition × plane table).  No
-other module calls a queue mutator — journal replay in
-``repro/durability/restore.py`` re-applies this module's own records —
-so a request cannot leave the queue without its ledger entry
+other module calls a queue mutator — besides
+``repro/durability/restore.py``, which folds an online server's
+journaled submits and responses into a restored queue — so a request
+cannot leave the queue without its ledger entry
 (``tests/test_lifecycle_properties.py`` walks the package to check).
 It also runs the batch-level engine slot itself: :meth:`run_slot` is
 the one body of the paper's Fig. 3 step (select, slot size, dispatch,
@@ -146,11 +147,20 @@ class Lifecycle:
         self.arm(loop_state, resume)
 
     def adopt(self, state: RestoredState) -> None:
-        """Take over a restored queue + ledger; push plane state back."""
+        """Take over a restored queue + ledger; push plane state back.
+
+        An online server's submits after the snapshot arrive at the
+        tenancy plane here, and requests its delivered responses took
+        off the snapshot's queue give back their charges.
+        """
         self.queue, self.metrics = state.queue, state.metrics
         self.next_arrival = state.next_arrival
         self.rejected_before = state.rejected_before
         state.apply_shared(engines=self.engines, **self._owners())
+        if self.tn is not None:
+            for r in state.recovered:
+                self.tn.arrive(r)
+        self._release(state.released)
 
     def arm(
         self,
@@ -287,8 +297,6 @@ class Lifecycle:
         if tr.enabled:
             tr.arrive(r, now)
             tr.enqueue(r, now)
-        if self.dur is not None:
-            self.dur.enqueue(r)
         return None
 
     def reject(self, r: Request, now: float, *, held: bool = False) -> None:
@@ -303,8 +311,6 @@ class Lifecycle:
         if self.tr.enabled:
             self.tr.arrive(r, now)
             self.tr.rejected(r, now)
-        if self.dur is not None:
-            self.dur.terminal("rejected", [r], dequeue=False)
 
     # ------------------------------------------------------------------ #
     # Waiting: expire, shed, select, drop
@@ -321,15 +327,13 @@ class Lifecycle:
         terminal: the victims the overload controller chose leave the
         queue and are booked here, once, on every ledger.
         """
-        queue, tr, tn, dur, ov = self.queue, self.tr, self.tn, self.dur, self.ov
+        queue, tr, tn, ov = self.queue, self.tr, self.tn, self.ov
         dead = queue.expire(now)
         if self.online:
             self.metrics.expired.extend(dead)
         if tr.enabled:
             tr.expired(dead, now)
         self._release(dead)
-        if dur is not None:
-            dur.terminal("expired", dead)
         if ov is None:
             return []
         ov.observe_outcomes(missed=len(dead))
@@ -355,8 +359,6 @@ class Lifecycle:
         self._release(shed)
         if tn is not None:
             tn.shed(shed)
-        if dur is not None:
-            dur.shed(shed)
         return shed
 
     def breaker_blocks(self, engine: int, now: float) -> Optional[float]:
@@ -411,8 +413,6 @@ class Lifecycle:
         if self.tr.enabled:
             self.tr.expired(unservable, now)
         self._release(unservable)
-        if self.dur is not None:
-            self.dur.terminal("expired", unservable)
         return True
 
     # ------------------------------------------------------------------ #
@@ -424,15 +424,14 @@ class Lifecycle:
         selected: list[Request],
         now: float,
         *,
-        engine: int = 0,
         resident: bool = False,
     ) -> list[Request]:
-        """Write-ahead a batch about to run; returns it as it will run.
+        """A batch is about to run; returns it as it will run.
 
         A batch-level dispatch is capped under brownout and its requests
         stay queued until served.  ``resident`` marks an iteration-level
-        admission: the requests leave the wait queue here, once the
-        dispatch is journaled, and get their terminal from :meth:`serve`
+        admission: the requests leave the wait queue here, after the
+        dispatch crash point, and get their terminal from :meth:`serve`
         (``dequeue=False``), :meth:`failed` (``readd=True``) or
         :meth:`finish`; the caller scales its token budget instead of
         capping.
@@ -442,7 +441,7 @@ class Lifecycle:
         if self.tr.enabled:
             self.tr.scheduled(selected, now)
         if self.dur is not None:
-            self.dur.dispatch(selected, engine=engine, resident=resident)
+            self.dur.dispatch(selected)
         if resident:
             self.queue.remove_served(selected)
         return selected
@@ -557,8 +556,6 @@ class Lifecycle:
             tr.requeued(retained, now)
             tr.abandoned(lost, now)
         self._release(lost)
-        if self.dur is not None:
-            self.dur.requeued(queue, requests, retained, lost, readd=readd)
         if self.ov is not None:
             self.ov.observe_outcomes(missed=len(lost))
         return retained, lost
@@ -573,8 +570,6 @@ class Lifecycle:
         if dequeue:
             self.queue.remove_served(served)
         self._release(served)
-        if self.dur is not None:
-            self.dur.served(served, finish, dequeue=dequeue)
         if self.ov is not None:
             on_time = sum(1 for r in served if finish <= r.deadline)
             self.ov.observe_outcomes(
@@ -677,7 +672,7 @@ class Lifecycle:
             # Servable requests may be waiting, but this engine has
             # nothing to do now.
             return SlotRun(now if self.drop_unservable(waiting, now) else None)
-        selected = self.dispatch(selected, now, engine=engine)
+        selected = self.dispatch(selected, now)
         # Priced before the attempt, from the pre-dispatch scoreboard and
         # latency window only: the decision at `now + deadline` must be
         # causal, never a function of the batch's own outcome.
@@ -737,7 +732,7 @@ class Lifecycle:
         never arrived.  Folds the queue's and the admission controller's
         ledgers into the metrics and checks every plane's books.
         """
-        m, tr, tn, dur = self.metrics, self.tr, self.tn, self.dur
+        m, tr, tn = self.metrics, self.tr, self.tn
         horizon = m.horizon
         leftover = self.requests[self.next_arrival:]
         m.expired.extend(residents)
@@ -753,10 +748,8 @@ class Lifecycle:
             tn.release(dead)
             for r in leftover:
                 tn.arrive(r)
-        if dur is not None:
-            dur.terminal("expired", residents, dequeue=False)
-            dur.terminal("expired", dead)
-            dur.end_run(leftover)
+        if self.dur is not None:
+            self.dur.end_run()
         m.expired.extend(self.queue.expired)
         m.expired.extend(leftover)
         m.abandoned.extend(self.queue.abandoned)

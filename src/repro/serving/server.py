@@ -117,11 +117,12 @@ class TCBServer:
         self._responses: dict[int, Response] = {}
         # Wall-clock time a crashed engine rejoins; no slot before it.
         self._down_until = 0.0
-        # Durability plane (docs/recovery.md): submits are write-ahead
-        # journaled before being acknowledged, so a warm restart can
-        # recover every acknowledged-but-unserved request exactly once.
-        # Armed lazily on the first submit/step so a server built over
-        # an existing journal can warm_restart() from it instead.
+        # Durability plane (docs/recovery.md): an admitted submit is
+        # journaled before its id is returned and delivered responses
+        # after they are served, so a warm restart recovers every
+        # acknowledged request exactly once.  Armed lazily on the first
+        # submit/step so a server built over an existing journal can
+        # warm_restart() from it instead.
         self.durability = durability
         self._dur_armed = False
         # Tenancy plane (docs/tenancy.md): quota rejections surface as
@@ -178,29 +179,30 @@ class TCBServer:
     def warm_restart(self) -> RestoredState:
         """Rebuild this server's state from its durability journal.
 
-        Restores the latest snapshot plus committed journal replay, then
-        recovers write-ahead (acknowledged but uncommitted) submits with
-        duplicate suppression — exactly-once: never served twice, never
-        lost.  Responses already delivered before the crash are not
-        reconstructed (their output tokens are not journaled); recovered
-        requests are re-served by the next steps and the deterministic
-        model regenerates identical outputs.
+        Restores the latest snapshot, then every submit acknowledged
+        after it: queued, or booked served if its response was delivered
+        — exactly-once: never served twice, never lost.  Responses
+        delivered before the crash are not reconstructed (their output
+        tokens are not journaled); queued requests are served by the
+        next steps and the deterministic model regenerates identical
+        outputs.
         """
         dur = self.durability
         if dur is None:
             raise ValueError("warm restart requires a durability plane")
-        state = dur.restore(recover_enqueues=True)
+        state = dur.restore()
         # The online ledger books expiries and abandons at once (no
         # end-of-run sweep), so its buckets are the queue's ledgers.
         state.metrics.expired = list(state.queue.expired)
         state.metrics.abandoned = list(state.queue.abandoned)
         self._life.adopt(state)
+        # A new server's clock starts at zero: resume it from the last
+        # time the journal saw, so no restored request is in its future.
+        behind = state.now - self._now()
+        if behind > 0:
+            self._t0 -= behind
         self._next_id = state.extra.get("next_id", 0)
         for req in state.recovered:
-            # restore_state re-counted it in metrics.arrived; its tenant's
-            # arrivals came from the last commit, before the submit.
-            if self.tenancy is not None:
-                self.tenancy.arrive(req)
             self._next_id = max(self._next_id, req.request_id + 1)
         self._responses = {}
         self._dur_armed = True
@@ -251,8 +253,6 @@ class TCBServer:
             tenant=tenant,
         )
         life.arrive(req)
-        # Write-ahead: an admitted submit is durable before it is
-        # acknowledged to the caller by returning the id.
         refusal = life.admit(req, now)
         if refusal is not None:
             cause, detail = refusal
@@ -263,6 +263,10 @@ class TCBServer:
             if cause == "degraded":
                 raise BackpressureError(f"degraded ({ov.level.label})")
             raise QuotaExceeded(tn.key(req), detail)
+        # Write-ahead: an admitted submit is durable before it is
+        # acknowledged to the caller by returning the id.
+        if self.durability is not None:
+            self.durability.enqueue(req)
         return rid
 
     def step(self) -> list[Response]:
@@ -294,6 +298,8 @@ class TCBServer:
             )
             for req in result.served
         ]
+        if self.durability is not None:
+            self.durability.served(result.served, slot.next_at)
         self._responses.update((resp.request_id, resp) for resp in out)
         return out
 

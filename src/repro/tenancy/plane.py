@@ -21,8 +21,8 @@ subsystem:
   sheds); :meth:`finalize` checks those against the terminals at end of
   run.
 
-State is export/apply round-trippable for the durability plane
-(Snapshot + journal commits), mirroring the health plane.
+State is export/apply round-trippable for the durability plane's
+snapshots, mirroring the health plane.
 """
 
 from __future__ import annotations
@@ -300,7 +300,7 @@ class TenancyPlane:
         return groups
 
     # ------------------------------------------------------------------
-    # durability (Snapshot / journal round trip)
+    # durability (Snapshot round trip)
 
     def export_state(self) -> dict[str, Any]:
         """Serializable run state (fresh containers, JSON-safe)."""
