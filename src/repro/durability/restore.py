@@ -58,8 +58,9 @@ class RestoredState:
     snapshot_seq: int = 0
     # Requests of the server's enqueue records after the snapshot.
     recovered: list[Request] = field(default_factory=list)
-    # Snapshot-queued requests a served record took off the queue: their
-    # admission and tenant charges are given back (Lifecycle.adopt).
+    # Requests a served record took off the queue: Lifecycle.adopt gives
+    # back their admission and tenant charges (a recovered submit's after
+    # charging it again).
     released: list[Request] = field(default_factory=list)
 
     def apply_shared(self, *, engines: Any = (), **owners: Any) -> None:
@@ -97,7 +98,6 @@ def restore_state(journal: Journal) -> RestoredState:
     shared = {name: state.pop(name) for name in ABSOLUTE}
     shared["tracer"] = state.pop("tracer")
 
-    queued = set(queue.waiting_ids())
     recovered: list[Request] = []
     released: list[Request] = []
     for rec in journal.since(snap.step):
@@ -108,8 +108,7 @@ def restore_state(journal: Journal) -> RestoredState:
             queue.add(rec.request)
             state["now"] = max(state["now"], rec.request.arrival)
         else:
-            taken = queue.take(rec.requests)
-            released.extend(r for r in taken if r.request_id in queued)
+            released.extend(queue.take(rec.requests))
             for r in rec.requests:
                 metrics.finish_times[r.request_id] = (r.arrival, rec.finish)
             metrics.served.extend(rec.requests)

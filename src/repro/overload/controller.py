@@ -298,18 +298,22 @@ class OverloadController:
             self.level = new
         return self.level
 
-    def admit(self, request: Request, now: float) -> bool:
-        """Degradation-tightened admission (on top of any controller)."""
+    def deny(self, arrivals: Sequence[Request]) -> list[int]:
+        """Degradation-tightened admission (on top of any controller).
+
+        Returns the positions in *arrivals* whose slack at their own
+        arrival time is below the level's floor — none while the level
+        is normal, when the requests are not even looked at.
+        """
         d = self.config.degradation
         if d is None or self.level <= NORMAL:
-            return True
+            return []
         floor = (
             d.brownout_min_slack if self.level >= BROWNOUT else d.shed_min_slack
         )
-        if request.slack(now) >= floor:
-            return True
-        self.denied += 1
-        return False
+        denied = [k for k, r in enumerate(arrivals) if r.slack(r.arrival) < floor]
+        self.denied += len(denied)
+        return denied
 
     def cap_batch(self, selected: list[Request]) -> list[Request]:
         """Shrink the effective batch budget under BROWNOUT."""

@@ -14,16 +14,19 @@ A decision can also be taken a row at a time: :meth:`Scheduler.open`
 returns a :class:`RowFill` over one waiting set and each
 :meth:`RowFill.next_row` is the first row of a fresh one-row ``select``
 over the requests no earlier row took.  Tenant fair share
-(:mod:`repro.tenancy.fairshare`) interleaves one fill per tenant.
+(:mod:`repro.tenancy.fairshare`) interleaves one fill per tenant and
+takes its rows through :meth:`RowFill.pull`, the same row untimed and
+unwrapped.
 
 This module also owns the scheduling package's one stopwatch.
 :meth:`Scheduler.select` and :meth:`RowFill.next_row` are the timed
 entry points: each runs the untimed hook a concrete class implements
 (``_select`` / ``_next_row``) through :func:`_timed`, which stamps
 ``SchedulingDecision.runtime`` — the wall-clock figure Fig. 16 reports
-— on what the hook returns.  A policy implements the hook and never
-reads a clock itself: its ``now`` is *simulated* time, and a body that
-holds no wall value cannot mix the two.  TCB003
+— on what the hook returns.  A fair-share decision is timed once, by
+the same :func:`_timed`, around all of its rows.  A policy implements
+the hook and never reads a clock itself: its ``now`` is *simulated*
+time, and a body that holds no wall value cannot mix the two.  TCB003
 (``tests/test_static_invariants.py``) bans the wall clock in every
 other file of the package but ``serving/server.py``.
 """
@@ -116,6 +119,12 @@ class RowFill:
         """A decision of at most one row; ``rows == []`` when nothing
         that is left fits a row (asking again will not change that)."""
         return _timed(self._next_row)
+
+    def pull(self) -> tuple[list[Request], Optional[int], Sequence[Request]]:
+        """:meth:`next_row` untimed, as ``(row, slot size, discarded)``;
+        the row is empty when nothing that is left fits one."""
+        sub = self._next_row()
+        return (sub.rows[0] if sub.rows else []), sub.slot_size, sub.discarded
 
     def _next_row(self) -> SchedulingDecision:
         scheduler = self._scheduler

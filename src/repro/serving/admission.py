@@ -86,6 +86,10 @@ class AdmissionController:
         """:meth:`decide`, for callers that do not need the reason."""
         return self.decide(request, now).admitted
 
+    def charge(self, requests: Sequence[Request]) -> None:
+        """Count *requests*, admitted before a restart, as queued again."""
+        self._queued_tokens += sum(r.length for r in requests)
+
     def release(self, requests: Sequence[Request]) -> None:
         """Notify the controller that requests left the queue."""
         for r in requests:

@@ -175,10 +175,6 @@ class ServingMetrics:
             return 0.0
         return self.total_scheduler_time / self.total_engine_time
 
-    @property
-    def mean_batch_time(self) -> float:
-        return 0.0 if self.num_batches == 0 else self.total_engine_time / self.num_batches
-
     # ------------------------------------------------------------------ #
     # Durability export / apply (see repro.durability.snapshot)
     # ------------------------------------------------------------------ #

@@ -252,7 +252,7 @@ class TCBServer:
             weight=weight,
             tenant=tenant,
         )
-        life.arrive(req)
+        life.arrive((req,))
         refusal = life.admit(req, now)
         if refusal is not None:
             cause, detail = refusal

@@ -56,11 +56,6 @@ class TokenBucket:
             )
             self.last = now
 
-    def peek(self, now: float) -> float:
-        """Current level at ``now`` without consuming anything."""
-        self._refill(now)
-        return self.level
-
     def try_take(self, tokens: int, now: float) -> bool:
         """Consume *tokens* if the bucket holds them; True on success."""
         self._refill(now)

@@ -15,21 +15,25 @@ preserved within a tenant's share, while a noisy neighbor can never
 monopolize rows: its entitlement is spent after its share and the next
 row goes elsewhere.  A fill is defined as a fresh one-row ``select``
 over what the tenant has left; DAS serves it from one lowering of the
-tenant's pool (``docs/tenancy.md``).
+tenant's pool (``docs/tenancy.md``).  Rows are pulled from the fills
+untimed (:meth:`RowFill.pull <repro.scheduling.base.RowFill.pull>`), and
+the decision as a whole is timed once, by the scheduling package's
+stopwatch.
 
 Determinism: entitlement ties (e.g. two equal-weight tenants on their
 first decision) are broken by an RNG drawn from a dedicated stream tag
 (:data:`_STREAM_TENANT_FAIRNESS`), TCB011-distinct from every other
-plane, seeded per decision — replays are bit-identical.
+plane, seeded per decision — replays are bit-identical.  The RNG may be
+handed in as a factory, which is called only when a tie needs a draw.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence, Union
 
 import numpy as np
 
-from repro.scheduling.base import RowFill, Scheduler, SchedulingDecision
+from repro.scheduling.base import RowFill, Scheduler, SchedulingDecision, _timed
 from repro.types import Request
 
 __all__ = [
@@ -91,19 +95,31 @@ def fair_select(
     *,
     weights: Mapping[str, float],
     deficits: dict[str, float],
-    rng: np.random.Generator,
+    rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
 ) -> SchedulingDecision:
     """One fair-shared scheduling decision over ≥ 2 active tenants.
 
-    Allocates the batch's rows by weight×deficit entitlement, asks the
-    winning tenant's :class:`~repro.scheduling.base.RowFill` for each
-    row, and recombines the rows into a single
-    :class:`SchedulingDecision` that satisfies ``validate(batch)`` (row
-    budgets hold per fill; duplicates are impossible because a fill
-    never hands a request out twice).  ``discarded`` lists each request
-    a fill discarded once, in first-discard order, and never one the
-    decision selected.
+    Allocates the batch's rows by weight×deficit entitlement, pulls each
+    row from the winning tenant's :class:`~repro.scheduling.base.RowFill`,
+    and recombines the rows into a single :class:`SchedulingDecision`
+    that satisfies ``validate(batch)`` (row budgets hold per fill;
+    duplicates are impossible because a fill never hands a request out
+    twice).  ``discarded`` lists each request a fill discarded once, in
+    first-discard order, and never one the decision selected.  *rng* is
+    a Generator, or a factory called on the first tie that needs a draw.
+    ``runtime`` is the whole decision's, timed once.
     """
+    return _timed(_fair_decision, scheduler, groups, now, weights, deficits, rng)
+
+
+def _fair_decision(
+    scheduler: Scheduler,
+    groups: Mapping[str, list[Request]],
+    now: float,
+    weights: Mapping[str, float],
+    deficits: dict[str, float],
+    rng: Union[np.random.Generator, Callable[[], np.random.Generator]],
+) -> SchedulingDecision:
     batch = scheduler.batch
     budget = batch.num_rows * batch.row_length
     ent = entitlements(groups, weights, deficits, budget)
@@ -116,7 +132,6 @@ def fair_select(
 
     rows: list[list[Request]] = []
     discarded: dict[int, Request] = {}
-    runtime = 0.0
     slot_sizes: set[int] = set()
     for _ in range(batch.num_rows):
         active = [t for t in left if left[t]]
@@ -126,37 +141,40 @@ def fair_select(
         tied = sorted(
             t for t in active if ent[t] - used[t] >= best_ent - 1e-12
         )
-        winner = tied[0] if len(tied) == 1 else tied[rng.integers(len(tied))]
+        if len(tied) == 1:
+            winner = tied[0]
+        else:
+            if not isinstance(rng, np.random.Generator):
+                rng = rng()
+            winner = tied[rng.integers(len(tied))]
         fill = fills.get(winner)
         if fill is None:
             fill = fills[winner] = scheduler.open(groups[winner], now)
-        sub = fill.next_row()
-        runtime += sub.runtime
-        for r in sub.discarded:
+        row, slot_size, dropped = fill.pull()
+        for r in dropped:
             discarded.setdefault(r.request_id, r)
-        row = sub.rows[0] if sub.rows else []
         if not row:
             # Nothing from this tenant fits a fresh row (e.g. every
             # request longer than L): park it for this decision so the
             # row loop always makes progress.
             left[winner] = 0
             continue
-        if sub.slot_size is not None:
-            slot_sizes.add(sub.slot_size)
+        if slot_size is not None:
+            slot_sizes.add(slot_size)
         left[winner] -= len(row)
         used[winner] += sum(r.length for r in row)
         alloc[winner] += 1
         rows.append(row)
 
-    for row in rows:
-        for r in row:
-            discarded.pop(r.request_id, None)
+    if discarded:
+        for row in rows:
+            for r in row:
+                discarded.pop(r.request_id, None)
     settle_deficits(deficits, ent, used, budget)
     return SchedulingDecision(
         rows=rows,
         # Slotted fills only compose when they agree on one size.
         slot_size=slot_sizes.pop() if len(slot_sizes) == 1 else None,
-        runtime=runtime,
         discarded=list(discarded.values()),
         info={
             "scheduler": f"fair-share/{scheduler.name}",

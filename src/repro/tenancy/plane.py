@@ -28,7 +28,7 @@ snapshots, mirroring the health plane.
 from __future__ import annotations
 
 from collections import Counter
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Container, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from repro.tenancy.fairshare import (
     settle_deficits,
 )
 from repro.tenancy.ledger import TenantLedger, TenantLedgerBook
-from repro.tenancy.registry import TenantRegistry
+from repro.tenancy.registry import DEFAULT_TENANT, TenantClass, TenantRegistry
 from repro.types import Request
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -101,8 +101,8 @@ class TenancyPlane:
         self.registry = registry if registry is not None else TenantRegistry()
         self.seed = seed
         # True when no class in the registry carries a rate or an
-        # in-flight cap: admit() can never refuse, so the loops skip
-        # the per-request dispatch entirely.
+        # in-flight cap: refusals() can never refuse, so the loops skip
+        # it entirely.
         classes = list(self.registry._classes.values()) + [
             self.registry.default_class
         ]
@@ -122,7 +122,8 @@ class TenancyPlane:
         self._deficits: dict[str, float] = {}
         self._decision = 0
         # Tenants whose SLO class has neither a rate nor an in-flight
-        # cap: admission is a no-op for them, cached to one set probe.
+        # cap: admission is a no-op for them, cached to one set probe
+        # per arrival in refusals().
         self._unconstrained: set[Optional[str]] = set()
 
     def begin_run(self) -> None:
@@ -151,16 +152,30 @@ class TenancyPlane:
     # ------------------------------------------------------------------
     # quota admission
 
-    def admit(self, request: Request, now: float) -> Optional[str]:
-        """Try to admit *request* at sim time *now*.
+    def refusals(
+        self, arrivals: Sequence[Request], skip: Container[int] = ()
+    ) -> list[tuple[int, str]]:
+        """Quota verdicts over a range of arrivals: the refused positions.
 
-        Returns ``None`` on success (the request's tokens are charged
-        against the tenant's in-flight cap until :meth:`release`) or a
-        human-readable rejection reason, counted as the tenant's quota
-        refusal.
+        Each request is admitted at its own arrival time, tenant by
+        tenant in arrival order; an admitted one's tokens are charged
+        against the tenant's in-flight cap until :meth:`release`.  A
+        refusal comes with a human-readable reason and is counted as the
+        tenant's quota refusal.  Positions in *skip* (an earlier gate
+        refused them) and the requests of quota-free tenants are passed
+        over without a call.
         """
-        if request.tenant in self._unconstrained:
-            return None
+        refused = []
+        unconstrained = self._unconstrained
+        for k, r in enumerate(arrivals):
+            if r.tenant in unconstrained or k in skip:
+                continue
+            reason = self._admit(r)
+            if reason is not None:
+                refused.append((k, reason))
+        return refused
+
+    def _admit(self, request: Request) -> Optional[str]:
         cls = self.registry.tenant_class(request.tenant)
         if cls.max_in_flight is None and cls.rate is None:
             # Unconstrained class: nothing to charge, nothing to refuse.
@@ -173,23 +188,42 @@ class TenancyPlane:
             and self._in_flight.get(t, 0) + request.length > cls.max_in_flight
         ):
             refusal = f"in-flight cap {cls.max_in_flight} tokens"
-        elif cls.rate is not None:
-            bucket = self._buckets.get(t)
-            if bucket is None:
-                bucket = self._buckets[t] = TokenBucket(
-                    cls.rate, cls.bucket_burst
-                )
-            if not bucket.try_take(request.length, now):
-                refusal = (
-                    f"token bucket empty "
-                    f"(rate {cls.rate:g}/s, burst {cls.bucket_burst:g})"
-                )
+        elif cls.rate is not None and not self._bucket(t, cls).try_take(
+            request.length, request.arrival
+        ):
+            refusal = (
+                f"token bucket empty "
+                f"(rate {cls.rate:g}/s, burst {cls.bucket_burst:g})"
+            )
         if refusal is not None:
             self._quota_rejected[t] += 1
             return refusal
         self._in_flight[t] = self._in_flight.get(t, 0) + request.length
         self._charged[request.request_id] = (t, request.length)
         return None
+
+    def _bucket(self, tenant: str, cls: TenantClass) -> TokenBucket:
+        bucket = self._buckets.get(tenant)
+        if bucket is None:
+            bucket = self._buckets[tenant] = TokenBucket(cls.rate, cls.bucket_burst)
+        return bucket
+
+    def charge(self, requests: Sequence[Request]) -> None:
+        """Charge *requests* as their admission did, refusing none.
+
+        For a restart's recovered submits: each was admitted before the
+        crash, after the snapshot the plane was restored from.  Taken
+        in submit order, every bucket sees the same takes again.
+        """
+        for r in requests:
+            cls = self.registry.tenant_class(r.tenant)
+            if cls.max_in_flight is None and cls.rate is None:
+                continue
+            t = self.key(r)
+            if cls.rate is not None:
+                self._bucket(t, cls).try_take(r.length, r.arrival)
+            self._in_flight[t] = self._in_flight.get(t, 0) + r.length
+            self._charged[r.request_id] = (t, r.length)
 
     def release(self, requests: Iterable[Request]) -> None:
         """*requests* left the queue: give back their in-flight charges."""
@@ -203,8 +237,12 @@ class TenancyPlane:
     # ------------------------------------------------------------------
     # accounting
 
-    def arrive(self, request: Request) -> None:
-        self._arrived[self.key(request)] += 1
+    def arrive(self, requests: Sequence[Request]) -> None:
+        """*requests* arrived: one count per tenant, in one pass."""
+        tenants = [r.tenant for r in requests]
+        if None in tenants:
+            tenants = [DEFAULT_TENANT if t is None else t for t in tenants]
+        self._arrived.update(tenants)
 
     def shed(self, requests: Sequence[Request]) -> None:
         # Sheds are rejections in the global ledger (shed ⊂ rejected);
@@ -254,11 +292,7 @@ class TenancyPlane:
         if groups is None:
             return scheduler.select(waiting, now)
         weights = {t: self.registry.effective_weight(t) for t in groups}
-        rng = ensure_rng(
-            np.random.SeedSequence(
-                (self.seed, _STREAM_TENANT_FAIRNESS, self._decision)
-            )
-        )
+        seed, decision_no = self.seed, self._decision
         self._decision += 1
         decision = fair_select(
             scheduler,
@@ -266,7 +300,10 @@ class TenancyPlane:
             now,
             weights=weights,
             deficits=self._deficits,
-            rng=rng,
+            # Built only if an entitlement tie needs a draw.
+            rng=lambda: ensure_rng(
+                np.random.SeedSequence((seed, _STREAM_TENANT_FAIRNESS, decision_no))
+            ),
         )
         if tracer is not None and decision.rows:
             tracer.tenant(
@@ -291,9 +328,31 @@ class TenancyPlane:
     def _groups(
         self, waiting: Sequence[Request]
     ) -> Optional[dict[str, list[Request]]]:
-        """*waiting* by tenant key; None when at most one tenant waits."""
-        if len(self._arrived) <= 1 or len({r.tenant for r in waiting}) <= 1:
+        """*waiting* by tenant key; None when at most one tenant waits.
+
+        One pass, by ``Request.tenant``; the untagged requests' group is
+        then renamed to :data:`DEFAULT_TENANT`.
+        """
+        if len(self._arrived) <= 1:
             return None
+        by_tenant: dict[Optional[str], list[Request]] = {}
+        for r in waiting:
+            group = by_tenant.get(r.tenant)
+            if group is None:
+                by_tenant[r.tenant] = [r]
+            else:
+                group.append(r)
+        if len(by_tenant) <= 1:
+            return None
+        if None not in by_tenant:
+            return by_tenant  # type: ignore[return-value]
+        if DEFAULT_TENANT not in by_tenant:
+            return {
+                DEFAULT_TENANT if t is None else t: group
+                for t, group in by_tenant.items()
+            }
+        # Untagged requests and the tenant named like their key share one
+        # group, in waiting order.
         groups: dict[str, list[Request]] = {}
         for r in waiting:
             groups.setdefault(self.key(r), []).append(r)

@@ -64,8 +64,7 @@ def _plane(waiting, warm_charges=None):
     deficits carried from one earlier pass that charged that many."""
     plane = TenancyPlane(REGISTRY)
     plane.begin_run()
-    for r in waiting:
-        plane.arrive(r)
+    plane.arrive(waiting)
     warm = None if warm_charges is None else plane.iteration_share(waiting, 50)
     if warm is not None:
         for r in waiting[:warm_charges]:

@@ -14,6 +14,7 @@ import pytest
 
 from repro.config import BatchConfig, SchedulerConfig
 from repro.rng import ensure_rng
+from repro.scheduling import das
 from repro.scheduling.das import DASScheduler
 from repro.scheduling.queue import RequestQueue, utility_columns
 from repro.types import Request
@@ -164,3 +165,20 @@ class TestWaitingSetShapes:
         ]
         df = _assert_same_decision(BatchConfig(num_rows=3, row_length=30), waiting)
         assert [_ids(row) for row in df.rows] == [[0, 1, 2, 3]]
+
+
+class TestBothWalks:
+    """The list walk (pools up to ``SHALLOW_POOL``) and the masked walk
+    (deeper pools) against the oracle, each forced on pools of every
+    depth — including the sizes on either side of the constant."""
+
+    @pytest.mark.parametrize("shallow_pool", [0, 10**9])
+    @pytest.mark.parametrize("depth", [3, 20, 64, 127, 128, 129, 400])
+    def test_either_walk_matches_the_oracle(self, monkeypatch, shallow_pool, depth):
+        monkeypatch.setattr(das, "SHALLOW_POOL", shallow_pool)
+        for seed in range(3):
+            rng = ensure_rng(1000 * depth + seed)
+            batch = BatchConfig(num_rows=int(rng.integers(1, 24)), row_length=100)
+            waiting = _weighted(rng, depth, longest=int(rng.choice([40, 100, 130])))
+            _assert_same_decision(batch, waiting)
+            _assert_same_decision(batch, waiting, SchedulerConfig(eta=0.9, q=0.25))

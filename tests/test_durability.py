@@ -58,6 +58,7 @@ from repro.serving.metrics import ServingMetrics
 from repro.serving.server import TCBServer
 from repro.serving.simulator import ServingSimulator
 from repro.tenancy import TenancyPlane, TenantClass, TenantRegistry
+from repro.tenancy.admission import QuotaExceeded
 from repro.types import make_requests
 from repro.watermark import Watermark, mark, thaw
 from repro.workload.deadlines import DeadlineModel
@@ -1040,6 +1041,49 @@ class TestServerWarmRestart:
             ref.submit(tokens)
         ref_out = {r.request_id: r.output_tokens for r in ref.run_until_drained()}
         assert {**delivered, **again} == ref_out
+
+    def test_restart_charges_the_recovered_submits(self):
+        """k = 3: every submit since the genesis snapshot comes back from
+        the journal.  The admission controller and the tenant's in-flight
+        cap count the still-queued ones again, and the next over-cap
+        submit is refused as it is without the restart."""
+        registry = TenantRegistry(
+            {"capped": TenantClass(name="capped", max_in_flight=20)}
+        )
+
+        def server(plane):
+            return TCBServer(
+                seed=0,
+                durability=plane,
+                admission=AdmissionController(
+                    BatchConfig(num_rows=4, row_length=32), max_queued_tokens=1000
+                ),
+                tenancy=TenancyPlane(registry, seed=0),
+            )
+
+        plane = DurabilityPlane(DurabilityConfig(checkpoint_every=3))
+        s1, ref = server(plane), server(None)
+        for s in (s1, ref):
+            for _ in range(4):
+                s.submit([1, 2, 3], tenant="capped")
+            assert len(s.step()) == 4
+            for _ in range(5):
+                s.submit([4, 5, 6], tenant="capped")
+        assert s1.admission.queued_tokens == 15
+
+        s2 = server(plane)
+        s2.warm_restart()
+        assert s2.pending == 5
+        for s in (s2, ref):
+            assert s.admission.queued_tokens == 15
+            assert s.tenancy.export_state()["in_flight"] == {"capped": 15}
+            with pytest.raises(QuotaExceeded, match="in-flight cap 20 tokens"):
+                s.submit([7] * 6, tenant="capped")
+            s.submit([7] * 5, tenant="capped")
+            s.run_until_drained()
+            assert s.admission.queued_tokens == 0
+            assert s.tenancy.export_state()["in_flight"] == {"capped": 0}
+            s.metrics.assert_conservation()
 
     def test_restart_without_plane_raises(self):
         with pytest.raises(ValueError, match="durability"):

@@ -44,10 +44,15 @@ from repro.engine.slotted import SlottedConcatEngine
 from repro.model.seq2seq import Seq2SeqModel
 from repro.obs.recorder import Tracer
 from repro.rng import ensure_rng
+from repro.scheduling import das
+from repro.scheduling.base import SchedulingDecision
 from repro.scheduling.das import DASFill, DASScheduler
 from repro.scheduling.queue import RequestQueue
+from repro.experiments.serving_sweeps import make_workload
 from repro.serving.continuous import ContinuousBatchingSimulator, admit
+from repro.serving.lifecycle import Lifecycle
 from repro.serving.simulator import ServingSimulator
+from repro.tenancy import TenancyPlane, TenantClass, TenantRegistry
 from repro.tenancy.fairshare import fair_select
 from repro.types import Request
 from repro.watermark import Watermark
@@ -339,6 +344,137 @@ class TestFairShareWork:
         assert work.calls["lexsort"] <= 2 * len(groups)
         # ... and the scheduler object is not reconfigured per row.
         assert work.frames[("das", "select")] == 0
+
+    def test_rows_are_pulled_without_numpy_or_decision_objects(self, monkeypatch):
+        groups: dict = {}
+        for r in _shallow():
+            groups.setdefault(r.tenant, []).append(r)
+        assert max(map(len, groups.values())) <= das.SHALLOW_POOL
+        built = []
+        init = SchedulingDecision.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SchedulingDecision, "__init__", counted)
+        numpy_calls, lowerings = Counter(), Counter()
+
+        def on_call(frame, event, arg):
+            # A C call is reported in its caller's frame; a NumPy function
+            # written in Python in its own, whose caller is one up.
+            if event == "c_call":
+                owner = getattr(arg, "__self__", None)
+                if getattr(arg, "__module__", None) == "numpy" or isinstance(owner, np.ndarray):
+                    caller = frame
+                else:
+                    return
+            elif event == "call":
+                if frame.f_code.co_name == "utility_columns":
+                    lowerings["utility_columns"] += 1
+                if "numpy" not in frame.f_code.co_filename or frame.f_back is None:
+                    return
+                caller = frame.f_back
+            else:
+                return
+            if Path(caller.f_code.co_filename).stem == "das":
+                numpy_calls[getattr(arg, "__name__", frame.f_code.co_name)] += 1
+
+        sys.setprofile(on_call)
+        try:
+            decision = fair_select(
+                DASScheduler(PLANES_BATCH), groups, 0.0,
+                weights={t: 1.0 for t in groups}, deficits={}, rng=ensure_rng(0),
+            )
+        finally:
+            sys.setprofile(None)
+        assert len(decision.rows) >= 10 and lowerings["utility_columns"] == len(groups)
+        # The decision is the one SchedulingDecision built; the rows are
+        # walked over the lowered lists, and all das.py asks of NumPy is
+        # the EDF order as a list, once per lowering (the masked walk
+        # made ~10 calls per row here).
+        assert built == [decision]
+        assert numpy_calls == Counter(tolist=len(groups))
+
+    @pytest.mark.parametrize("weights", [(1.0, 1.0, 1.0), (4.0, 1.0, 0.25)])
+    def test_the_tie_break_generator_is_built_only_for_a_tie(self, weights):
+        registry = TenantRegistry(
+            {t: TenantClass(name=t, weight=w) for t, w in zip(TENANTS, weights)}
+        )
+        plane = TenancyPlane(registry, seed=3)
+        waiting = _shallow()
+        plane.arrive(waiting)
+        decision, work = measure(plane.select, DASScheduler(PLANES_BATCH), waiting, 0.0)
+        assert len(decision.rows) >= 10
+        # Equal weights tie on the first row; 4 : 1 : ¼ never tie.  (A
+        # Generator comes from a seed only through ensure_rng.)
+        assert work.frames[("rng", "ensure_rng")] == (len(set(weights)) == 1)
+
+
+def _plane_calls(work):
+    """``TenancyPlane`` method calls by name (comprehensions are their
+    method's own work)."""
+    return {
+        name: n
+        for (stem, name), n in work.frames.items()
+        if stem == "plane" and not name.startswith("<")
+    }
+
+
+class TestTenancyArrivalWork:
+    """What the tenancy plane is asked per slot of arrivals."""
+
+    @staticmethod
+    def _admit_slot(registry, k):
+        arrivals = [
+            Request(
+                request_id=i, length=10, arrival=0.001 * i, deadline=5.0,
+                tenant=TENANTS[i % len(TENANTS)],
+            )
+            for i in range(k)
+        ]
+        life = Lifecycle(DASScheduler(PLANES_BATCH), tenancy=TenancyPlane(registry))
+        life.begin(arrivals, horizon=1.0)
+        _, work = measure(life.admit_arrivals, 1.0)
+        assert len(life.queue) == k and life.next_arrival == k
+        return _plane_calls(work)
+
+    def test_a_slot_of_quota_free_arrivals_is_one_call(self):
+        registry = TenantRegistry({t: TenantClass(name=t) for t in TENANTS})
+        assert self._admit_slot(registry, 60) == {"arrive": 1}
+
+    def test_only_constrained_tenants_are_admitted_one_by_one(self):
+        registry = TenantRegistry(
+            {
+                "premium": "premium",
+                "standard": "standard",
+                "batch": TenantClass(name="batch", weight=0.25, max_in_flight=10_000),
+            }
+        )
+        calls = self._admit_slot(registry, 60)
+        # 20 batch requests, plus the first of each quota-free tenant,
+        # which puts it on the passed-over list.
+        assert calls["refusals"] == 1 and calls["_admit"] == 20 + 2
+
+    def test_single_tenant_run_asks_per_decision_not_per_arrival(self):
+        wl = make_workload(100.0, horizon=3.0, seed=0, base_slack=12.0).generate()
+        sim = ServingSimulator(
+            DASScheduler(PLANES_BATCH), ConcatEngine(PLANES_BATCH), tenancy=TenancyPlane()
+        )
+        _, work = measure(lambda: sim.run(wl, horizon=3.0))
+        calls = _plane_calls(work)
+        decisions = work.frames[("lifecycle", "select")]
+        assert decisions > 2 and work.frames[("fairshare", "fair_select")] == 0
+        assert calls["select"] == calls["_groups"] == decisions
+        assert "key" not in calls and "_admit" not in calls
+        # One count per slot's range of arrivals, not one per request.
+        assert calls["arrive"] <= work.frames[("lifecycle", "admit_arrivals")]
+        assert calls["arrive"] < len(wl) / 2
+        # Besides those, once per run, and one release per lifecycle event
+        # that frees requests (plus the end-of-run sweep's two).
+        per_run = {"begin_run", "bind", "finalize", "book"}
+        assert set(calls) <= per_run | {"select", "_groups", "arrive", "release"}
+        assert calls["release"] <= work.frames[("lifecycle", "_release")] + 2
 
 
 class TestAnnotationWork:

@@ -384,13 +384,15 @@ class TestOverloadControllerHysteresis:
         ov = self._controller()
         tight = _req(1, arrival=0.0, deadline=1.0)  # slack 1.0 at t=0
         loose = _req(2, arrival=0.0, deadline=10.0)
-        assert ov.admit(tight, 0.0) and ov.admit(loose, 0.0)
+        assert ov.deny([tight, loose]) == []
         ov.update(5.0, _aged_queue(1.5, now=5.0))  # -> SHED (floor 0.5)
-        assert not ov.admit(_req(3, deadline=5.2), 5.0)  # slack 0.2 < 0.5
-        assert ov.admit(_req(4, deadline=6.0), 5.0)  # slack 1.0 >= 0.5
+        # Slack 0.2 < 0.5 is denied, slack 1.0 >= 0.5 is not.
+        shed = [_req(3, arrival=5.0, deadline=5.2), _req(4, arrival=5.0, deadline=6.0)]
+        assert ov.deny(shed) == [0]
         ov.update(6.0, _aged_queue(2.5, now=6.0))  # -> BROWNOUT (floor 2.0)
-        assert not ov.admit(_req(5, deadline=7.0), 6.0)  # slack 1.0 < 2.0
-        assert ov.admit(_req(6, deadline=9.0), 6.0)
+        # Slack 3.0 >= 2.0 is not denied, slack 1.0 < 2.0 is.
+        brown = [_req(6, arrival=6.0, deadline=9.0), _req(5, arrival=6.0, deadline=7.0)]
+        assert ov.deny(brown) == [1]
         assert ov.denied == 2
 
     def test_brownout_caps_batch_and_budget(self):
@@ -408,7 +410,7 @@ class TestOverloadControllerHysteresis:
         ov = self._controller()
         ov.observe_outcomes(missed=8)
         ov.update(5.0, _aged_queue(3.0, now=5.0))
-        ov.admit(_req(1, deadline=5.1), 5.0)
+        ov.deny([_req(1, arrival=5.0, deadline=5.1)])
         assert ov.level.label == "brownout" and ov.denied == 1
         ov.begin_run()
         assert ov.level.label == "normal"

@@ -2,14 +2,15 @@
 
 ``Scheduler.select`` and ``RowFill.next_row`` time the untimed hook a
 policy implements, so every scheduler reports Fig. 16's ``runtime``
-without reading a clock itself, and a fair-share decision's figure is
-still the sum of the fills it drew rows from.
+without reading a clock itself, and a fair-share decision is timed
+once, around every row it pulls from its fills.
 """
 
 import pytest
 
 from repro.config import BatchConfig
 from repro.rng import ensure_rng
+from repro.scheduling import base
 from repro.scheduling.base import RowFill, Scheduler, SchedulingDecision
 from repro.scheduling.baselines import DEFScheduler, FCFSScheduler, SJFScheduler
 from repro.scheduling.das import DASFill, DASScheduler
@@ -91,29 +92,28 @@ class TestSelectOverridesStillWork:
             Scheduler(BATCH).select(_waiting())
 
 
-class TestFairShareSumsItsFills:
+class TestFairShareIsTimedOnce:
     @pytest.mark.parametrize("name", ["das", "slotted_das", "sjf"])
-    def test_runtime_is_the_sum_of_the_rows_asked_for(self, name, monkeypatch):
+    def test_one_stopwatch_spans_every_row(self, name, monkeypatch):
         waiting = _waiting()
         groups: dict = {}
         for r in waiting:
             groups.setdefault(r.tenant, []).append(r)
-        asked: list[float] = []
-        timed = RowFill.next_row
+        reads: list[float] = []
 
-        def recording(fill):
-            sub = timed(fill)
-            asked.append(sub.runtime)
-            return sub
+        def clock():
+            reads.append(float(len(reads)))
+            return reads[-1]
 
-        monkeypatch.setattr(RowFill, "next_row", recording)
+        monkeypatch.setattr(base.time, "perf_counter", clock)
         decision = fair_select(
             SCHEDULERS[name](waiting), groups, 0.0,
             weights={t: 1.0 for t in groups}, deficits={}, rng=ensure_rng(0),
         )
         assert len(decision.rows) == BATCH.num_rows
-        assert len(asked) >= len(decision.rows)
-        total = 0.0
-        for runtime in asked:
-            total += runtime
-        assert decision.runtime == total > 0
+        # The decision's first and last reads bracket every other one:
+        # a fill that times its own rows does so inside the decision.
+        assert decision.runtime == reads[-1] - reads[0] == len(reads) - 1
+        if name == "das":
+            # DAS rows come off the fill with no stopwatch of their own.
+            assert len(reads) == 2

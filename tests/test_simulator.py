@@ -137,7 +137,6 @@ class TestServingMetrics:
         assert m.mean_latency == 0.0
         assert m.latency_percentile(99) == 0.0
         assert m.scheduler_overhead_ratio == 0.0
-        assert m.mean_batch_time == 0.0
 
     def test_utility_and_miss_rate(self):
         m = ServingMetrics(horizon=10.0)
